@@ -33,15 +33,12 @@ def auc(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC undefined with a single class")
     order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.shape[0])
     sorted_scores = scores[order]
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average rank, 1-based
-        i = j + 1
+    # A run of tied scores at sorted positions first..last shares their mean 1-based rank.
+    first = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    last = np.r_[first[1:], sorted_scores.shape[0]] - 1
+    ranks = np.empty(scores.shape[0])
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     rank_sum_pos = float(np.sum(ranks[np.asarray(labels) == 1]))
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

@@ -279,12 +279,14 @@ def per_seed_means(aucs, key):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6a_horizon_ordering(trend_sweep, capsys):
     near = mean_auc(trend_sweep["aucs"], "conv", 1)
     far = mean_auc(trend_sweep["aucs"], "conv", 14)
     verdict(capsys, "6a", near > far, f"mean AUC delta=1 {near:.4f} > delta=14 {far:.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_6b_augmentation_helps(trend_sweep, capsys):
     gain = mean_auc(trend_sweep["aucs"], "conv", 1) - mean_auc(
         trend_sweep["aucs"], "none", 1
@@ -292,6 +294,7 @@ def test_criterion_6b_augmentation_helps(trend_sweep, capsys):
     verdict(capsys, "6b", gain >= 0.02, f"convex-vs-none delta=1 gain {gain:+.4f} >= 0.02")
 
 
+@pytest.mark.slow
 def test_criterion_6c_weighting_ordering(trend_sweep, capsys):
     aucs = trend_sweep["aucs"]
     conv = overall_mean(aucs, "conv")
@@ -307,6 +310,7 @@ def test_criterion_6c_weighting_ordering(trend_sweep, capsys):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6d_feature_blocks(trend_sweep, capsys):
     aucs = trend_sweep["aucs"]
     full = mean_auc(aucs, "conv", 7)
@@ -320,11 +324,13 @@ def test_criterion_6d_feature_blocks(trend_sweep, capsys):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_runtime(trend_sweep, capsys):
     elapsed = trend_sweep["elapsed"]
     verdict(capsys, 6, elapsed < 600.0, f"sweep runtime {elapsed:.0f}s < 600s")
 
 
+@pytest.mark.slow
 def test_criterion_7_flagging(trend_sweep, capsys):
     cohort = trend_sweep["cohort"]
 

@@ -1,5 +1,8 @@
 """From-scratch GBDT: losses, splits against a brute-force oracle, serialization."""
 
+import gc
+import json
+
 import numpy as np
 import pytest
 
@@ -201,3 +204,288 @@ def test_prediction_width_validation():
     model = gbdt.fit(X, y, None, GBDTConfig(n_trees=2))
     with pytest.raises(Exception):
         model.predict_proba(np.zeros((3, 2)))
+
+
+# --- exact-greedy oracle ---------------------------------------------------------
+# The learner this package shipped before histogram split search: it sorts each
+# feature once and cumsums all of a node's rows per feature. Kept here as the
+# reference the histogram learner must agree with.
+
+
+def exact_best_split_for_feature(values, g, h, lam, min_child):
+    """Best (gain, threshold) for one feature given node-sorted arrays.
+
+    `values` ascending; g, h in the same order. Returns (-inf, nan) when no
+    admissible split exists. Among equal gains the lowest threshold wins.
+    """
+    n = values.shape[0]
+    if n < 2:
+        return -np.inf, np.nan
+    G, H = g.sum(), h.sum()
+    cg = np.cumsum(g)[:-1]
+    ch = np.cumsum(h)[:-1]
+    splittable = values[:-1] < values[1:]
+    if min_child > 0:
+        splittable &= (ch >= min_child) & ((H - ch) >= min_child)
+    if not splittable.any():
+        return -np.inf, np.nan
+    parent = G * G / (H + lam)
+    gains = np.where(
+        splittable,
+        0.5 * (cg**2 / (ch + lam) + (G - cg) ** 2 / (H - ch + lam) - parent),
+        -np.inf,
+    )
+    best = int(np.argmax(gains))  # first max -> lowest threshold
+    return float(gains[best]), float(0.5 * (values[best] + values[best + 1]))
+
+
+def exact_build_tree(X, g, h, root_orders, cfg):
+    """Grow one depth-limited tree by exhaustive search over sorted rows.
+
+    `root_orders[f]` holds all row indices sorted by feature f. Each split
+    partitions these per-feature orderings into the children.
+    """
+    lam = cfg.l2_leaf_reg
+    goes_left = np.empty(X.shape[0], dtype=bool)
+
+    def grow(orders, depth):
+        rows = orders[0]
+        G, H = g[rows].sum(), h[rows].sum()
+        leaf_value = float(-cfg.learning_rate * G / (H + lam))
+        if depth >= cfg.max_depth or rows.shape[0] < 2:
+            return TreeNode(value=leaf_value)
+
+        best_gain, best_feat, best_thr = gbdt._MIN_GAIN, -1, np.nan
+        for f in range(X.shape[1]):
+            order = orders[f]
+            gain, thr = exact_best_split_for_feature(
+                X[order, f], g[order], h[order], lam, cfg.min_child_weight
+            )
+            if gain > best_gain:  # strict: ties keep the lowest feature index
+                best_gain, best_feat, best_thr = gain, f, thr
+        if best_feat < 0:
+            return TreeNode(value=leaf_value)
+
+        goes_left[rows] = X[rows, best_feat] < best_thr
+        left_orders = [o[goes_left[o]] for o in orders]
+        right_orders = [o[~goes_left[o]] for o in orders]
+        node = TreeNode(feature=best_feat, threshold=best_thr)
+        node.left = grow(left_orders, depth + 1)
+        node.right = grow(right_orders, depth + 1)
+        return node
+
+    return grow(root_orders, 0)
+
+
+def exact_best_gain(x, g, h, cfg):
+    """The oracle's best gain over all features on these rows (NaN features skipped)."""
+    best = -np.inf
+    for f in range(x.shape[1]):
+        order = np.argsort(x[:, f], kind="stable")
+        gain, _ = exact_best_split_for_feature(
+            x[order, f], g[order], h[order], cfg.l2_leaf_reg, cfg.min_child_weight
+        )
+        if gain > best:
+            best = gain
+    return best
+
+
+def split_gain(x, g, h, threshold, lam):
+    left = x < threshold
+    G, H = g.sum(), h.sum()
+    gl, hl = g[left].sum(), h[left].sum()
+    return 0.5 * (gl**2 / (hl + lam) + (G - gl) ** 2 / (H - hl + lam) - G * G / (H + lam))
+
+
+def tied_fixture(seed, n=120, d=5):
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(n, d)), 1)  # rounded values force ties
+    y = (X[:, 0] + rng.normal(size=n) > 0.3).astype(float)
+    w = rng.uniform(0.2, 1.0, size=n)
+    return gbdt._canonicalize(X, y, w)
+
+
+def round_gradients(model, X, y, w, k):
+    """Gradients and hessians boosting round k saw (after k trees)."""
+    p = GBDTModel(model.base_score, model.trees[:k], model.feature_names,
+                  model.config).predict_proba(X)
+    return w * (p - y), w * p * (1.0 - p)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_every_split_gain_matches_exact_oracle(seed):
+    X, y, w = tied_fixture(seed)
+    cfg = GBDTConfig(n_trees=8, max_depth=3, min_child_weight=0.5)
+    model = gbdt.fit(X, y, w, cfg)
+    checked = 0
+    for k, tree in enumerate(model.trees):
+        g, h = round_gradients(model, X, y, w, k)
+        stack = [(tree, np.arange(X.shape[0]), 0)]
+        while stack:
+            node, rows, depth = stack.pop()
+            oracle = exact_best_gain(X[rows], g[rows], h[rows], cfg)
+            if node.is_leaf:
+                if depth < cfg.max_depth:
+                    assert oracle < 1e-9
+                continue
+            chosen = split_gain(X[rows, node.feature], g[rows], h[rows],
+                                node.threshold, cfg.l2_leaf_reg)
+            assert chosen == pytest.approx(oracle, rel=1e-9, abs=1e-15)
+            checked += 1
+            left = X[rows, node.feature] < node.threshold
+            stack += [(node.left, rows[left], depth + 1), (node.right, rows[~left], depth + 1)]
+    assert checked > 8
+
+
+@pytest.mark.parametrize("regularized", [True, False])
+@pytest.mark.parametrize("seed", range(6))
+def test_first_tree_agrees_with_exact_learner(seed, regularized):
+    X, y, w = random_fixture(seed)
+    cfg = GBDTConfig(n_trees=1, max_depth=4)
+    if not regularized:
+        # Zero-weight rows at the bottom of features 0 and 1 make their lowest
+        # split 0/0, so both learners must skip those features at the root.
+        cfg = GBDTConfig(n_trees=1, max_depth=4, l2_leaf_reg=0.0, min_child_weight=0.0)
+        w[np.argmin(X[:, 0])] = w[np.argmin(X[:, 1])] = 0.0
+    X, y, w = gbdt._canonicalize(X, y, w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tree = gbdt.fit(X, y, w, cfg).trees[0]
+        g, h = round_gradients(gbdt.fit(X, y, w, GBDTConfig(n_trees=0)), X, y, w, 0)
+        orders = [np.argsort(X[:, f], kind="stable") for f in range(X.shape[1])]
+        exact = exact_build_tree(X, g, h, orders, cfg)
+        if not regularized:
+            for f in (0, 1):
+                o = orders[f]
+                assert np.isnan(exact_best_split_for_feature(X[o, f], g[o], h[o], 0.0, 0.0)[0])
+    # Near-tied splits may break either way under a different summation
+    # order, so compare the partitions the trees make, not their node lists.
+    np.testing.assert_allclose(gbdt._tree_predict(tree, X), gbdt._tree_predict(exact, X),
+                               rtol=1e-12, atol=1e-15)
+    stack = [(tree, np.arange(X.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        if not node.is_leaf:
+            values = np.unique(X[rows, node.feature])
+            assert node.threshold in 0.5 * (values[:-1] + values[1:])
+            left = X[rows, node.feature] < node.threshold
+            stack += [(node.left, rows[left]), (node.right, rows[~left])]
+
+
+def test_boosted_score_is_bit_identical_to_raw_scores(monkeypatch):
+    X, y, w = random_fixture(7)
+    X = np.vstack([X, X[:10]])  # duplicates exercise the canonical merge
+    y, w = np.concatenate([y, y[:10]]), np.concatenate([w, w[:10]])
+    log_loss, seen = gbdt._log_loss, []
+
+    def capture(y_, score, w_):  # fit reports its running score once per round
+        seen.append(score.copy())
+        return log_loss(y_, score, w_)
+
+    monkeypatch.setattr(gbdt, "_log_loss", capture)
+    model = gbdt.fit(X, y, w, GBDTConfig(n_trees=20, max_depth=4))
+    Xc, yc, wc = gbdt._canonicalize(X, y, w)
+    raw = model.raw_scores(Xc)
+    assert len(seen) == 21
+    assert seen[-1].tobytes() == raw.tobytes()
+    assert model.train_loss_curve[-1] == log_loss(yc, raw, wc)
+
+
+def test_fit_leaves_no_reference_cycles():
+    X, y, w = random_fixture(8)
+    gc.collect()
+    gc.disable()
+    try:
+        gbdt.fit(X, y, w, GBDTConfig(n_trees=30, max_depth=4))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_constant_features_give_single_leaf_trees():
+    X = np.zeros((6, 2))
+    y = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+    model = gbdt.fit(X, y, None, GBDTConfig(n_trees=3))
+    assert all(t.is_leaf for t in model.trees)
+
+
+@pytest.mark.parametrize(
+    "weights, error",
+    [
+        (np.ones(3), ModelError),
+        (np.ones((4, 1)), ModelError),
+        (np.array([1.0, np.nan, 1.0, 1.0]), DegenerateDataError),
+        (np.array([1.0, np.inf, 1.0, 1.0]), DegenerateDataError),
+        (np.array([1.0, -0.5, 1.0, 1.0]), DegenerateDataError),
+        (np.zeros(4), DegenerateDataError),
+    ],
+)
+def test_sample_weight_validation(weights, error):
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    y = np.array([0.0, 1.0, 0.0, 1.0])
+    with pytest.raises(error):
+        gbdt.fit(X, y, weights, GBDTConfig(n_trees=2))
+
+
+def test_zero_width_features_rejected():
+    with pytest.raises(ModelError):
+        gbdt.fit(np.zeros((4, 0)), np.array([0.0, 1.0, 0.0, 1.0]), None, GBDTConfig())
+
+
+def _drop_left(raw):
+    del raw["trees"][0]["left"]
+
+
+def _feature(value):
+    def mutate(raw):
+        raw["trees"][0]["feature"] = value
+    return mutate
+
+
+def _threshold(value):
+    def mutate(raw):
+        raw["trees"][0]["threshold"] = value
+    return mutate
+
+
+def _first_leaf(raw):
+    node = raw["trees"][0]
+    while "value" not in node:
+        node = node["left"]
+    return node
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _drop_left,
+        _feature(2),  # the fixture model is two features wide
+        _feature(-1),
+        _feature(0.5),
+        _feature("0"),
+        _threshold(float("nan")),
+        _threshold(float("inf")),
+        _threshold("0.5"),
+        lambda raw: _first_leaf(raw).update(value=float("-inf")),
+        lambda raw: _first_leaf(raw).update(value=None),
+        lambda raw: raw["trees"].append([1, 2]),
+        lambda raw: raw.pop("trees"),
+        lambda raw: raw.update(base_score=float("nan")),
+        lambda raw: raw["config"].update(depth=3),
+    ],
+)
+def test_from_json_rejects_malformed_trees(mutate):
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(60, 2))
+    y = (X[:, 0] > 0).astype(float)
+    raw = json.loads(gbdt.fit(X, y, None, GBDTConfig(n_trees=3, max_depth=2)).to_json())
+    assert "feature" in raw["trees"][0]
+    mutate(raw)
+    with pytest.raises(ModelError):
+        GBDTModel.from_json(json.dumps(raw))
+
+
+def test_from_json_rejects_truncated_text():
+    X, y, _ = random_fixture(10)
+    text = gbdt.fit(X, y, None, GBDTConfig(n_trees=2)).to_json()
+    with pytest.raises(ModelError):
+        GBDTModel.from_json(text[:-7])
