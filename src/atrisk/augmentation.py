@@ -102,16 +102,8 @@ def weight_of(day: int, dropout_day: int, lookback: int, g: WeightingFunction) -
     return g.evaluate(span / lookback)
 
 
-def augment(
-    cohort: Cohort,
-    config: AugmentationConfig,
-    assemble_fn: Callable[[StudentRecord, int], "object"] | None = None,
-) -> list[TrainingPair]:
-    """Generate the pseudo-positive set for every dropout student.
-
-    `assemble_fn(student, day)` supplies the feature vector for each pseudo
-    pair; pass None to emit feature-less pairs (counts and weights only).
-    """
+def augment(cohort: Cohort, config: AugmentationConfig) -> list[TrainingPair]:
+    """Generate the pseudo-positive set for every dropout student."""
     if not config.enabled:
         raise ValidationError("augmentation disabled (lookback_days is None)")
     g = config.weighting_function
@@ -122,15 +114,14 @@ def augment(
         if student.final_status != "dropout":
             continue
         t_n = student.last_day
-        for d in pseudo_days(student, lookback):
-            pair = TrainingPair(
+        out.extend(
+            TrainingPair(
                 student_id=sid,
                 day=d,
                 label=1,
                 weight=weight_of(d, t_n, lookback, g),
                 provenance="pseudo_positive",
             )
-            if assemble_fn is not None:
-                pair = pair.with_features(assemble_fn(student, d))
-            out.append(pair)
+            for d in pseudo_days(student, lookback)
+        )
     return out

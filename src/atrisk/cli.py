@@ -13,10 +13,12 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
+from collections import Counter
 from pathlib import Path
 
-from . import evaluation, features, labeling, pipeline, synthgen, trainer
+from . import features, labeling, pipeline, synthgen
 from .augmentation import AugmentationConfig
 from .errors import DataError, ModelError
 from .events import cohort_stats, ingest
@@ -117,18 +119,15 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     fconfig = FeatureConfig(blocks=_parse_blocks(args.features))
     pca = features.fit_pca(pipeline._inclass_rows(cohort), fconfig)
     hist = features.build_teacher_history(cohort)
+    points = [(cohort.students[sid], d) for sid in sorted(cohort.students)
+              for d in cohort.students[sid].days]
+    X = features.assemble(points, pca, hist, fconfig, cohort.schema)
     out_path = out_dir / "features.csv"
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header_written = False
-        for sid in sorted(cohort.students):
-            student = cohort.students[sid]
-            for day in student.days:
-                fv = features.assemble(student, day, pca, hist, fconfig, cohort.schema)
-                if not header_written:
-                    writer.writerow(["student_id", "day", *fv.names])
-                    header_written = True
-                writer.writerow([sid, day, *[repr(float(v)) for v in fv.values]])
+        writer.writerow(["student_id", "day", *features.feature_names(cohort.schema, pca, fconfig)])
+        for (student, day), row in zip(points, X):
+            writer.writerow([student.student_id, day, *map(repr, row.tolist())])
     print(f"wrote {out_path}")
     _write_manifest(out_dir, "featurize", args, [Path(args.events), Path(args.schema)], [out_path])
     return EXIT_OK
@@ -146,17 +145,13 @@ def cmd_train(args: argparse.Namespace) -> int:
         trained.model.save(model_path)
         outputs.append(model_path)
     pairs_path = out_dir / "pairs.csv"
-    positives, negatives = labeling.build_original_pairs(cohort)
-    pseudo = []
-    if config.augmentation.enabled:
-        from .augmentation import augment
-
-        pseudo = augment(cohort, config.augmentation)
-    labeling.write_pairs_csv(positives + pseudo + negatives, pairs_path)
+    labeling.write_pairs_csv(trained.pairs, pairs_path)
     outputs.append(pairs_path)
+    by_provenance = Counter(p.provenance for p in trained.pairs)
     print(
-        f"trained {config.model_kind} on {len(positives)} positives, "
-        f"{len(pseudo)} pseudo positives, {len(negatives)} negatives"
+        f"trained {config.model_kind} on {by_provenance['original_positive']} positives, "
+        f"{by_provenance['pseudo_positive']} pseudo positives, "
+        f"{by_provenance['original_negative']} negatives"
     )
     _write_manifest(
         out_dir, "train", args, [Path(args.events), Path(args.schema)], outputs,
@@ -179,15 +174,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     cohort, trained = _retrain_for_scoring(args)
     at_day = args.at_day if args.at_day is not None else max(s.last_day for s in cohort)
-    scores = {}
-    for sid in sorted(cohort.students):
-        student = cohort.students[sid]
-        if student.first_day > at_day:
-            continue
-        scores[sid] = trained.score(student, min(at_day, student.last_day))
+    points = [(cohort.students[sid], min(at_day, cohort.students[sid].last_day))
+              for sid in sorted(cohort.students) if cohort.students[sid].first_day <= at_day]
+    values = trained.scorer.many(points)
+    scores = {s.student_id: float(v) for (s, _), v in zip(points, values)}
     ranked = sorted(scores, key=lambda sid: (-scores[sid], sid))
-    import math
-
     n_flag = int(math.ceil(args.top_fraction * len(ranked)))
     out_path = out_dir / "predictions.csv"
     with open(out_path, "w", newline="") as fh:
@@ -294,8 +285,6 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--learning-rate", type=float, default=0.1)
     p.add_argument("--model-kind", choices=("gbdt", "logistic"), default="gbdt")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=0,
-                   help="worker hint; results are identical for any value")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=int, default=3)
     p.add_argument("--learning-rate", type=float, default=0.1)
     p.add_argument("--train-fraction", type=float, default=0.8)
-    p.add_argument("--workers", type=int, default=0)
     p.set_defaults(func=cmd_sweep)
 
     return parser

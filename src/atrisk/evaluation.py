@@ -19,6 +19,8 @@ from .errors import UndefinedMetricError, ValidationError
 from .events import Cohort, StudentRecord
 from .labeling import horizon_label
 
+# A (student, day) -> probability callable, or an object with a batch
+# `many(points) -> scores` method such as PipelineScorer, which is used first.
 Scorer = Callable[[StudentRecord, int], float]
 
 
@@ -125,14 +127,19 @@ def recall_at_fraction(
 
     Ties break deterministically by student id.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ValidationError(f"fraction {fraction} outside (0, 1]")
+    flagged = _flag_top(scores_by_student, fraction)
     if not dropouts:
         raise UndefinedMetricError("no dropouts; recall undefined")
+    return len(flagged & dropouts) / len(dropouts)
+
+
+def _flag_top(scores_by_student: dict[str, float], fraction: float) -> set[str]:
+    """The top ceil(fraction * n) students by score, ties broken by id."""
+    if not 0.0 < fraction <= 1.0:
+        raise ValidationError(f"fraction {fraction} outside (0, 1]")
     n_flag = int(np.ceil(fraction * len(scores_by_student)))
     ranked = sorted(scores_by_student, key=lambda sid: (-scores_by_student[sid], sid))
-    flagged = set(ranked[:n_flag])
-    return len(flagged & dropouts) / len(dropouts)
+    return set(ranked[:n_flag])
 
 
 @dataclass
@@ -177,11 +184,9 @@ def daily_flagging(
             scores = dict(zip(sids, (float(v) for v in values)))
         else:
             scores = {sid: scorer(s, eval_day) for sid, s in active.items()}
-        r = recall_at_fraction(scores, todays, fraction)
-        daily.append(r)
-        n_flag = int(np.ceil(fraction * len(scores)))
-        ranked = sorted(scores, key=lambda sid: (-scores[sid], sid))
-        detected += len(set(ranked[:n_flag]) & todays)
+        hits = len(_flag_top(scores, fraction) & todays)
+        daily.append(hits / len(todays))
+        detected += hits
         total += len(todays)
     if total == 0:
         raise UndefinedMetricError("cohort has no evaluable dropout days")

@@ -1,14 +1,19 @@
-"""Feature assembly for <student, timestamp> pairs.
+"""Feature assembly for batches of <student, timestamp> points.
 
+`assemble` turns a list of points, in any order and for any mix of students,
+into one matrix with a row per point and the columns of `feature_names`.
 Three blocks, concatenated in fixed order: PCA-reduced aggregates of the
 in-class vectors, aggregates of the out-of-class vectors, and time-variant
 features (lookback-window counts/gaps plus teacher-history statistics).
-Everything observed strictly after the query day is invisible to the output.
+Everything observed strictly after a point's day is invisible to its row.
+Histories differ in length from point to point; no point scans its own.
+Every aggregate is read off per-record sorted day arrays and running row sums,
+with one binary search per event kind for the whole batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -41,18 +46,6 @@ class FeatureConfig:
             raise ValidationError(f"unknown aggregators: {self.aggregators}")
         if not set(self.blocks) <= set(ALL_BLOCKS):
             raise ValidationError(f"unknown feature blocks: {self.blocks}")
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    values: np.ndarray
-    names: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.values) != len(self.names):
-            raise ValidationError("feature values and names differ in length")
-        if not np.all(np.isfinite(self.values)):
-            raise ValidationError("feature vector contains non-finite values")
 
 
 @dataclass(frozen=True)
@@ -129,24 +122,27 @@ class TeacherHistoryIndex:
     cohort_first_days: np.ndarray  # sorted, all students
     cohort_dropout_days: np.ndarray  # sorted, all dropout students
 
-    def global_prior(self, day: int) -> float:
-        seen = int(np.searchsorted(self.cohort_first_days, day))
-        if seen == 0:
-            return 0.0
-        dropped = int(np.searchsorted(self.cohort_dropout_days, day))
-        return dropped / seen
+    def global_prior(self, days):
+        """Dropout share of the students seen before each day; 0 before any."""
+        seen = np.searchsorted(self.cohort_first_days, days)
+        dropped = np.searchsorted(self.cohort_dropout_days, days)
+        return np.divide(dropped, seen, out=np.zeros(np.shape(seen)), where=seen > 0)
 
-    def query(self, teacher_id: str, day: int) -> tuple[int, int, float]:
-        """(courses taught, distinct students, dropout rate) before `day`."""
+    def query(self, teacher_id: str, days):
+        """(courses taught, distinct students, dropout rate) before each day.
+
+        An unseen teacher, or one with no students yet, gets the global prior.
+        """
+        prior = self.global_prior(days)
         sessions = self.session_days.get(teacher_id)
         if sessions is None:
-            return 0, 0, self.global_prior(day)
-        n_courses = int(np.searchsorted(sessions, day))
-        n_students = int(np.searchsorted(self.student_first_days[teacher_id], day))
-        if n_students == 0:
-            return n_courses, 0, self.global_prior(day)
-        n_dropped = int(np.searchsorted(self.student_dropout_days[teacher_id], day))
-        return n_courses, n_students, n_dropped / n_students
+            zero = np.zeros(np.shape(days), dtype=np.int64)
+            return zero, zero, prior
+        n_courses = np.searchsorted(sessions, days)
+        n_students = np.searchsorted(self.student_first_days[teacher_id], days)
+        n_dropped = np.searchsorted(self.student_dropout_days[teacher_id], days)
+        rate = np.divide(n_dropped, n_students, out=prior, where=n_students > 0)
+        return n_courses, n_students, rate
 
 
 def build_teacher_history(cohort: Cohort) -> TeacherHistoryIndex:
@@ -184,65 +180,8 @@ def build_teacher_history(cohort: Cohort) -> TeacherHistoryIndex:
 
 
 _VEC_AGGS = ("mean", "sum", "last")  # vector-valued aggregators, in emit order
-
-
-@dataclass(frozen=True)
-class _StudentArrays:
-    """Per-student numpy views so assemble can binary-search instead of scan."""
-
-    days: np.ndarray
-    class_days: np.ndarray
-    followup_days: np.ndarray
-    pos_followup_days: np.ndarray
-    neg_followup_days: np.ndarray
-    reschedule_days: np.ndarray
-    inclass_days: np.ndarray
-    inclass_rows: np.ndarray  # (n_class, d_in)
-    outclass_days: np.ndarray
-    outclass_rows: np.ndarray  # (n_out, d_out)
-
-
-# Keyed by id(); the stored record pins the object so ids cannot be recycled.
-_STUDENT_CACHE: dict[int, tuple[StudentRecord, _StudentArrays]] = {}
-
-
-def _student_arrays(student: StudentRecord, schema: ColumnSchema) -> _StudentArrays:
-    cached = _STUDENT_CACHE.get(id(student))
-    if cached is not None and cached[0] is student:
-        return cached[1]
-    obs = student.observations
-    in_pairs = [(o.day, o.inclass_values) for o in obs if o.inclass_values is not None]
-    out_pairs = [(o.day, o.outclass_values) for o in obs if o.outclass_values is not None]
-    arrays = _StudentArrays(
-        days=np.array([o.day for o in obs], dtype=np.int64),
-        class_days=np.array(
-            [o.day for o in obs if o.kind == "class_session"], dtype=np.int64
-        ),
-        followup_days=np.array(
-            [o.day for o in obs if o.kind == "follow_up"], dtype=np.int64
-        ),
-        pos_followup_days=np.array(
-            [o.day for o in obs if o.kind == "follow_up" and (o.polarity or 0) > 0],
-            dtype=np.int64,
-        ),
-        neg_followup_days=np.array(
-            [o.day for o in obs if o.kind == "follow_up" and (o.polarity or 0) < 0],
-            dtype=np.int64,
-        ),
-        reschedule_days=np.array(
-            [o.day for o in obs if o.kind == "reschedule"], dtype=np.int64
-        ),
-        inclass_days=np.array([d for d, _ in in_pairs], dtype=np.int64),
-        inclass_rows=np.vstack([v for _, v in in_pairs])
-        if in_pairs
-        else np.empty((0, len(schema.inclass_columns))),
-        outclass_days=np.array([d for d, _ in out_pairs], dtype=np.int64),
-        outclass_rows=np.vstack([v for _, v in out_pairs])
-        if out_pairs
-        else np.empty((0, len(schema.outclass_columns))),
-    )
-    _STUDENT_CACHE[id(student)] = (student, arrays)
-    return arrays
+# event kinds counted per lookback window, in the column order of feature_names
+_KINDS = ("class", "followup", "reschedule", "pos_followup", "neg_followup")
 
 
 def feature_names(
@@ -288,113 +227,160 @@ def _feature_names(
     return tuple(names)
 
 
-def _vector_aggregates(
-    stack: np.ndarray, width: int, config: FeatureConfig
-) -> list[float]:
-    out: list[float] = []
-    n = stack.shape[0]
-    if n:
-        agg_values = {
-            "mean": stack.mean(axis=0),
-            "sum": stack.sum(axis=0),
-            "last": stack[-1],
-        }
-    else:
-        zero = np.zeros(width)
-        agg_values = {"mean": zero, "sum": zero, "last": zero}
-    for agg in _VEC_AGGS:
-        if agg in config.aggregators:
-            out.extend(float(v) for v in agg_values[agg])
-    out.append(float(n))  # presence count; zeros above are "missing"
-    return out
+class _Batch:
+    """The students a batch touches, with each point's student position.
+
+    `search` answers "how many days <= q" for every point at once: each
+    student's sorted days are concatenated under the key
+    position * stride + day + 1, which keeps students apart and in order.
+    """
+
+    def __init__(self, points: list[tuple[StudentRecord, int]]):
+        index: dict[int, int] = {}  # id() is stable: `points` holds every record
+        self.students: list[StudentRecord] = []
+        for student, _ in points:
+            if index.setdefault(id(student), len(self.students)) == len(self.students):
+                self.students.append(student)
+        n = len(points)
+        self.pos = np.fromiter((index[id(s)] for s, _ in points), np.int64, n)
+        self.days = np.fromiter((d for _, d in points), np.int64, n)
+        self.first_days = np.array([s.first_day for s in self.students])[self.pos]
+        early = np.flatnonzero(self.days < self.first_days)
+        if early.size:
+            student, day = points[int(early[0])]
+            raise ValidationError(
+                f"at_day {day} precedes first observation "
+                f"day {student.first_day} of student {student.student_id}"
+            )
+        self.timelines = [s.timeline for s in self.students]
+        self.stride = max(int(self.days.max()), max(s.last_day for s in self.students)) + 2
+
+    def concat(self, field: str) -> np.ndarray:
+        return np.concatenate([t[field] for t in self.timelines])
+
+    def search(self, field: str, queries: np.ndarray):
+        """For (n_points, m) query days: the index just past the last `field`
+        day <= each query in the concatenation, and the number of such days
+        of the point's own student."""
+        lengths = np.array([len(t[field]) for t in self.timelines])
+        starts = np.cumsum(lengths) - lengths
+        base = np.arange(len(self.timelines)) * self.stride
+        keys = self.concat(field) + np.repeat(base, lengths) + 1
+        q = np.maximum(queries, -1) + (base[self.pos] + 1)[:, None]
+        idx = np.searchsorted(keys, q, side="right")
+        return idx, idx - starts[self.pos][:, None]
+
+    def rows(self, field: str) -> np.ndarray:
+        # records without such rows hold (0, 0) arrays, which cannot be stacked
+        return np.concatenate([t[field] for t in self.timelines if len(t[field])])
+
+
+def _project(v: np.ndarray, components: np.ndarray) -> np.ndarray:
+    # One (1, d) @ (d, k) product per row, the same arithmetic as projecting a
+    # single vector; a plain (n, d) @ (d, k) product may round differently.
+    return (v[:, None, :] @ components.T)[:, 0, :]
+
+
+def _vector_block(out, col, batch, kind, width, config, pca=None) -> int:
+    """Write the configured aggregates of one vector kind, then its count.
+
+    Mean, sum and last come from the running row sums; the "in" block then
+    projects them (mean/last commute with the affine projection; the sum
+    becomes (sum - n * mean) @ components.T). Points without rows get zeros.
+    """
+    aggs = [a for a in _VEC_AGGS if a in config.aggregators]
+    end = col + width * len(aggs)
+    idx, n = batch.search(f"{kind}_days", batch.days[:, None])
+    n = n[:, 0]
+    out[:, col:end] = 0.0
+    out[:, end] = n
+    have = np.flatnonzero(n > 0)
+    if not have.size:
+        return end + 1
+    g = idx[have, 0] - 1
+    count = n[have][:, None].astype(np.float64)
+    cumsum = batch.rows(f"{kind}_cumsum") if {"mean", "sum"} & set(aggs) else None
+    for agg in aggs:
+        if agg == "mean":
+            v = cumsum[g] / count
+        elif agg == "sum":
+            v = cumsum[g]
+        else:
+            v = batch.rows(f"{kind}_rows")[g]
+        if pca is not None:
+            v = _project(v - (count * pca.mean if agg == "sum" else pca.mean), pca.components)
+        out[have, col : col + width] = v
+        col += width
+    return end + 1
+
+
+def _time_block(out, col, batch, hist, config) -> None:
+    days = batch.days
+    lookbacks = config.lookback_days_list
+    # window i holds the days in (day - L_i, day]: count(<= day) - count(<= day - L_i)
+    bounds = np.column_stack([days - L for L in lookbacks] + [days])
+    width = len(_KINDS) + 2  # columns per window
+    stop = col + width * len(lookbacks)
+    class_days = batch.concat("class_days")
+    class_idx, class_n = batch.search("class_days", bounds)
+    for j, kind in enumerate(_KINDS):
+        n = class_n if kind == "class" else batch.search(f"{kind}_days", bounds)[1]
+        out[:, col + j : stop : width] = n[:, -1:] - n[:, :-1]
+    n_gaps = class_idx[:, -1:] - class_idx[:, :-1] - 1
+    r, i = np.nonzero(n_gaps > 0)
+    gap_mean = np.zeros(n_gaps.shape)
+    span = class_days[class_idx[r, -1] - 1] - class_days[class_idx[r, i]]
+    gap_mean[r, i] = span / n_gaps[r, i]
+    out[:, col + len(_KINDS) : stop : width] = gap_mean
+    out[:, col + len(_KINDS) + 1 : stop : width] = np.maximum(n_gaps, 0)
+    col = stop
+
+    n_class = class_n[:, -1]
+    seen = np.flatnonzero(n_class > 0)
+    out[:, col : col + 2] = 0.0
+    out[seen, col] = days[seen] - class_days[class_idx[seen, -1] - 1]
+    out[seen, col + 1] = 1.0
+    out[:, col + 2] = days - batch.first_days
+    col += 3
+
+    teacher_ids = [s.teacher_id for s in batch.students]
+    teachers = sorted(set(teacher_ids))
+    code = np.searchsorted(teachers, teacher_ids)[batch.pos]
+    order = np.argsort(code, kind="stable")
+    ends = np.searchsorted(code[order], np.arange(len(teachers)), side="right")
+    for teacher, sel in zip(teachers, np.split(order, ends[:-1])):
+        courses, students, rate = hist.query(teacher, days[sel])
+        out[sel, col] = courses
+        out[sel, col + 1] = students
+        out[sel, col + 2] = rate
 
 
 def assemble(
-    student: StudentRecord,
-    at_day: int,
+    points: list[tuple[StudentRecord, int]],
     pca: PCAModel,
     hist: TeacherHistoryIndex,
     config: FeatureConfig,
     schema: ColumnSchema,
-) -> FeatureVector:
-    """Build the feature vector for one <student, at_day> pair.
+) -> np.ndarray:
+    """Feature matrix with one row per <student, at_day> point.
 
-    Only observations with day <= at_day contribute; teacher history is
-    queried strictly before at_day. Missing blocks encode as zeros plus an
-    explicit count column, never NaN.
+    Only observations with day <= at_day contribute to a row; teacher history
+    is queried strictly before at_day. Missing blocks encode as zeros plus an
+    explicit count column, never NaN. Rows do not depend on the order or the
+    company of their points.
     """
-    if at_day < student.first_day:
-        raise ValidationError(
-            f"at_day {at_day} precedes first observation "
-            f"day {student.first_day} of student {student.student_id}"
-        )
-    arrays = _student_arrays(student, schema)
-    values: list[float] = []
-
+    names = feature_names(schema, pca, config)
+    out = np.empty((len(points), len(names)))
+    if not points:
+        return out
+    batch = _Batch(points)
+    col = 0
     if "in" in config.blocks:
-        n_in = int(np.searchsorted(arrays.inclass_days, at_day, side="right"))
-        # mean/last commute with the affine projection, so aggregate raw rows
-        # and project the aggregates; sum does not, hence the n * mean form.
-        rows = arrays.inclass_rows[:n_in]
-        out: list[float] = []
-        if n_in:
-            raw = {"mean": rows.mean(axis=0), "last": rows[-1]}
-            agg_values = {k: pca.project(v)[0] for k, v in raw.items()}
-            agg_values["sum"] = (
-                rows.sum(axis=0) - n_in * pca.mean
-            ) @ pca.components.T
-        else:
-            zero = np.zeros(pca.n_components)
-            agg_values = {"mean": zero, "sum": zero, "last": zero}
-        for agg in _VEC_AGGS:
-            if agg in config.aggregators:
-                out.extend(float(v) for v in agg_values[agg])
-        out.append(float(n_in))
-        values += out
-
+        col = _vector_block(out, col, batch, "inclass", pca.n_components, config, pca)
     if "out" in config.blocks:
-        n_out = int(np.searchsorted(arrays.outclass_days, at_day, side="right"))
-        values += _vector_aggregates(
-            arrays.outclass_rows[:n_out], len(schema.outclass_columns), config
-        )
-
+        col = _vector_block(out, col, batch, "outclass", len(schema.outclass_columns), config)
     if "time" in config.blocks:
-        # One searchsorted per event-kind array covers every lookback window:
-        # the count in (at_day - L, at_day] is idx(at_day) - idx(at_day - L).
-        bounds = np.array(
-            [at_day - L for L in config.lookback_days_list] + [at_day], dtype=np.int64
-        )
-        c_idx = arrays.class_days.searchsorted(bounds, side="right")
-        fu_idx = arrays.followup_days.searchsorted(bounds, side="right")
-        rs_idx = arrays.reschedule_days.searchsorted(bounds, side="right")
-        pos_idx = arrays.pos_followup_days.searchsorted(bounds, side="right")
-        neg_idx = arrays.neg_followup_days.searchsorted(bounds, side="right")
-        n_class = int(c_idx[-1])
-        for i, _L in enumerate(config.lookback_days_list):
-            values.append(float(n_class - c_idx[i]))
-            values.append(float(fu_idx[-1] - fu_idx[i]))
-            values.append(float(rs_idx[-1] - rs_idx[i]))
-            values.append(float(pos_idx[-1] - pos_idx[i]))
-            values.append(float(neg_idx[-1] - neg_idx[i]))
-            w_classes = arrays.class_days[c_idx[i] : n_class]
-            n_gaps = len(w_classes) - 1
-            if n_gaps > 0:
-                values.append(float(w_classes[-1] - w_classes[0]) / n_gaps)
-                values.append(float(n_gaps))
-            else:
-                values.append(0.0)
-                values.append(0.0)
-        if n_class:
-            values.append(float(at_day - arrays.class_days[n_class - 1]))
-            values.append(1.0)
-        else:
-            values.append(0.0)
-            values.append(0.0)
-        values.append(float(at_day - student.first_day))
-        courses, students, rate = hist.query(student.teacher_id, at_day)
-        values += [float(courses), float(students), float(rate)]
-
-    return FeatureVector(
-        values=np.array(values, dtype=np.float64),
-        names=feature_names(schema, pca, config),
-    )
+        _time_block(out, col, batch, hist, config)
+    if not np.all(np.isfinite(out)):
+        raise ValidationError("feature matrix contains non-finite values")
+    return out

@@ -10,12 +10,11 @@ notion: dropout within the half-open window (day, day + delta].
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import EmptyInputError, ValidationError
 from .events import Cohort, StudentRecord
-from .features import FeatureVector
 
 PROVENANCES = ("original_positive", "original_negative", "pseudo_positive")
 
@@ -27,7 +26,6 @@ class TrainingPair:
     label: int
     weight: float
     provenance: str
-    features: FeatureVector | None = None
 
     def __post_init__(self):
         if self.provenance not in PROVENANCES:
@@ -38,9 +36,6 @@ class TrainingPair:
             raise ValidationError("pseudo pairs must be labeled positive")
         if not 0.0 < self.weight <= 1.0:
             raise ValidationError(f"weight {self.weight} outside (0, 1]")
-
-    def with_features(self, fv: FeatureVector) -> "TrainingPair":
-        return replace(self, features=fv)
 
 
 def build_original_pairs(

@@ -2,24 +2,26 @@
 
 This is the glue the CLI and the sweep harness share. A TrainedPipeline
 bundles the fitted model with the feature-space state (PCA, teacher history,
-config, schema) needed to score any <student, day> pair causally.
+config, schema) needed to score <student, day> points causally, and the
+training pairs it was built from.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import features as F
 from . import labeling, trainer
 from .augmentation import AugmentationConfig, augment
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, SchemaError
 from .events import Cohort, ColumnSchema, StudentRecord
 from .features import FeatureConfig, PCAModel, TeacherHistoryIndex
-from .gbdt import GBDTConfig, GBDTModel
+from .gbdt import GBDTConfig
+from .labeling import TrainingPair
 from .trainer import SamplerConfig
 
 
@@ -59,15 +61,11 @@ class TrainedPipeline:
     feature_config: FeatureConfig
     schema: ColumnSchema
     config: PipelineConfig
-    n_pseudo_pairs: int = 0
+    pairs: list[TrainingPair]  # original positives, pseudo positives, negatives
 
-    def assemble(self, student: StudentRecord, day: int) -> F.FeatureVector:
-        return F.assemble(
-            student, day, self.pca, self.hist, self.feature_config, self.schema
-        )
-
-    def score(self, student: StudentRecord, day: int) -> float:
-        return trainer.predict(self.model, self.assemble(student, day))
+    @property
+    def n_pseudo_pairs(self) -> int:
+        return sum(p.provenance == "pseudo_positive" for p in self.pairs)
 
     @property
     def scorer(self) -> "PipelineScorer":
@@ -75,19 +73,18 @@ class TrainedPipeline:
 
 
 class PipelineScorer:
-    """Callable (student, day) -> probability with a batched fast path."""
+    """Scores batches of (student, day) points with a trained pipeline."""
 
     def __init__(self, trained: TrainedPipeline):
+        names = F.feature_names(trained.schema, trained.pca, trained.feature_config)
+        if names != tuple(trained.model.feature_names):
+            raise SchemaError("the model's feature columns differ from the featurizer's")
         self._trained = trained
 
-    def __call__(self, student: StudentRecord, day: int) -> float:
-        return self._trained.score(student, day)
-
     def many(self, points: list[tuple[StudentRecord, int]]) -> np.ndarray:
-        if not points:
-            return np.empty(0)
-        X = np.vstack([self._trained.assemble(s, d).values for s, d in points])
-        return self._trained.model.predict_proba(X)
+        t = self._trained
+        X = F.assemble(points, t.pca, t.hist, t.feature_config, t.schema)
+        return t.model.predict_proba(X)
 
 
 def _inclass_rows(cohort: Cohort) -> np.ndarray:
@@ -106,29 +103,18 @@ def train(cohort: Cohort, config: PipelineConfig) -> TrainedPipeline:
     """Run the full learning procedure on a (training) cohort."""
     pca = F.fit_pca(_inclass_rows(cohort), config.feature)
     hist = F.build_teacher_history(cohort)
-
-    def assemble_fn(student: StudentRecord, day: int) -> F.FeatureVector:
-        return F.assemble(student, day, pca, hist, config.feature, cohort.schema)
-
     positives, negatives = labeling.build_original_pairs(cohort)
-    positives = [
-        p.with_features(assemble_fn(cohort.students[p.student_id], p.day))
-        for p in positives
-    ]
-    negatives = [
-        p.with_features(assemble_fn(cohort.students[p.student_id], p.day))
-        for p in negatives
-    ]
-    if config.augmentation.enabled:
-        pseudo = augment(cohort, config.augmentation, assemble_fn)
-    else:
-        pseudo = []
-
+    pseudo = augment(cohort, config.augmentation) if config.augmentation.enabled else []
     data = trainer.oversample(positives, pseudo, negatives, config.sampler)
+    X = F.assemble(
+        [(cohort.students[p.student_id], p.day) for p in data],
+        pca, hist, config.feature, cohort.schema,
+    )
+    names = F.feature_names(cohort.schema, pca, config.feature)
     if config.model_kind == "logistic":
-        model = trainer.fit_logistic_baseline(data)
+        model = trainer.fit_logistic_baseline(X, data, names)
     else:
-        model = trainer.fit_gbdt(data, config.gbdt)
+        model = trainer.fit_gbdt(X, data, names, config.gbdt)
     return TrainedPipeline(
         model=model,
         pca=pca,
@@ -136,5 +122,5 @@ def train(cohort: Cohort, config: PipelineConfig) -> TrainedPipeline:
         feature_config=config.feature,
         schema=cohort.schema,
         config=config,
-        n_pseudo_pairs=len(pseudo),
+        pairs=positives + pseudo + negatives,
     )

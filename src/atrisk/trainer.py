@@ -15,7 +15,6 @@ import numpy as np
 
 from . import gbdt
 from .errors import DegenerateDataError, EmptyInputError, ModelError, SchemaError
-from .features import FeatureVector
 from .gbdt import GBDTConfig, GBDTModel
 from .labeling import TrainingPair
 
@@ -60,52 +59,27 @@ def oversample(
     return list(negatives) + drawn
 
 
-def _to_arrays(data: list[TrainingPair]):
-    """Training pairs to (X, y, w, names), merging repeated draws into weights.
+def _labels_and_weights(X: np.ndarray, data: list[TrainingPair]):
+    """(y, w) for training pairs whose feature rows are the rows of X.
 
-    Oversampling emits literal copies of positive pairs; collapsing a copy
-    into an added unit of sample weight is exactly equivalent for any loss
-    that is linear in the weights, and shrinks the matrix the learner sees.
+    Repeated draws stay separate rows: `gbdt.fit` merges identical rows into
+    summed weights itself.
     """
     if not data:
         raise EmptyInputError("no training pairs")
-    missing = [p for p in data if p.features is None]
-    if missing:
-        raise ModelError(
-            f"{len(missing)} training pairs lack assembled features"
-        )
-    merged: dict[tuple[str, int, int], tuple[TrainingPair, float]] = {}
-    for p in data:
-        key = (p.student_id, p.day, p.label)
-        if key in merged:
-            first, w_sum = merged[key]
-            merged[key] = (first, w_sum + p.weight)
-        else:
-            merged[key] = (p, p.weight)
-    pairs = list(merged.values())
-    X = np.vstack([p.features.values for p, _ in pairs])
-    y = np.array([p.label for p, _ in pairs], dtype=np.float64)
-    w = np.array([w_sum for _, w_sum in pairs], dtype=np.float64)
-    names = pairs[0][0].features.names
-    return X, y, w, names
+    if np.ndim(X) != 2 or np.shape(X)[0] != len(data):
+        raise ModelError(f"feature matrix of shape {np.shape(X)} for {len(data)} training pairs")
+    y = np.array([p.label for p in data], dtype=np.float64)
+    w = np.array([p.weight for p in data], dtype=np.float64)
+    return y, w
 
 
-def fit_gbdt(data: list[TrainingPair], cfg: GBDTConfig) -> GBDTModel:
-    """Train the boosted-tree model on assembled, weighted training pairs."""
-    X, y, w, names = _to_arrays(data)
+def fit_gbdt(
+    X: np.ndarray, data: list[TrainingPair], names: tuple[str, ...], cfg: GBDTConfig
+) -> GBDTModel:
+    """Train the boosted-tree model on weighted training pairs and their rows of X."""
+    y, w = _labels_and_weights(X, data)
     return gbdt.fit(X, y, w, cfg, feature_names=names)
-
-
-def predict(model, fv: FeatureVector) -> float:
-    """Dropout probability for one feature vector; validates the width."""
-    if fv.names != tuple(model.feature_names):
-        if len(fv.names) != len(model.feature_names):
-            raise SchemaError(
-                f"feature vector width {len(fv.names)} != model width "
-                f"{len(model.feature_names)}"
-            )
-        raise SchemaError("feature vector columns do not match the model's columns")
-    return float(model.predict_proba(fv.values.reshape(1, -1))[0])
 
 
 @dataclass
@@ -129,10 +103,14 @@ class LogisticModel:
 
 
 def fit_logistic_baseline(
-    data: list[TrainingPair], epochs: int = 200, step: float = 0.5
+    X: np.ndarray,
+    data: list[TrainingPair],
+    names: tuple[str, ...],
+    epochs: int = 200,
+    step: float = 0.5,
 ) -> LogisticModel:
     """Weighted log-loss gradient descent; standardization from training data."""
-    X, y, w, names = _to_arrays(data)
+    y, w = _labels_and_weights(X, data)
     pos = float(np.sum(w * y) / np.sum(w))
     if pos <= 0.0 or pos >= 1.0:
         raise DegenerateDataError("training data contains a single class")

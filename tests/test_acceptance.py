@@ -202,15 +202,15 @@ def test_criterion_5_causality_no_leakage(capsys):
     while checked < 100:
         s = cohort.students[students[int(rng.integers(len(students)))]]
         day = int(s.days[int(rng.integers(len(s.days)))])
-        full = assemble(s, day, pca, hist, config, cohort.schema)
+        full = assemble([(s, day)], pca, hist, config, cohort.schema)
         truncated = StudentRecord(
             student_id=s.student_id,
             observations=tuple(o for o in s.observations if o.day <= day),
             final_status=s.final_status,
             teacher_id=s.teacher_id,
         )
-        trimmed = assemble(truncated, day, pca, hist, config, cohort.schema)
-        all_identical &= full.values.tobytes() == trimmed.values.tobytes()
+        trimmed = assemble([(truncated, day)], pca, hist, config, cohort.schema)
+        all_identical &= full.tobytes() == trimmed.tobytes()
         checked += 1
     elapsed = time.perf_counter() - t0
     ok = all_identical and elapsed < 5.0

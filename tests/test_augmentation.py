@@ -142,15 +142,3 @@ def test_augment_requires_enabled_config():
     with pytest.raises(ValidationError):
         augment(cohort, AugmentationConfig(lookback_days=None))
 
-
-def test_augment_attaches_features():
-    cohort = cohort_of(dropout_with([95, 100]))
-    seen = []
-
-    def fake_assemble(student_record, day):
-        seen.append((student_record.student_id, day))
-        return f"fv@{day}"
-
-    pairs = augment(cohort, AugmentationConfig(), assemble_fn=fake_assemble)
-    assert [p.features for p in pairs] == [f"fv@{d}" for d in (96, 97, 98, 99)]
-    assert seen == [("d100", d) for d in (96, 97, 98, 99)]

@@ -156,6 +156,14 @@ def test_usage_error_exit_code(sim_dir, tmp_path):
         main(["no-such-command"])
 
 
+def test_workers_flag_is_gone(sim_dir, tmp_path):
+    for argv in (["train", *io_args(sim_dir, tmp_path), "--workers", "2"],
+                 ["sweep", *io_args(sim_dir, tmp_path), "--workers", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "atrisk", "simulate", "--n-students", "30",

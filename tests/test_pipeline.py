@@ -1,14 +1,18 @@
 """End-to-end pipeline training and scoring."""
 
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from atrisk.augmentation import AugmentationConfig
-from atrisk.errors import InsufficientDataError
+from atrisk.errors import InsufficientDataError, SchemaError
 from atrisk.evaluation import evaluate_horizons, query_points, split_students
 from atrisk.features import FeatureConfig
 from atrisk.gbdt import GBDTConfig, GBDTModel
-from atrisk.pipeline import PipelineConfig, train
+from atrisk.pipeline import PipelineConfig, PipelineScorer, train
 from atrisk.synthgen import SimConfig, generate_cohort
 from atrisk.trainer import LogisticModel
 
@@ -30,17 +34,41 @@ def trained(cohort):
 
 def test_train_produces_scorable_pipeline(trained, cohort):
     s = next(iter(cohort))
-    score = trained.score(s, s.last_day)
+    (score,) = trained.scorer.many([(s, s.last_day)])
     assert 0.0 <= score <= 1.0
     assert isinstance(trained.model, GBDTModel)
     assert trained.n_pseudo_pairs > 0
 
 
-def test_scorer_many_matches_single_calls(trained, cohort):
-    points = query_points(cohort)[:50]
-    batched = trained.scorer.many(points)
-    singles = np.array([trained.score(s, d) for s, d in points])
-    np.testing.assert_allclose(batched, singles, rtol=0, atol=1e-12)
+def test_scorer_many_invariant_to_order_and_split(trained, cohort):
+    points = query_points(cohort)[:300]
+    one_call = trained.scorer.many(points)
+    perm = np.random.default_rng(0).permutation(len(points))
+    shuffled = trained.scorer.many([points[i] for i in perm])
+    np.testing.assert_array_equal(shuffled, one_call[perm])
+    parts = [trained.scorer.many(points[a:b]) for a, b in ((0, 1), (1, 120), (120, 300))]
+    np.testing.assert_array_equal(np.concatenate(parts), one_call)
+    assert trained.scorer.many([]).shape == (0,)
+
+
+def test_scorer_rejects_model_with_other_columns(trained):
+    other = dataclasses.replace(trained, feature_config=FeatureConfig(blocks=("time",)))
+    with pytest.raises(SchemaError):
+        PipelineScorer(other)
+    with pytest.raises(SchemaError):
+        other.scorer
+
+
+def test_scoring_does_not_keep_records_alive():
+    """Records own their feature arrays; nothing global pins them after use."""
+    cohort, _, _ = generate_cohort(SimConfig(n_students=40, seed=4))
+    trained = train(cohort, FAST)
+    points = query_points(cohort)
+    assert len(trained.scorer.many(points)) == len(points)
+    record = weakref.ref(points[0][0])
+    del cohort, trained, points
+    gc.collect()
+    assert record() is None
 
 
 def test_training_is_deterministic(cohort):

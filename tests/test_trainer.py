@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from atrisk.errors import EmptyInputError, ModelError, SchemaError
-from atrisk.features import FeatureVector
 from atrisk.gbdt import GBDTConfig
 from atrisk.labeling import TrainingPair
 from atrisk.trainer import (
@@ -12,22 +11,17 @@ from atrisk.trainer import (
     fit_gbdt,
     fit_logistic_baseline,
     oversample,
-    predict,
 )
 
 NAMES = ("f0", "f1")
 
 
-def fv(values):
-    return FeatureVector(values=np.array(values, dtype=np.float64), names=NAMES)
+def pos(sid, day, weight=1.0, provenance="original_positive"):
+    return TrainingPair(sid, day, 1, weight, provenance)
 
 
-def pos(sid, day, weight=1.0, provenance="original_positive", features=None):
-    return TrainingPair(sid, day, 1, weight, provenance, features)
-
-
-def neg(sid, day, features=None):
-    return TrainingPair(sid, day, 0, 1.0, "original_negative", features)
+def neg(sid, day):
+    return TrainingPair(sid, day, 0, 1.0, "original_negative")
 
 
 def test_oversample_hits_target_fraction_within_one_pair():
@@ -94,39 +88,45 @@ def test_sampler_config_validation():
 
 
 def labeled_fixture(seed=0, n=60):
+    """(X, pairs): row i of X is the feature row of pairs[i]."""
     rng = np.random.default_rng(seed)
-    pairs = []
+    rows, pairs = [], []
     for i in range(n):
         x = rng.normal(size=2)
         label = int(x[0] + 0.3 * rng.normal() > 0)
-        pair = pos(f"s{i}", i + 1) if label else neg(f"s{i}", i + 1)
-        pairs.append(pair.with_features(fv(x)))
-    return pairs
+        rows.append(x)
+        pairs.append(pos(f"s{i}", i + 1) if label else neg(f"s{i}", i + 1))
+    return np.array(rows), pairs
 
 
 def test_fit_gbdt_and_predict_round_trip():
-    data = labeled_fixture()
-    model = fit_gbdt(data, GBDTConfig(n_trees=20, max_depth=2, min_child_weight=0.0))
+    X, data = labeled_fixture()
+    model = fit_gbdt(X, data, NAMES, GBDTConfig(n_trees=20, max_depth=2, min_child_weight=0.0))
     assert model.feature_names == NAMES
-    score = predict(model, fv([2.0, 0.0]))
+    score, low = model.predict_proba(np.array([[2.0, 0.0], [-2.0, 0.0]]))
     assert 0.0 <= score <= 1.0
-    assert score > predict(model, fv([-2.0, 0.0]))
+    assert score > low
 
 
 def test_fit_gbdt_requires_features():
+    pairs = [pos("p", 1), neg("n", 2)]
     with pytest.raises(ModelError):
-        fit_gbdt([pos("p", 1), neg("n", 2)], GBDTConfig(n_trees=1))
+        fit_gbdt(np.zeros((3, 2)), pairs, NAMES, GBDTConfig(n_trees=1))
+    with pytest.raises(ModelError):
+        fit_gbdt(np.zeros(2), pairs, NAMES, GBDTConfig(n_trees=1))
+    with pytest.raises(EmptyInputError):
+        fit_gbdt(np.zeros((0, 2)), [], NAMES, GBDTConfig(n_trees=1))
 
 
 def test_duplicate_pairs_merge_into_weights():
     """Oversampled literal copies must train like one row with summed weight."""
-    base = labeled_fixture(seed=2)
+    X, base = labeled_fixture(seed=2)
+    is_pos = np.array([p.label == 1 for p in base])
     copies = base + [p for p in base if p.label == 1]
     cfg = GBDTConfig(n_trees=10, max_depth=2)
-    merged = fit_gbdt(copies, cfg)
+    merged = fit_gbdt(np.vstack([X, X[is_pos]]), copies, NAMES, cfg)
 
-    X = np.vstack([p.features.values for p in base])
-    y = np.array([p.label for p in base], dtype=float)
+    y = is_pos.astype(float)
     w = np.where(y == 1, 2.0, 1.0)
     from atrisk import gbdt as gbdt_mod
 
@@ -135,17 +135,19 @@ def test_duplicate_pairs_merge_into_weights():
 
 
 def test_predict_validates_names():
-    model = fit_gbdt(labeled_fixture(), GBDTConfig(n_trees=2))
+    """A row of the wrong width is refused; column names are checked where a
+    PipelineScorer is built (tests/test_pipeline.py)."""
+    X, data = labeled_fixture()
+    model = fit_gbdt(X, data, NAMES, GBDTConfig(n_trees=2))
     with pytest.raises(SchemaError):
-        predict(model, FeatureVector(np.zeros(3), ("a", "b", "c")))
+        model.predict_proba(np.zeros((1, 3)))
     with pytest.raises(SchemaError):
-        predict(model, FeatureVector(np.zeros(2), ("f0", "wrong")))
+        model.predict_proba(np.zeros((4, 1)))
 
 
 def test_logistic_baseline_learns_separable_data():
-    data = labeled_fixture(seed=4)
-    model = fit_logistic_baseline(data)
-    X = np.vstack([p.features.values for p in data])
+    X, data = labeled_fixture(seed=4)
+    model = fit_logistic_baseline(X, data, NAMES)
     y = np.array([p.label for p in data])
     scores = model.predict_proba(X)
     from atrisk.evaluation import auc
@@ -154,19 +156,14 @@ def test_logistic_baseline_learns_separable_data():
 
 
 def test_logistic_zero_epochs_predicts_prior():
-    data = labeled_fixture(seed=5)
-    model = fit_logistic_baseline(data, epochs=0)
+    X, data = labeled_fixture(seed=5)
+    model = fit_logistic_baseline(X, data, NAMES, epochs=0)
     y = np.array([p.label for p in data])
-    X = np.vstack([p.features.values for p in data])
     np.testing.assert_allclose(model.predict_proba(X), np.full(len(y), y.mean()))
 
 
 def test_logistic_constant_feature_survives_standardization():
-    pairs = [
-        (pos(f"p{i}", i + 1) if i % 2 else neg(f"n{i}", i + 1)).with_features(
-            fv([1.0, float(i % 2)])
-        )
-        for i in range(20)
-    ]
-    model = fit_logistic_baseline(pairs)
+    pairs = [pos(f"p{i}", i + 1) if i % 2 else neg(f"n{i}", i + 1) for i in range(20)]
+    X = np.array([[1.0, float(i % 2)] for i in range(20)])
+    model = fit_logistic_baseline(X, pairs, NAMES)
     assert np.all(np.isfinite(model.predict_proba(np.array([[1.0, 0.5]]))))
