@@ -7,7 +7,7 @@ from .gbdt import GBDTConfig, GBDTModel
 from .labeling import TrainingPair, build_original_pairs, horizon_label
 from .pipeline import PipelineConfig, TrainedPipeline, train
 from .synthgen import SimConfig, generate, generate_cohort
-from .trainer import SamplerConfig, fit_gbdt, fit_logistic_baseline, oversample
+from .trainer import SamplerConfig, fit_gbdt, oversample
 from .evaluation import EvalReport, auc, evaluate_horizons, recall_at_fraction, run_sweep, split_students
 
 __version__ = "0.1.0"

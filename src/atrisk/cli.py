@@ -24,7 +24,7 @@ from .errors import DataError, ModelError
 from .events import cohort_stats, ingest
 from .evaluation import SweepCell, daily_flagging, evaluate_horizons, run_sweep, split_students
 from .features import FeatureConfig
-from .gbdt import GBDTConfig, GBDTModel
+from .gbdt import GBDTConfig
 from .trainer import SamplerConfig
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_MODEL = 0, 2, 3, 4
@@ -72,18 +72,22 @@ def _parse_blocks(value: str) -> tuple[str, ...]:
     return tuple(value.split("+"))
 
 
-def _pipeline_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
-    lookback = _parse_lookback(args.lookback)
+def _pipeline_config(
+    args: argparse.Namespace, cell: SweepCell | None = None, seed: int | None = None
+) -> pipeline.PipelineConfig:
+    """The training config of a run; a sweep passes the cell and seed it varies."""
+    if cell is None:
+        cell = SweepCell(_parse_lookback(args.lookback), args.weighting, _parse_blocks(args.features))
     return pipeline.PipelineConfig(
-        feature=FeatureConfig(blocks=_parse_blocks(args.features)),
-        augmentation=AugmentationConfig(lookback_days=lookback, weighting=args.weighting),
+        feature=FeatureConfig(blocks=cell.blocks),
+        augmentation=AugmentationConfig(lookback_days=cell.lookback, weighting=cell.weighting),
         sampler=SamplerConfig(
-            target_positive_fraction=args.positive_fraction, seed=args.seed
+            target_positive_fraction=args.positive_fraction,
+            seed=args.seed if seed is None else seed,
         ),
         gbdt=GBDTConfig(
             n_trees=args.n_trees, max_depth=args.max_depth, learning_rate=args.learning_rate
         ),
-        model_kind=args.model_kind,
     )
 
 
@@ -117,7 +121,7 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     cohort = _load_cohort(args)
     fconfig = FeatureConfig(blocks=_parse_blocks(args.features))
-    pca = features.fit_pca(pipeline._inclass_rows(cohort), fconfig)
+    pca = features.fit_pca(pipeline._inclass_rows(cohort))
     hist = features.build_teacher_history(cohort)
     points = [(cohort.students[sid], d) for sid in sorted(cohort.students)
               for d in cohort.students[sid].days]
@@ -139,22 +143,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     cohort = _load_cohort(args)
     config = _pipeline_config(args)
     trained = pipeline.train(cohort, config)
-    outputs = []
     model_path = out_dir / "model.json"
-    if isinstance(trained.model, GBDTModel):
-        trained.model.save(model_path)
-        outputs.append(model_path)
+    trained.model.save(model_path)
     pairs_path = out_dir / "pairs.csv"
     labeling.write_pairs_csv(trained.pairs, pairs_path)
-    outputs.append(pairs_path)
     by_provenance = Counter(p.provenance for p in trained.pairs)
     print(
-        f"trained {config.model_kind} on {by_provenance['original_positive']} positives, "
+        f"trained gbdt on {by_provenance['original_positive']} positives, "
         f"{by_provenance['pseudo_positive']} pseudo positives, "
         f"{by_provenance['original_negative']} negatives"
     )
     _write_manifest(
-        out_dir, "train", args, [Path(args.events), Path(args.schema)], outputs,
+        out_dir, "train", args, [Path(args.events), Path(args.schema)], [model_path, pairs_path],
         extra={"n_pseudo_pairs": trained.n_pseudo_pairs,
                "config_fingerprint": config.fingerprint()},
     )
@@ -223,34 +223,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cohort = _load_cohort(args)
     deltas = _parse_deltas(args.deltas)
     seeds = [int(s) for s in args.seeds.split(",")]
-    cells = []
-    for lb in args.lookbacks.split(","):
-        for wt in args.weightings.split(","):
-            for fs in args.feature_sets.split(","):
-                cells.append(
-                    SweepCell(
-                        lookback=_parse_lookback(lb),
-                        weighting=wt,
-                        blocks=_parse_blocks(fs),
-                    )
-                )
+    cells = [
+        SweepCell(_parse_lookback(lb), wt, _parse_blocks(fs))
+        for lb in args.lookbacks.split(",")
+        for wt in args.weightings.split(",")
+        for fs in args.feature_sets.split(",")
+    ]
 
     def train_cell(train_cohort, cell: SweepCell, seed: int):
-        config = pipeline.PipelineConfig(
-            feature=FeatureConfig(blocks=cell.blocks),
-            augmentation=AugmentationConfig(
-                lookback_days=cell.lookback, weighting=cell.weighting
-            ),
-            sampler=SamplerConfig(
-                target_positive_fraction=args.positive_fraction, seed=seed
-            ),
-            gbdt=GBDTConfig(
-                n_trees=args.n_trees,
-                max_depth=args.max_depth,
-                learning_rate=args.learning_rate,
-            ),
-        )
-        return pipeline.train(train_cohort, config).scorer
+        return pipeline.train(train_cohort, _pipeline_config(args, cell, seed)).scorer
 
     report = run_sweep(cohort, cells, deltas, seeds, train_cell, args.train_fraction)
     json_path = out_dir / "report.json"
@@ -283,7 +264,6 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-trees", type=int, default=200)
     p.add_argument("--max-depth", type=int, default=4)
     p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--model-kind", choices=("gbdt", "logistic"), default="gbdt")
     p.add_argument("--seed", type=int, default=0)
 
 

@@ -227,32 +227,33 @@ class SweepReport:
     seeds: list[int]
     cells: dict[str, dict[int, list[float | None]]]  # cell key -> delta -> per-seed AUC
 
-    def mean_auc(self, key: str, delta: int) -> float:
+    def _summary(self, key: str, delta: int) -> tuple[float | None, float | None, int]:
+        """Mean, std and number of the defined per-seed AUCs of a cell at a
+        horizon; mean and std are None when no seed's AUC is defined."""
         vals = [v for v in self.cells[key][delta] if v is not None]
         if not vals:
+            return None, None, 0
+        return float(np.mean(vals)), float(np.std(vals)), len(vals)
+
+    def _statistic(self, key: str, delta: int, i: int) -> float:
+        value = self._summary(key, delta)[i]
+        if value is None:
             raise UndefinedMetricError(f"no defined AUC for {key} at delta={delta}")
-        return float(np.mean(vals))
+        return value
+
+    def mean_auc(self, key: str, delta: int) -> float:
+        return self._statistic(key, delta, 0)
 
     def std_auc(self, key: str, delta: int) -> float:
-        vals = [v for v in self.cells[key][delta] if v is not None]
-        return float(np.std(vals))
+        return self._statistic(key, delta, 1)
 
     def to_dict(self) -> dict:
-        summary = {
-            key: {
-                str(d): {
-                    "mean": None
-                    if all(v is None for v in per_delta[d])
-                    else float(np.mean([v for v in per_delta[d] if v is not None])),
-                    "std": None
-                    if all(v is None for v in per_delta[d])
-                    else float(np.std([v for v in per_delta[d] if v is not None])),
-                    "per_seed": per_delta[d],
-                }
-                for d in self.deltas
-            }
-            for key, per_delta in self.cells.items()
-        }
+        summary = {}
+        for key, per_delta in self.cells.items():
+            summary[key] = {}
+            for d in self.deltas:
+                mean, std, _ = self._summary(key, d)
+                summary[key][str(d)] = {"mean": mean, "std": std, "per_seed": per_delta[d]}
         return {"deltas": self.deltas, "seeds": self.seeds, "cells": summary}
 
     def save(self, path: str | Path) -> None:
@@ -266,16 +267,10 @@ class SweepReport:
             writer.writerow(["cell", "delta", "mean_auc", "std_auc", "n_seeds"])
             for key in sorted(self.cells):
                 for d in self.deltas:
-                    vals = [v for v in self.cells[key][d] if v is not None]
-                    writer.writerow(
-                        [
-                            key,
-                            d,
-                            f"{np.mean(vals):.6f}" if vals else "",
-                            f"{np.std(vals):.6f}" if vals else "",
-                            len(vals),
-                        ]
-                    )
+                    mean, std, n = self._summary(key, d)
+                    writer.writerow([
+                        key, d, "" if n == 0 else f"{mean:.6f}", "" if n == 0 else f"{std:.6f}", n
+                    ])
 
 
 def run_sweep(

@@ -22,6 +22,7 @@ EVENT_KINDS = frozenset(
     {"class_session", "follow_up", "reschedule", "purchase_event", "dropout_event"}
 )
 STATUSES = frozenset({"dropout", "completion", "ongoing"})
+MAX_DAY = 2**31 - 1  # keeps day arithmetic in int64 far from overflow
 
 
 @dataclass(frozen=True)
@@ -33,15 +34,22 @@ class ColumnSchema:
 
     @classmethod
     def load(cls, path: str | Path) -> "ColumnSchema":
-        with open(path) as fh:
-            raw = json.load(fh)
         try:
-            return cls(
-                inclass_columns=tuple(raw["inclass_columns"]),
-                outclass_columns=tuple(raw["outclass_columns"]),
-            )
-        except KeyError as exc:
-            raise SchemaError(f"schema file missing key {exc}") from exc
+            with open(path) as fh:
+                raw = json.load(fh)
+        except ValueError as exc:
+            raise SchemaError(f"schema file is not JSON ({exc})") from exc
+        if not isinstance(raw, dict):
+            raise SchemaError("schema file is not a JSON object")
+        columns = {}
+        for key in ("inclass_columns", "outclass_columns"):
+            if key not in raw:
+                raise SchemaError(f"schema file missing key {key!r}")
+            value = raw[key]
+            if not isinstance(value, list) or not all(isinstance(c, str) for c in value):
+                raise SchemaError(f"schema {key} must be a list of column names")
+            columns[key] = tuple(value)
+        return cls(**columns)
 
     def dump(self, path: str | Path) -> None:
         with open(path, "w") as fh:
@@ -132,12 +140,6 @@ class StudentRecord:
     def last_day(self) -> int:
         return self.observations[-1].day
 
-    @property
-    def dropout_day(self) -> int | None:
-        if self.final_status == "dropout":
-            return self.last_day
-        return None
-
 
 @dataclass(frozen=True)
 class Cohort:
@@ -145,7 +147,6 @@ class Cohort:
 
     students: dict[str, StudentRecord]
     schema: ColumnSchema
-    epoch: str = "1970-01-01"  # calendar date that day index 0 denotes
 
     def __iter__(self) -> Iterable[StudentRecord]:
         return iter(self.students.values())
@@ -159,7 +160,7 @@ class Cohort:
 
     def subset(self, student_ids: Iterable[str]) -> "Cohort":
         keep = {sid: self.students[sid] for sid in sorted(student_ids)}
-        return Cohort(students=keep, schema=self.schema, epoch=self.epoch)
+        return Cohort(students=keep, schema=self.schema)
 
 
 @dataclass(frozen=True)
@@ -171,12 +172,23 @@ class CohortSummary:
     total_pairs: int
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_vector(raw, width: int, name: str, line_no: int) -> np.ndarray:
-    arr = np.asarray(raw, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] != width:
+    if not isinstance(raw, list) or not all(
+        _is_int(v) or isinstance(v, float) for v in raw
+    ):
+        raise SchemaError(f"line {line_no}: {name} vector must be a list of numbers")
+    if len(raw) != width:
         raise SchemaError(
-            f"line {line_no}: {name} vector has width {arr.shape}, schema declares {width}"
+            f"line {line_no}: {name} vector has width {len(raw)}, schema declares {width}"
         )
+    try:
+        arr = np.array(raw, dtype=np.float64)
+    except OverflowError as exc:
+        raise SchemaError(f"line {line_no}: {name} vector value out of range") from exc
     if not np.all(np.isfinite(arr)):
         raise SchemaError(f"line {line_no}: {name} vector contains non-finite values")
     arr.flags.writeable = False
@@ -195,9 +207,12 @@ def ingest(events_path: str | Path, schema_path: str | Path) -> Cohort:
     by_student: dict[str, list[tuple[int, ObservationPair]]] = {}
     declared_status: dict[str, str] = {}
 
-    with open(events_path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(events_path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode().strip()
+            except UnicodeDecodeError as exc:
+                raise ParseError("line is not UTF-8", line_no) from exc
             if not line:
                 continue
             try:
@@ -212,10 +227,18 @@ def ingest(events_path: str | Path, schema_path: str | Path) -> Cohort:
                 kind = rec["kind"]
             except KeyError as exc:
                 raise ParseError(f"missing required field {exc}", line_no) from exc
-            if not isinstance(day, int) or isinstance(day, bool):
+            if not _is_int(day):
                 raise ParseError(f"day must be an integer, got {day!r}", line_no)
-            if kind not in EVENT_KINDS:
+            if day > MAX_DAY:
+                raise ParseError(f"day {day} exceeds {MAX_DAY}", line_no)
+            if not isinstance(kind, str) or kind not in EVENT_KINDS:
                 raise ParseError(f"unknown kind {kind!r}", line_no)
+            teacher = rec.get("teacher")
+            if teacher is not None and not isinstance(teacher, str):
+                raise ParseError(f"teacher must be a string, got {teacher!r}", line_no)
+            polarity = rec.get("polarity")
+            if polarity is not None and not _is_int(polarity):
+                raise ParseError(f"polarity must be an integer, got {polarity!r}", line_no)
 
             inclass = rec.get("inclass")
             if (kind == "class_session") != (inclass is not None):
@@ -237,7 +260,7 @@ def ingest(events_path: str | Path, schema_path: str | Path) -> Cohort:
 
             status = rec.get("status")
             if status is not None:
-                if status not in STATUSES:
+                if not isinstance(status, str) or status not in STATUSES:
                     raise ParseError(f"unknown status {status!r}", line_no)
                 prev = declared_status.setdefault(sid, status)
                 if prev != status:
@@ -250,8 +273,8 @@ def ingest(events_path: str | Path, schema_path: str | Path) -> Cohort:
                 kind=kind,
                 inclass_values=inclass_vec,
                 outclass_values=outclass_vec,
-                teacher_id=rec.get("teacher"),
-                polarity=rec.get("polarity"),
+                teacher_id=teacher,
+                polarity=polarity,
             )
             by_student.setdefault(sid, []).append((line_no, obs))
 

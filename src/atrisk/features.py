@@ -2,9 +2,11 @@
 
 `assemble` turns a list of points, in any order and for any mix of students,
 into one matrix with a row per point and the columns of `feature_names`.
-Three blocks, concatenated in fixed order: PCA-reduced aggregates of the
-in-class vectors, aggregates of the out-of-class vectors, and time-variant
-features (lookback-window counts/gaps plus teacher-history statistics).
+Three blocks, concatenated in fixed order: the mean, last row and count of
+the in-class vectors (mean and last reduced to at most PCA_COMPONENTS
+principal components), the same of the out-of-class vectors, and time-variant
+features (counts and gaps over the LOOKBACK_DAYS windows plus teacher-history
+statistics).
 Everything observed strictly after a point's day is invisible to its row.
 Histories differ in length from point to point; no point scans its own.
 Every aggregate is read off per-record sorted day arrays and running row sums,
@@ -22,28 +24,16 @@ from .errors import InsufficientDataError, ValidationError
 from .events import Cohort, ColumnSchema, StudentRecord
 
 ALL_BLOCKS = ("in", "out", "time")
+PCA_COMPONENTS = 4  # at most; fewer when the in-class rows have lower rank
+LOOKBACK_DAYS = (7, 14, 21, 30)  # time-block window lengths
 _RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    lookback_days_list: tuple[int, ...] = (7, 14, 21, 30)
-    pca_components: int | float = 4  # int = component count, float in (0,1] = variance fraction
-    aggregators: frozenset[str] = frozenset({"mean", "last", "count"})
     blocks: tuple[str, ...] = ALL_BLOCKS
 
     def __post_init__(self):
-        if list(self.lookback_days_list) != sorted(set(self.lookback_days_list)):
-            raise ValidationError("lookback_days_list must be strictly increasing")
-        if any(L < 1 for L in self.lookback_days_list):
-            raise ValidationError("lookback lengths must be positive")
-        if isinstance(self.pca_components, float):
-            if not 0.0 < self.pca_components <= 1.0:
-                raise ValidationError("fractional pca_components must be in (0, 1]")
-        elif self.pca_components < 1:
-            raise ValidationError("pca_components must be >= 1")
-        if not self.aggregators <= {"mean", "sum", "last", "count"}:
-            raise ValidationError(f"unknown aggregators: {self.aggregators}")
         if not set(self.blocks) <= set(ALL_BLOCKS):
             raise ValidationError(f"unknown feature blocks: {self.blocks}")
 
@@ -64,12 +54,13 @@ class PCAModel:
         return (np.atleast_2d(rows) - self.mean) @ self.components.T
 
 
-def fit_pca(rows: np.ndarray, config: FeatureConfig) -> PCAModel:
+def fit_pca(rows: np.ndarray) -> PCAModel:
     """Fit PCA on the sample covariance (ddof=1) of the in-class rows.
 
     Components come from a symmetric eigendecomposition, sorted by descending
     eigenvalue, with a deterministic sign convention: the largest-magnitude
-    entry of each component is positive.
+    entry of each component is positive. Keeps PCA_COMPONENTS components, or
+    fewer when the rows have lower rank.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] < 1:
@@ -79,9 +70,11 @@ def fit_pca(rows: np.ndarray, config: FeatureConfig) -> PCAModel:
     if not np.all(np.isfinite(rows)):
         raise InsufficientDataError("fit_pca input contains non-finite values")
 
-    mean = rows.mean(axis=0)
-    cov = np.cov(rows, rowvar=False, ddof=1)
-    cov = np.atleast_2d(cov)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = rows.mean(axis=0)
+        cov = np.atleast_2d(np.cov(rows, rowvar=False, ddof=1))
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        raise InsufficientDataError("fit_pca input is too large for a finite covariance")
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1]
     evals = np.maximum(evals[order], 0.0)
@@ -89,16 +82,7 @@ def fit_pca(rows: np.ndarray, config: FeatureConfig) -> PCAModel:
 
     scale = max(float(evals[0]), 1.0)
     rank = int(np.sum(evals > _RANK_TOL * scale))
-    if isinstance(config.pca_components, float):
-        if rank == 0:
-            k = 1  # zero-variance input with a fractional target
-        else:
-            total = float(evals.sum())
-            cum = np.cumsum(evals) / total
-            k = int(np.searchsorted(cum, config.pca_components - 1e-12) + 1)
-            k = min(k, rank)
-    else:
-        k = min(int(config.pca_components), max(rank, 1))
+    k = min(PCA_COMPONENTS, max(rank, 1))
 
     comps = evecs[:k].copy()
     for i in range(k):
@@ -179,7 +163,6 @@ def build_teacher_history(cohort: Cohort) -> TeacherHistoryIndex:
     )
 
 
-_VEC_AGGS = ("mean", "sum", "last")  # vector-valued aggregators, in emit order
 # event kinds counted per lookback window, in the column order of feature_names
 _KINDS = ("class", "followup", "reschedule", "pos_followup", "neg_followup")
 
@@ -196,17 +179,15 @@ def _feature_names(
 ) -> tuple[str, ...]:
     names: list[str] = []
     if "in" in config.blocks:
-        for agg in _VEC_AGGS:
-            if agg in config.aggregators:
-                names += [f"in_{agg}_pc{i + 1}" for i in range(n_components)]
+        for agg in ("mean", "last"):
+            names += [f"in_{agg}_pc{i + 1}" for i in range(n_components)]
         names.append("in_count")
     if "out" in config.blocks:
-        for agg in _VEC_AGGS:
-            if agg in config.aggregators:
-                names += [f"out_{agg}_{c}" for c in schema.outclass_columns]
+        for agg in ("mean", "last"):
+            names += [f"out_{agg}_{c}" for c in schema.outclass_columns]
         names.append("out_count")
     if "time" in config.blocks:
-        for L in config.lookback_days_list:
+        for L in LOOKBACK_DAYS:
             names += [
                 f"time_w{L}_classes",
                 f"time_w{L}_followups",
@@ -281,15 +262,14 @@ def _project(v: np.ndarray, components: np.ndarray) -> np.ndarray:
     return (v[:, None, :] @ components.T)[:, 0, :]
 
 
-def _vector_block(out, col, batch, kind, width, config, pca=None) -> int:
-    """Write the configured aggregates of one vector kind, then its count.
+def _vector_block(out, col, batch, kind, width, pca=None) -> int:
+    """Write the mean and the last row of one vector kind, then its count.
 
-    Mean, sum and last come from the running row sums; the "in" block then
-    projects them (mean/last commute with the affine projection; the sum
-    becomes (sum - n * mean) @ components.T). Points without rows get zeros.
+    The mean comes from the running row sums; the "in" block then projects
+    both (they commute with the affine projection). Points without rows get
+    zeros.
     """
-    aggs = [a for a in _VEC_AGGS if a in config.aggregators]
-    end = col + width * len(aggs)
+    end = col + 2 * width
     idx, n = batch.search(f"{kind}_days", batch.days[:, None])
     n = n[:, 0]
     out[:, col:end] = 0.0
@@ -298,29 +278,21 @@ def _vector_block(out, col, batch, kind, width, config, pca=None) -> int:
     if not have.size:
         return end + 1
     g = idx[have, 0] - 1
-    count = n[have][:, None].astype(np.float64)
-    cumsum = batch.rows(f"{kind}_cumsum") if {"mean", "sum"} & set(aggs) else None
-    for agg in aggs:
-        if agg == "mean":
-            v = cumsum[g] / count
-        elif agg == "sum":
-            v = cumsum[g]
-        else:
-            v = batch.rows(f"{kind}_rows")[g]
+    mean = batch.rows(f"{kind}_cumsum")[g] / n[have][:, None].astype(np.float64)
+    for v in (mean, batch.rows(f"{kind}_rows")[g]):
         if pca is not None:
-            v = _project(v - (count * pca.mean if agg == "sum" else pca.mean), pca.components)
+            v = _project(v - pca.mean, pca.components)
         out[have, col : col + width] = v
         col += width
     return end + 1
 
 
-def _time_block(out, col, batch, hist, config) -> None:
+def _time_block(out, col, batch, hist) -> None:
     days = batch.days
-    lookbacks = config.lookback_days_list
     # window i holds the days in (day - L_i, day]: count(<= day) - count(<= day - L_i)
-    bounds = np.column_stack([days - L for L in lookbacks] + [days])
+    bounds = np.column_stack([days - L for L in LOOKBACK_DAYS] + [days])
     width = len(_KINDS) + 2  # columns per window
-    stop = col + width * len(lookbacks)
+    stop = col + width * len(LOOKBACK_DAYS)
     class_days = batch.concat("class_days")
     class_idx, class_n = batch.search("class_days", bounds)
     for j, kind in enumerate(_KINDS):
@@ -373,14 +345,16 @@ def assemble(
     out = np.empty((len(points), len(names)))
     if not points:
         return out
-    batch = _Batch(points)
-    col = 0
-    if "in" in config.blocks:
-        col = _vector_block(out, col, batch, "inclass", pca.n_components, config, pca)
-    if "out" in config.blocks:
-        col = _vector_block(out, col, batch, "outclass", len(schema.outclass_columns), config)
-    if "time" in config.blocks:
-        _time_block(out, col, batch, hist, config)
+    # Vectors near the float limit overflow silently here and are refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = _Batch(points)
+        col = 0
+        if "in" in config.blocks:
+            col = _vector_block(out, col, batch, "inclass", pca.n_components, pca)
+        if "out" in config.blocks:
+            col = _vector_block(out, col, batch, "outclass", len(schema.outclass_columns))
+        if "time" in config.blocks:
+            _time_block(out, col, batch, hist)
     if not np.all(np.isfinite(out)):
         raise ValidationError("feature matrix contains non-finite values")
     return out

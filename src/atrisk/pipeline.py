@@ -20,7 +20,7 @@ from .augmentation import AugmentationConfig, augment
 from .errors import InsufficientDataError, SchemaError
 from .events import Cohort, ColumnSchema, StudentRecord
 from .features import FeatureConfig, PCAModel, TeacherHistoryIndex
-from .gbdt import GBDTConfig
+from .gbdt import GBDTConfig, GBDTModel
 from .labeling import TrainingPair
 from .trainer import SamplerConfig
 
@@ -31,22 +31,16 @@ class PipelineConfig:
     augmentation: AugmentationConfig = AugmentationConfig()
     sampler: SamplerConfig = SamplerConfig()
     gbdt: GBDTConfig = GBDTConfig()
-    model_kind: str = "gbdt"  # or "logistic" for the baseline
 
     def fingerprint(self) -> str:
         raw = json.dumps(
             {
-                "lookbacks": list(self.feature.lookback_days_list),
-                "pca": self.feature.pca_components,
-                "aggregators": sorted(self.feature.aggregators),
                 "blocks": list(self.feature.blocks),
                 "aug_lookback": self.augmentation.lookback_days,
                 "weighting": self.augmentation.weighting,
                 "target_positive_fraction": self.sampler.target_positive_fraction,
                 "sampler_seed": self.sampler.seed,
-                "carry_weights": self.sampler.carry_weights,
                 "gbdt": self.gbdt.to_dict(),
-                "model_kind": self.model_kind,
             },
             sort_keys=True,
         )
@@ -55,7 +49,7 @@ class PipelineConfig:
 
 @dataclass
 class TrainedPipeline:
-    model: object  # GBDTModel or LogisticModel
+    model: GBDTModel
     pca: PCAModel
     hist: TeacherHistoryIndex
     feature_config: FeatureConfig
@@ -101,7 +95,7 @@ def _inclass_rows(cohort: Cohort) -> np.ndarray:
 
 def train(cohort: Cohort, config: PipelineConfig) -> TrainedPipeline:
     """Run the full learning procedure on a (training) cohort."""
-    pca = F.fit_pca(_inclass_rows(cohort), config.feature)
+    pca = F.fit_pca(_inclass_rows(cohort))
     hist = F.build_teacher_history(cohort)
     positives, negatives = labeling.build_original_pairs(cohort)
     pseudo = augment(cohort, config.augmentation) if config.augmentation.enabled else []
@@ -111,12 +105,8 @@ def train(cohort: Cohort, config: PipelineConfig) -> TrainedPipeline:
         pca, hist, config.feature, cohort.schema,
     )
     names = F.feature_names(cohort.schema, pca, config.feature)
-    if config.model_kind == "logistic":
-        model = trainer.fit_logistic_baseline(X, data, names)
-    else:
-        model = trainer.fit_gbdt(X, data, names, config.gbdt)
     return TrainedPipeline(
-        model=model,
+        model=trainer.fit_gbdt(X, data, names, config.gbdt),
         pca=pca,
         hist=hist,
         feature_config=config.feature,

@@ -193,7 +193,7 @@ def test_criterion_5_causality_no_leakage(capsys):
     t0 = time.perf_counter()
     cohort, _, _ = generate_cohort(SimConfig(n_students=80, seed=5))
     config = FeatureConfig()
-    pca = fit_pca(pipeline._inclass_rows(cohort), config)
+    pca = fit_pca(pipeline._inclass_rows(cohort))
     hist = build_teacher_history(cohort)
     rng = np.random.default_rng(55)
     students = sorted(cohort.students)

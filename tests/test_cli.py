@@ -1,12 +1,18 @@
 """CLI subcommands: end-to-end runs, manifests, determinism, exit codes."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from atrisk.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, main
 
@@ -158,7 +164,8 @@ def test_usage_error_exit_code(sim_dir, tmp_path):
 
 def test_workers_flag_is_gone(sim_dir, tmp_path):
     for argv in (["train", *io_args(sim_dir, tmp_path), "--workers", "2"],
-                 ["sweep", *io_args(sim_dir, tmp_path), "--workers", "2"]):
+                 ["sweep", *io_args(sim_dir, tmp_path), "--workers", "2"],
+                 ["train", *io_args(sim_dir, tmp_path), "--model-kind", "logistic"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -173,3 +180,144 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == EXIT_OK
     assert "simulated 30 students" in proc.stdout
     assert (tmp_path / "events.jsonl").exists()
+
+
+# ---------------------------------------------------------------------------
+# malformed input: exit 3 with one JSON line on stderr, never a traceback
+
+SCHEMA = {"inclass_columns": ["a", "b", "c", "d"], "outclass_columns": ["x", "y"]}
+
+
+def valid_events():
+    """Three students with every event kind and every optional field."""
+    records = []
+    for k, status in enumerate(("dropout", "completion", "ongoing")):
+        sid, teacher = f"s{k}", f"t{k % 2}"
+        records += [
+            {"student": sid, "day": 1, "kind": "purchase_event", "teacher": teacher,
+             "outclass": [0.5, 10.0 + k]},
+            {"student": sid, "day": 3, "kind": "class_session", "teacher": teacher,
+             "inclass": [1.0 + k, 2.0, 0.5 * k, -0.5]},
+            {"student": sid, "day": 5, "kind": "follow_up", "teacher": teacher,
+             "polarity": 1 - k, "outclass": [0.0, 0.7]},
+            {"student": sid, "day": 8, "kind": "reschedule", "teacher": teacher},
+            {"student": sid, "day": 10, "kind": "class_session", "teacher": teacher,
+             "inclass": [0.8, 1.0 - k, 0.2, 0.1]},
+        ]
+        if status == "dropout":
+            records.append({"student": sid, "day": 12, "kind": "dropout_event"})
+        elif status == "completion":
+            records[-1]["status"] = status
+    return records
+
+
+def featurize(records, schema):
+    """Run `atrisk featurize` on the given events (records, or the raw bytes of
+    events.jsonl) and schema (a dict, or the raw text of schema.json); returns
+    (exit code, stderr lines). A warning fails the test: it would be one more
+    line on stderr."""
+    if not isinstance(records, bytes):
+        records = "".join(json.dumps(r) + "\n" for r in records).encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "events.jsonl").write_bytes(records)
+        (tmp / "schema.json").write_text(schema if isinstance(schema, str) else json.dumps(schema))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["featurize", "--events", str(tmp / "events.jsonl"),
+                         "--schema", str(tmp / "schema.json"), "--out-dir", str(tmp / "out")])
+    return code, err.getvalue().splitlines()
+
+
+def assert_clean_exit(code, stderr):
+    assert code in (EXIT_OK, EXIT_DATA)
+    if code == EXIT_DATA:
+        assert len(stderr) == 1
+        assert set(json.loads(stderr[0])) == {"error", "message"}
+
+
+def test_valid_cohort_featurizes():
+    assert featurize(valid_events(), SCHEMA) == (EXIT_OK, [])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("inclass", "1,2,3,4"), ("inclass", {"a": 1}), ("inclass", [1.0, "x", 3.0, 4.0]),
+    ("outclass", "0.5"), ("outclass", {"x": 1}), ("outclass", ["0.5", 1.0]),
+    ("kind", ["class_session"]), ("status", ["completion"]), ("teacher", 7),
+    ("polarity", "1"), ("polarity", [1]), ("day", 10**20), ("day", 2**31),
+])
+def test_malformed_event_field_exits_3_with_line_number(field, value):
+    records = valid_events()
+    line = next(i for i, r in enumerate(records) if field in r)
+    records[line][field] = value
+    code, stderr = featurize(records, SCHEMA)
+    assert code == EXIT_DATA
+    assert_clean_exit(code, stderr)
+    assert f"line {line + 1}:" in json.loads(stderr[0])["message"]
+
+
+def test_non_utf8_event_line_exits_3_with_line_number():
+    code, stderr = featurize(b'{"student": "a", "day": 1, "kind": "follow_up"}\n\xff\n', SCHEMA)
+    assert code == EXIT_DATA
+    assert_clean_exit(code, stderr)
+    assert "line 2:" in json.loads(stderr[0])["message"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("inclass", [1e308, 2.0, 0.0, -0.5]), ("outclass", [1e308, 2.0]),
+])
+def test_vectors_near_float_limit_exit_3(field, value):
+    """Finite vectors whose sums overflow are refused, not turned into features."""
+    records = valid_events()
+    for record in records:
+        if field in record:
+            record[field] = value
+    code, stderr = featurize(records, SCHEMA)
+    assert code == EXIT_DATA
+    assert_clean_exit(code, stderr)
+
+
+@pytest.mark.parametrize("schema", [
+    "{not json", json.dumps([SCHEMA]), json.dumps({**SCHEMA, "inclass_columns": "abcd"}),
+    json.dumps({**SCHEMA, "outclass_columns": {"x": 1}}), json.dumps({**SCHEMA, "outclass_columns": [1, 2]}),
+])
+def test_malformed_schema_exits_3(schema):
+    code, stderr = featurize(valid_events(), schema)
+    assert code == EXIT_DATA
+    assert_clean_exit(code, stderr)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+EVENT_FIELDS = ("student", "day", "kind", "teacher", "inclass", "outclass", "polarity", "status")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_event_field_exits_0_or_3(data):
+    records = valid_events()
+    record = records[data.draw(st.integers(0, len(records) - 1))]
+    field = data.draw(st.sampled_from(EVENT_FIELDS))
+    if data.draw(st.booleans()):
+        record.pop(field, None)
+    else:
+        record[field] = data.draw(JSON)
+    assert_clean_exit(*featurize(records, SCHEMA))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_schema_exits_0_or_3(data):
+    schema = dict(SCHEMA)
+    key = data.draw(st.sampled_from(sorted(SCHEMA)))
+    if data.draw(st.booleans()):
+        del schema[key]
+    else:
+        schema[key] = data.draw(JSON)
+    text = json.dumps(data.draw(st.sampled_from([schema, data.draw(JSON)])))
+    assert_clean_exit(*featurize(valid_events(), text))

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from atrisk.errors import UndefinedMetricError, ValidationError
 from atrisk.evaluation import (
     SweepCell,
+    SweepReport,
     auc,
     auc_bruteforce,
     daily_flagging,
@@ -214,6 +215,26 @@ def test_sweep_report_save_csv(tmp_path):
     lines = cpath.read_text().strip().splitlines()
     assert lines[0] == "cell,delta,mean_auc,std_auc,n_seeds"
     assert len(lines) == 1 + len(cells) * 2
+
+
+def test_sweep_report_cell_without_defined_auc(tmp_path, recwarn):
+    """Every summary of a cell with no defined AUC agrees that it has none."""
+    report = SweepReport(
+        deltas=[1, 7], seeds=[0, 1], cells={"a": {1: [None, None], 7: [0.75, None]}}
+    )
+    for statistic in (report.mean_auc, report.std_auc):
+        with pytest.raises(UndefinedMetricError):
+            statistic("a", 1)
+    assert report.mean_auc("a", 7) == 0.75
+    assert report.std_auc("a", 7) == 0.0
+    cells = report.to_dict()["cells"]["a"]
+    assert cells["1"] == {"mean": None, "std": None, "per_seed": [None, None]}
+    assert cells["7"] == {"mean": 0.75, "std": 0.0, "per_seed": [0.75, None]}
+    report.save_csv(tmp_path / "r.csv")
+    assert (tmp_path / "r.csv").read_text().splitlines()[1:] == [
+        "a,1,,,0", "a,7,0.750000,0.000000,1"
+    ]
+    assert not recwarn.list
 
 
 def test_run_sweep_requires_seeds(small_cohort):

@@ -51,9 +51,9 @@ def test_ingest_sorts_by_day(paths):
 def test_ingest_statuses(paths):
     cohort = ingest(*paths)
     assert cohort.students["a"].final_status == "dropout"
-    assert cohort.students["a"].dropout_day == 9
+    assert cohort.students["a"].last_day == 9
     assert cohort.students["b"].final_status == "completion"
-    assert cohort.students["b"].dropout_day is None
+    assert cohort.students["b"].last_day == 4
 
 
 def test_ingest_without_status_is_ongoing(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from atrisk.errors import InsufficientDataError, ValidationError
 from atrisk.events import ColumnSchema
 from atrisk.features import (
+    LOOKBACK_DAYS,
     FeatureConfig,
     assemble,
     build_teacher_history,
@@ -61,7 +62,7 @@ def test_pca_matches_jacobi_oracle(seed):
     rng = np.random.default_rng(seed)
     d = 4
     rows = rng.normal(size=(60, d)) @ rng.normal(size=(d, d))
-    model = fit_pca(rows, FeatureConfig(pca_components=d))
+    model = fit_pca(rows)
 
     evals, evecs = jacobi_eigh(sample_cov(rows))
     order = np.argsort(evals)[::-1]
@@ -77,51 +78,40 @@ def test_pca_matches_jacobi_oracle(seed):
 
 def test_pca_components_orthonormal():
     rng = np.random.default_rng(3)
-    model = fit_pca(rng.normal(size=(40, 4)), FeatureConfig(pca_components=4))
+    model = fit_pca(rng.normal(size=(40, 4)))
     gram = model.components @ model.components.T
     np.testing.assert_allclose(gram, np.eye(4), atol=1e-10)
 
 
 def test_pca_explained_variance_sorted_non_negative():
     rng = np.random.default_rng(4)
-    model = fit_pca(rng.normal(size=(50, 4)), FeatureConfig(pca_components=4))
+    model = fit_pca(rng.normal(size=(50, 4)))
     ev = model.explained_variance
     assert np.all(ev[:-1] >= ev[1:])
     assert np.all(ev >= 0)
-
-
-def test_pca_fractional_component_selection():
-    rng = np.random.default_rng(5)
-    base = rng.normal(size=(200, 1))
-    rows = np.hstack([10 * base, base + 0.01 * rng.normal(size=(200, 1)),
-                      0.01 * rng.normal(size=(200, 2))])
-    model = fit_pca(rows, FeatureConfig(pca_components=0.99))
-    assert model.n_components < 4
-    total = fit_pca(rows, FeatureConfig(pca_components=4)).explained_variance.sum()
-    assert model.explained_variance.sum() / total >= 0.99
 
 
 def test_pca_rank_deficient_input_caps_components():
     rng = np.random.default_rng(6)
     col = rng.normal(size=(30, 1))
     rows = np.hstack([col, 2 * col, -col, 0 * col])  # rank 1
-    model = fit_pca(rows, FeatureConfig(pca_components=4))
+    model = fit_pca(rows)
     assert model.n_components == 1
 
 
 def test_pca_projection_recovers_centered_data():
     rng = np.random.default_rng(7)
     rows = rng.normal(size=(30, 4))
-    model = fit_pca(rows, FeatureConfig(pca_components=4))
+    model = fit_pca(rows)
     proj = model.project(rows)
     np.testing.assert_allclose(proj @ model.components, rows - model.mean, atol=1e-10)
 
 
 def test_pca_rejects_degenerate_inputs():
     with pytest.raises(InsufficientDataError):
-        fit_pca(np.ones((1, 3)), FeatureConfig())
+        fit_pca(np.ones((1, 3)))
     with pytest.raises(InsufficientDataError):
-        fit_pca(np.array([[1.0, np.nan], [2.0, 3.0]]), FeatureConfig())
+        fit_pca(np.array([[1.0, np.nan], [2.0, 3.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +163,7 @@ def test_teacher_history_before_any_activity():
 # The per-pair featurizer that the batch `assemble` replaced, kept as its
 # oracle: one point at a time, every array rebuilt from the observations.
 
-_ORACLE_AGGS = ("mean", "sum", "last")
+_ORACLE_AGGS = ("mean", "last")
 
 
 def oracle_teacher_query(hist, teacher_id, day):
@@ -194,17 +184,16 @@ def oracle_teacher_query(hist, teacher_id, day):
     return n_courses, n_students, n_dropped / n_students
 
 
-def oracle_vector_aggregates(stack, width, config):
+def oracle_vector_aggregates(stack, width):
     out = []
     n = stack.shape[0]
     if n:
-        agg_values = {"mean": stack.mean(axis=0), "sum": stack.sum(axis=0), "last": stack[-1]}
+        agg_values = {"mean": stack.mean(axis=0), "last": stack[-1]}
     else:
         zero = np.zeros(width)
-        agg_values = {"mean": zero, "sum": zero, "last": zero}
+        agg_values = {"mean": zero, "last": zero}
     for agg in _ORACLE_AGGS:
-        if agg in config.aggregators:
-            out.extend(float(v) for v in agg_values[agg])
+        out.extend(float(v) for v in agg_values[agg])
     out.append(float(n))
     return out
 
@@ -230,20 +219,16 @@ def oracle_assemble(student, at_day, pca, hist, config, schema):
         if n_in:
             raw = {"mean": rows.mean(axis=0), "last": rows[-1]}
             agg_values = {k: pca.project(v)[0] for k, v in raw.items()}
-            agg_values["sum"] = (rows.sum(axis=0) - n_in * pca.mean) @ pca.components.T
         else:
             zero = np.zeros(pca.n_components)
-            agg_values = {"mean": zero, "sum": zero, "last": zero}
+            agg_values = {"mean": zero, "last": zero}
         for agg in _ORACLE_AGGS:
-            if agg in config.aggregators:
-                values.extend(float(v) for v in agg_values[agg])
+            values.extend(float(v) for v in agg_values[agg])
         values.append(float(n_in))
     if "out" in config.blocks:
         out_days, out_rows = rows_of("outclass_values", len(schema.outclass_columns))
         n_out = int(np.searchsorted(out_days, at_day, side="right"))
-        values += oracle_vector_aggregates(
-            out_rows[:n_out], len(schema.outclass_columns), config
-        )
+        values += oracle_vector_aggregates(out_rows[:n_out], len(schema.outclass_columns))
     if "time" in config.blocks:
         class_days = days_of(lambda o: o.kind == "class_session")
         per_kind = [
@@ -253,7 +238,7 @@ def oracle_assemble(student, at_day, pca, hist, config, schema):
             days_of(lambda o: o.kind == "follow_up" and (o.polarity or 0) > 0),
             days_of(lambda o: o.kind == "follow_up" and (o.polarity or 0) < 0),
         ]
-        for L in config.lookback_days_list:
+        for L in LOOKBACK_DAYS:
             for kind_days in per_kind:
                 in_window = (kind_days > at_day - L) & (kind_days <= at_day)
                 values.append(float(np.sum(in_window)))
@@ -296,7 +281,7 @@ def fitted(cohort, config=None):
             if o.inclass_values is not None
         ]
     )
-    pca = fit_pca(rows, config)
+    pca = fit_pca(rows)
     hist = build_teacher_history(cohort)
     return pca, hist, config
 
@@ -343,8 +328,8 @@ def test_assemble_window_is_half_open(small_cohort):
 
 def test_assemble_counts_additive_over_windows(small_cohort):
     """count(L2) - count(L1) equals the count in the band (d-L2, d-L1]."""
-    pca, hist, _ = fitted(small_cohort)
-    config = FeatureConfig(lookback_days_list=(7, 14, 21, 30))
+    pca, hist, config = fitted(small_cohort)
+    assert LOOKBACK_DAYS == (7, 14, 21, 30)
     s1 = small_cohort.students["s1"]
     fv = assemble_one(s1, 12, pca, hist, config, small_cohort.schema)
     band = get(fv, "time_w14_classes") - get(fv, "time_w7_classes")
@@ -407,16 +392,6 @@ def test_assemble_in_block_matches_direct_projection(small_cohort):
 
 def test_feature_config_validation():
     with pytest.raises(ValidationError):
-        FeatureConfig(lookback_days_list=(14, 7))
-    with pytest.raises(ValidationError):
-        FeatureConfig(lookback_days_list=(0, 7))
-    with pytest.raises(ValidationError):
-        FeatureConfig(pca_components=0)
-    with pytest.raises(ValidationError):
-        FeatureConfig(pca_components=1.5)
-    with pytest.raises(ValidationError):
-        FeatureConfig(aggregators=frozenset({"median"}))
-    with pytest.raises(ValidationError):
         FeatureConfig(blocks=("in", "weather"))
 
 
@@ -454,7 +429,8 @@ SHAPES = ("mixed", "no_sessions", "no_outclass", "single")
 @st.composite
 def batches(draw):
     """A cohort of varied histories, teacher history from part of it (so some
-    teachers are unseen), a feature config, and points with duplicates."""
+    teachers are unseen), random blocks, a PCA of random rank (so fewer than
+    PCA_COMPONENTS components), and points with duplicates."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     students = []
     for k in range(draw(st.integers(1, 6))):
@@ -481,12 +457,12 @@ def batches(draw):
     cohort = cohort_of(*students)
     hist = build_teacher_history(cohort_of(*students[: draw(st.integers(0, len(students)))]))
     config = FeatureConfig(
-        lookback_days_list=tuple(sorted(draw(st.sets(st.integers(1, 30), min_size=1, max_size=4)))),
-        pca_components=draw(st.integers(1, len(IN_COLS))),
-        aggregators=frozenset(draw(st.sets(st.sampled_from(["mean", "sum", "last", "count"])))),
         blocks=tuple(draw(st.sets(st.sampled_from(["in", "out", "time"]), min_size=1))),
     )
-    pca = fit_pca(rng.normal(size=(12, len(IN_COLS))) * 3.0 + 1.0, config)
+    rank = draw(st.integers(1, len(IN_COLS)))
+    mixing = rng.normal(size=(rank, len(IN_COLS)))
+    pca = fit_pca(rng.normal(size=(12, rank)) @ mixing * 3.0 + 1.0)
+    assert pca.n_components == rank
     picks = draw(st.lists(
         st.tuples(st.integers(0, len(students) - 1), st.integers(0, 70)), min_size=1, max_size=40,
     ))
@@ -514,8 +490,8 @@ def test_assemble_rows_equal_per_pair_oracle(case, data):
 
 def test_assemble_matches_oracle_on_simulated_cohort():
     cohort, _, _ = generate_cohort(SimConfig(n_students=40, seed=3))
-    config = FeatureConfig(aggregators=frozenset({"mean", "sum", "last", "count"}))
-    pca = fit_pca(_inclass_rows(cohort), config)
+    config = FeatureConfig()
+    pca = fit_pca(_inclass_rows(cohort))
     hist = build_teacher_history(cohort)
     points = [(s, d) for s in cohort for d in s.days]
     X = assemble(points, pca, hist, config, cohort.schema)
@@ -525,15 +501,15 @@ def test_assemble_matches_oracle_on_simulated_cohort():
 
 def test_assemble_single_column_sums_within_rounding_of_oracle():
     """With one column, numpy sums a row slice pairwise where the running sums
-    add row by row, so mean and sum may differ from the oracle in the last bits."""
+    add row by row, so the mean may differ from the oracle in the last bits."""
     schema = ColumnSchema(inclass_columns=("a",), outclass_columns=("b",))
     rng = np.random.default_rng(9)
     s = student("w", [
         obs(d, kind="class_session", inclass=[v], outclass=[-v]) for d, v in
         zip(range(1, 41), rng.normal(size=40) * 10.0 ** rng.integers(-3, 3, size=40))
     ])
-    config = FeatureConfig(pca_components=1, aggregators=frozenset({"mean", "sum", "last"}))
-    pca = fit_pca(rng.normal(size=(10, 1)), config)
+    config = FeatureConfig()
+    pca = fit_pca(rng.normal(size=(10, 1)))
     hist = build_teacher_history(cohort_of(s))
     X = assemble([(s, d) for d in s.days], pca, hist, config, schema)
     expected = np.vstack([oracle_assemble(s, d, pca, hist, config, schema) for d in s.days])

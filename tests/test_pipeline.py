@@ -14,7 +14,6 @@ from atrisk.features import FeatureConfig
 from atrisk.gbdt import GBDTConfig, GBDTModel
 from atrisk.pipeline import PipelineConfig, PipelineScorer, train
 from atrisk.synthgen import SimConfig, generate_cohort
-from atrisk.trainer import LogisticModel
 
 from conftest import cohort_of, session, student
 
@@ -82,14 +81,6 @@ def test_augmentation_disabled_produces_no_pseudo(cohort):
         gbdt=FAST.gbdt, augmentation=AugmentationConfig(lookback_days=None)
     )
     assert train(cohort, cfg).n_pseudo_pairs == 0
-
-
-def test_logistic_baseline_pipeline(cohort):
-    cfg = PipelineConfig(gbdt=FAST.gbdt, model_kind="logistic")
-    tp = train(cohort, cfg)
-    assert isinstance(tp.model, LogisticModel)
-    report = evaluate_horizons(tp.scorer, cohort, [7])
-    assert report.auc_by_horizon[7] is not None
 
 
 def test_block_restriction_shrinks_features(cohort):

@@ -6,12 +6,7 @@ import pytest
 from atrisk.errors import EmptyInputError, ModelError, SchemaError
 from atrisk.gbdt import GBDTConfig
 from atrisk.labeling import TrainingPair
-from atrisk.trainer import (
-    SamplerConfig,
-    fit_gbdt,
-    fit_logistic_baseline,
-    oversample,
-)
+from atrisk.trainer import SamplerConfig, fit_gbdt, oversample
 
 NAMES = ("f0", "f1")
 
@@ -57,14 +52,6 @@ def test_oversample_drawn_copies_carry_weight_one():
         SamplerConfig(seed=1),
     )
     assert all(p.weight == 1.0 for p in out if p.label == 1)
-
-
-def test_oversample_carry_weights_mode_keeps_weights():
-    negatives = [neg("n", d) for d in range(1, 40)]
-    pseudo = [pos("p", 9, weight=0.3, provenance="pseudo_positive")]
-    out = oversample([], pseudo, negatives, SamplerConfig(seed=1, carry_weights=True))
-    drawn = [p for p in out if p.label == 1]
-    assert drawn and all(p.weight == 0.3 for p in drawn)
 
 
 def test_oversample_is_seeded():
@@ -144,26 +131,3 @@ def test_predict_validates_names():
     with pytest.raises(SchemaError):
         model.predict_proba(np.zeros((4, 1)))
 
-
-def test_logistic_baseline_learns_separable_data():
-    X, data = labeled_fixture(seed=4)
-    model = fit_logistic_baseline(X, data, NAMES)
-    y = np.array([p.label for p in data])
-    scores = model.predict_proba(X)
-    from atrisk.evaluation import auc
-
-    assert auc(scores, y) > 0.9
-
-
-def test_logistic_zero_epochs_predicts_prior():
-    X, data = labeled_fixture(seed=5)
-    model = fit_logistic_baseline(X, data, NAMES, epochs=0)
-    y = np.array([p.label for p in data])
-    np.testing.assert_allclose(model.predict_proba(X), np.full(len(y), y.mean()))
-
-
-def test_logistic_constant_feature_survives_standardization():
-    pairs = [pos(f"p{i}", i + 1) if i % 2 else neg(f"n{i}", i + 1) for i in range(20)]
-    X = np.array([[1.0, float(i % 2)] for i in range(20)])
-    model = fit_logistic_baseline(X, pairs, NAMES)
-    assert np.all(np.isfinite(model.predict_proba(np.array([[1.0, 0.5]]))))
