@@ -4,7 +4,8 @@ Every subcommand writes a manifest.json into its output directory recording
 the resolved configuration, seed, and sha256 hashes of inputs and outputs,
 so any run can be replayed bit-exactly.
 
-Exit codes: 0 ok, 2 usage, 3 data error, 4 model error.
+Exit codes: 0 ok, 2 usage, 3 data error (malformed input, or an input or
+output path that cannot be read or written), 4 model error.
 """
 
 from __future__ import annotations
@@ -328,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return EXIT_DATA

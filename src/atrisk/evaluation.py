@@ -2,7 +2,9 @@
 
 Query points are every observation day of a test student that still has at
 least one future day before resolution. Horizons with single-class ground
-truth are reported as undefined rather than fabricated.
+truth are reported as undefined rather than fabricated. A scorer is any
+object with a batch `many(points) -> scores` method, such as PipelineScorer;
+each report scores its points in batches.
 """
 
 from __future__ import annotations
@@ -18,10 +20,6 @@ import numpy as np
 from .errors import UndefinedMetricError, ValidationError
 from .events import Cohort, StudentRecord
 from .labeling import horizon_label
-
-# A (student, day) -> probability callable, or an object with a batch
-# `many(points) -> scores` method such as PipelineScorer, which is used first.
-Scorer = Callable[[StudentRecord, int], float]
 
 
 def auc(scores, labels) -> float:
@@ -93,17 +91,14 @@ def query_points(cohort: Cohort) -> list[tuple[StudentRecord, int]]:
 
 
 def evaluate_horizons(
-    scorer: Scorer,
+    scorer,
     cohort: Cohort,
     deltas: list[int],
     fingerprint: str = "",
 ) -> EvalReport:
     """Score every query point once, then label and compute AUC per horizon."""
     points = query_points(cohort)
-    if hasattr(scorer, "many"):
-        scores = np.asarray(scorer.many(points))
-    else:
-        scores = np.array([scorer(s, d) for s, d in points])
+    scores = np.asarray(scorer.many(points))
     auc_map: dict[int, float | None] = {}
     n_map: dict[int, int] = {}
     for delta in deltas:
@@ -118,19 +113,6 @@ def evaluate_horizons(
         n_queries_by_horizon=n_map,
         config_fingerprint=fingerprint,
     )
-
-
-def recall_at_fraction(
-    scores_by_student: dict[str, float], dropouts: set[str], fraction: float
-) -> float:
-    """Flag the top ceil(fraction * n) students by score; recall on `dropouts`.
-
-    Ties break deterministically by student id.
-    """
-    flagged = _flag_top(scores_by_student, fraction)
-    if not dropouts:
-        raise UndefinedMetricError("no dropouts; recall undefined")
-    return len(flagged & dropouts) / len(dropouts)
 
 
 def _flag_top(scores_by_student: dict[str, float], fraction: float) -> set[str]:
@@ -152,9 +134,7 @@ class FlaggingReport:
     n_dropouts: int
 
 
-def daily_flagging(
-    scorer: Scorer, cohort: Cohort, fraction: float = 0.3
-) -> FlaggingReport:
+def daily_flagging(scorer, cohort: Cohort, fraction: float = 0.3) -> FlaggingReport:
     """Replay daily top-fraction flagging against next-day dropouts.
 
     For each day d with at least one dropout on day d+1, score every student
@@ -178,12 +158,9 @@ def daily_flagging(
         todays = dropout_days[day] & set(active)
         if not todays:
             continue
-        if hasattr(scorer, "many"):
-            sids = sorted(active)
-            values = scorer.many([(active[sid], eval_day) for sid in sids])
-            scores = dict(zip(sids, (float(v) for v in values)))
-        else:
-            scores = {sid: scorer(s, eval_day) for sid, s in active.items()}
+        sids = sorted(active)
+        values = scorer.many([(active[sid], eval_day) for sid in sids])
+        scores = dict(zip(sids, (float(v) for v in values)))
         hits = len(_flag_top(scores, fraction) & todays)
         daily.append(hits / len(todays))
         detected += hits
@@ -278,7 +255,7 @@ def run_sweep(
     cells: list[SweepCell],
     deltas: list[int],
     seeds: list[int],
-    train_cell: Callable[[Cohort, SweepCell, int], Scorer],
+    train_cell: Callable[[Cohort, SweepCell, int], object],
     train_fraction: float = 0.8,
 ) -> SweepReport:
     """Train and evaluate every cell on shared per-seed splits.

@@ -222,11 +222,13 @@ def ingest(events_path: str | Path, schema_path: str | Path) -> Cohort:
             if not isinstance(rec, dict):
                 raise ParseError("record is not an object", line_no)
             try:
-                sid = str(rec["student"])
+                sid = rec["student"]
                 day = rec["day"]
                 kind = rec["kind"]
             except KeyError as exc:
                 raise ParseError(f"missing required field {exc}", line_no) from exc
+            if not isinstance(sid, str):
+                raise ParseError(f"student must be a string, got {sid!r}", line_no)
             if not _is_int(day):
                 raise ParseError(f"day must be an integer, got {day!r}", line_no)
             if day > MAX_DAY:

@@ -364,14 +364,8 @@ def _canonicalize(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     _, unique_idx, inverse = np.unique(
         keyed, axis=0, return_index=True, return_inverse=True
     )
-    if unique_idx.shape[0] < X.shape[0]:
-        w_merged = np.zeros(unique_idx.shape[0])
-        np.add.at(w_merged, inverse, w)
-        X, y, w = X[unique_idx], y[unique_idx], w_merged
-    else:
-        order = np.argsort(inverse, kind="stable")
-        X, y, w = X[order], y[order], w[order]
-    return X, y, w / w.mean()
+    w = np.bincount(inverse.ravel(), weights=w, minlength=len(unique_idx))
+    return X[unique_idx], y[unique_idx], w / w.mean()
 
 
 def fit(

@@ -52,7 +52,6 @@ class TrainedPipeline:
     model: GBDTModel
     pca: PCAModel
     hist: TeacherHistoryIndex
-    feature_config: FeatureConfig
     schema: ColumnSchema
     config: PipelineConfig
     pairs: list[TrainingPair]  # original positives, pseudo positives, negatives
@@ -70,14 +69,14 @@ class PipelineScorer:
     """Scores batches of (student, day) points with a trained pipeline."""
 
     def __init__(self, trained: TrainedPipeline):
-        names = F.feature_names(trained.schema, trained.pca, trained.feature_config)
+        names = F.feature_names(trained.schema, trained.pca, trained.config.feature)
         if names != tuple(trained.model.feature_names):
             raise SchemaError("the model's feature columns differ from the featurizer's")
         self._trained = trained
 
     def many(self, points: list[tuple[StudentRecord, int]]) -> np.ndarray:
         t = self._trained
-        X = F.assemble(points, t.pca, t.hist, t.feature_config, t.schema)
+        X = F.assemble(points, t.pca, t.hist, t.config.feature, t.schema)
         return t.model.predict_proba(X)
 
 
@@ -98,7 +97,7 @@ def train(cohort: Cohort, config: PipelineConfig) -> TrainedPipeline:
     pca = F.fit_pca(_inclass_rows(cohort))
     hist = F.build_teacher_history(cohort)
     positives, negatives = labeling.build_original_pairs(cohort)
-    pseudo = augment(cohort, config.augmentation) if config.augmentation.enabled else []
+    pseudo = augment(cohort, config.augmentation)
     data = trainer.oversample(positives, pseudo, negatives, config.sampler)
     X = F.assemble(
         [(cohort.students[p.student_id], p.day) for p in data],
@@ -109,7 +108,6 @@ def train(cohort: Cohort, config: PipelineConfig) -> TrainedPipeline:
         model=trainer.fit_gbdt(X, data, names, config.gbdt),
         pca=pca,
         hist=hist,
-        feature_config=config.feature,
         schema=cohort.schema,
         config=config,
         pairs=positives + pseudo + negatives,

@@ -23,22 +23,23 @@ from .events import Cohort, ColumnSchema, ObservationPair, StudentRecord, write_
 INCLASS_COLUMNS = ("attention", "qa_rounds", "loudness", "speech_rate")
 OUTCLASS_COLUMNS = ("order_discount", "order_courses", "followup_sentiment")
 
+CLASS_GAP_DAYS = (3, 7)  # inclusive range of days between scheduled classes
+RECENCY_SLOPE = 0.3  # hazard increase per day since last class
+ENGAGEMENT_SLOPE = 0.8  # hazard decrease per unit engagement
+FOLLOWUP_RELIEF = 0.4  # hazard decrease per recent follow-up
+TEACHER_EFFECT_SD = 0.3
+N_TEACHERS = 20
+DECLINE_WINDOW_DAYS = 7  # planted pre-dropout behavioral decline
+DECLINE_STRENGTH = 1.0
+SILENT_EXIT_PROB = 0.75  # fraction of dropouts who stop responding
+CALIBRATION_TOL = 0.02  # largest |realized - target| dropout rate accepted
+
 
 @dataclass(frozen=True)
 class SimConfig:
     n_students: int = 500
     target_dropout_rate: float = 0.1616
     mean_span_days: int = 86
-    class_gap_days: tuple[int, int] = (3, 7)
-    recency_slope: float = 0.3  # hazard increase per day since last class
-    engagement_slope: float = 0.8  # hazard decrease per unit engagement
-    followup_relief: float = 0.4  # hazard decrease per recent follow-up
-    teacher_effect_sd: float = 0.3
-    n_teachers: int = 20
-    decline_window_days: int = 7  # planted pre-dropout behavioral decline
-    decline_strength: float = 1.0
-    silent_exit_prob: float = 0.75  # fraction of dropouts who stop responding
-    calibration_tol: float = 0.02
     seed: int = 0
 
     def __post_init__(self):
@@ -46,9 +47,6 @@ class SimConfig:
             raise ValidationError("target_dropout_rate must be in (0, 1)")
         if self.mean_span_days < 7 or self.n_students < 1:
             raise ValidationError("mean_span_days and n_students must be sensible")
-        lo, hi = self.class_gap_days
-        if not 1 <= lo <= hi:
-            raise ValidationError("class_gap_days must be a valid (lo, hi) range")
 
 
 def _sigmoid(z: float) -> float:
@@ -75,7 +73,7 @@ def _plan_student(idx: int, cfg: SimConfig, teacher_quality: np.ndarray) -> _Tra
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, idx]))
     sid = f"s{idx:05d}"
     engagement = float(rng.normal())
-    tid_idx = int(rng.integers(0, cfg.n_teachers))
+    tid_idx = int(rng.integers(0, N_TEACHERS))
     tid = f"t{tid_idx:03d}"
     tq = float(teacher_quality[tid_idx])
 
@@ -83,7 +81,7 @@ def _plan_student(idx: int, cfg: SimConfig, teacher_quality: np.ndarray) -> _Tra
     span = int(np.clip(rng.normal(cfg.mean_span_days, cfg.mean_span_days * 0.25),
                        21, 2 * cfg.mean_span_days))
     end = start + span
-    lo, hi = cfg.class_gap_days
+    lo, hi = CLASS_GAP_DAYS
 
     events: dict[int, ObservationPair] = {}
     events[start] = ObservationPair(
@@ -150,9 +148,9 @@ def _plan_student(idx: int, cfg: SimConfig, teacher_quality: np.ndarray) -> _Tra
             gap_d = d - prior_sessions[-1] if prior_sessions else 0
             recent_fu = sum(1 for f in fu_days if d - 7 <= f < d)
             hazard_z[d] = (
-                cfg.recency_slope * gap_d
-                - cfg.engagement_slope * engagement
-                - cfg.followup_relief * recent_fu
+                RECENCY_SLOPE * gap_d
+                - ENGAGEMENT_SLOPE * engagement
+                - FOLLOWUP_RELIEF * recent_fu
                 + tq
             )
 
@@ -180,7 +178,6 @@ def _plant_decline(
     kept: dict[int, ObservationPair],
     dropout_day: int,
     teacher_id: str,
-    cfg: SimConfig,
     rng: np.random.Generator,
 ) -> None:
     """Degrade the final pre-dropout window in place (the planted recency signal).
@@ -191,13 +188,10 @@ def _plant_decline(
     dropouts additionally go silent for the last few days, so their terminal
     observations look different from students who stay in contact to the end.
     """
-    window = cfg.decline_window_days
-    if window <= 0:
-        return
     start = min(kept)
 
     # Silent exits: drop all contact in the final 2-5 days before the event.
-    if rng.uniform() < cfg.silent_exit_prob:
+    if rng.uniform() < SILENT_EXIT_PROB:
         gap = int(rng.integers(4, 7))
         if dropout_day - gap > start + 1:
             for d in [d for d in kept if d >= dropout_day - gap]:
@@ -217,7 +211,7 @@ def _plant_decline(
 
     n_sessions = sum(1 for o in kept.values() if o.kind == "class_session")
     for d in sorted(kept):
-        u = (dropout_day - d) / window
+        u = (dropout_day - d) / DECLINE_WINDOW_DAYS
         if u >= 1.0:
             continue
         obs = kept[d]
@@ -225,7 +219,7 @@ def _plant_decline(
             # Last-ditch rally at the far edge of the window: a burst of
             # apparent engagement right before the collapse begins. It looks
             # exactly like an ordinary good day, so it carries no signal.
-            lift = 3.2 * cfg.decline_strength * (u - 0.6) / 0.4
+            lift = 3.2 * DECLINE_STRENGTH * (u - 0.6) / 0.4
             if obs.kind == "class_session":
                 vals = np.array(obs.inclass_values)
                 vals[0] += 0.7 * lift
@@ -242,13 +236,13 @@ def _plant_decline(
                 n_sessions -= 1
                 continue
             vals = np.array(obs.inclass_values)
-            vals[0] -= cfg.decline_strength * sev  # attention
-            vals[1] -= 0.7 * cfg.decline_strength * sev  # qa_rounds
-            vals[3] -= 0.5 * cfg.decline_strength * sev  # speech_rate
+            vals[0] -= DECLINE_STRENGTH * sev  # attention
+            vals[1] -= 0.7 * DECLINE_STRENGTH * sev  # qa_rounds
+            vals[3] -= 0.5 * DECLINE_STRENGTH * sev  # speech_rate
             kept[d] = replace(obs, inclass_values=_freeze(vals))
         elif obs.kind == "follow_up":
             vals = np.array(obs.outclass_values)
-            vals[2] -= cfg.decline_strength * sev  # sentiment
+            vals[2] -= DECLINE_STRENGTH * sev  # sentiment
             polarity = -1 if sev > 0.5 else obs.polarity
             kept[d] = replace(obs, outclass_values=_freeze(vals), polarity=polarity)
 
@@ -285,10 +279,10 @@ def _calibrate_alpha(trajectories: list[_Trajectory], cfg: SimConfig) -> float:
             hi = mid
     alpha = hi
     realized = rate(alpha)
-    if abs(realized - target) > cfg.calibration_tol:
+    if abs(realized - target) > CALIBRATION_TOL:
         raise CalibrationError(
             f"calibration failed: realized rate {realized:.4f} vs target {target:.4f} "
-            f"(tolerance {cfg.calibration_tol}); hazard steps may be too coarse"
+            f"(tolerance {CALIBRATION_TOL}); hazard steps may be too coarse"
         )
     return alpha
 
@@ -296,7 +290,7 @@ def _calibrate_alpha(trajectories: list[_Trajectory], cfg: SimConfig) -> float:
 def generate_cohort(cfg: SimConfig) -> tuple[Cohort, list[dict], float]:
     """Simulate the cohort; returns (cohort, truth records, calibrated intercept)."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 999_983]))
-    teacher_quality = rng.normal(0.0, cfg.teacher_effect_sd, size=cfg.n_teachers)
+    teacher_quality = rng.normal(0.0, TEACHER_EFFECT_SD, size=N_TEACHERS)
     trajectories = [
         _plan_student(i, cfg, teacher_quality) for i in range(cfg.n_students)
     ]
@@ -309,7 +303,7 @@ def generate_cohort(cfg: SimConfig) -> tuple[Cohort, list[dict], float]:
         if dd is not None:
             kept = {d: o for d, o in traj.events.items() if d < dd}
             _plant_decline(
-                kept, dd, traj.teacher_id, cfg,
+                kept, dd, traj.teacher_id,
                 np.random.default_rng(np.random.SeedSequence([cfg.seed, idx, 7])),
             )
             kept[dd] = ObservationPair(day=dd, kind="dropout_event", teacher_id=traj.teacher_id)

@@ -38,6 +38,17 @@ def cohort_of(*students):
     return Cohort(students={s.student_id: s for s in students}, schema=schema)
 
 
+class BatchScorer:
+    """Gives a per-point oracle `fn(student, day) -> score` the batch
+    `many(points) -> scores` method the evaluation reports call."""
+
+    def __init__(self, fn):
+        self._fn = fn
+
+    def many(self, points):
+        return np.array([self._fn(s, d) for s, d in points], dtype=np.float64)
+
+
 @pytest.fixture
 def schema():
     return ColumnSchema(inclass_columns=IN_COLS, outclass_columns=OUT_COLS)

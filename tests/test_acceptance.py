@@ -28,6 +28,8 @@ from atrisk.synthgen import SimConfig, generate_cohort
 from atrisk.trainer import SamplerConfig, oversample
 from atrisk.labeling import TrainingPair
 
+from conftest import BatchScorer
+
 
 def verdict(capsys, criterion, ok, detail=""):
     line = f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} {detail}".rstrip()
@@ -339,7 +341,7 @@ def test_criterion_7_flagging(trend_sweep, capsys):
 
     # every dropout scores above every non-dropout, and daily dropout counts on
     # the synthetic cohort stay far below ceil(0.3 * active), so recall must be 1
-    oracle_report = daily_flagging(oracle, cohort, 0.3)
+    oracle_report = daily_flagging(BatchScorer(oracle), cohort, 0.3)
     oracle_ok = oracle_report.pooled_recall == 1.0
     recalls = trend_sweep["recalls"]
     mean_recall = float(np.mean(recalls))

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from atrisk.augmentation import (
-    AugmentationConfig,
-    WeightingFunction,
-    augment,
-    pseudo_days,
-    weight_of,
-)
+from atrisk.augmentation import WEIGHTINGS, AugmentationConfig, augment
 from atrisk.errors import ValidationError
 
 from conftest import cohort_of, obs, student
@@ -24,6 +18,11 @@ def dropout_with(days, sid=None):
 
 def closed_form_count(t_prev, t_n, lam):
     return max(0, t_n - max(t_prev, t_n - lam) - 1)
+
+
+def pseudo_days(s, lookback):
+    """Days of the pseudo-positives `augment` makes for one student."""
+    return [p.day for p in augment(cohort_of(s), AugmentationConfig(lookback_days=lookback))]
 
 
 def test_pseudo_days_open_interval():
@@ -47,10 +46,9 @@ def test_pseudo_days_single_observation_clips_at_zero():
     assert pseudo_days(s, 7) == [1, 2]
 
 
-def test_pseudo_days_rejects_non_dropout():
-    s = student("c", [obs(5)], status="completion")
-    with pytest.raises(ValidationError):
-        pseudo_days(s, 7)
+def test_pseudo_days_only_for_dropouts():
+    assert pseudo_days(student("c", [obs(5), obs(12)], status="completion"), 7) == []
+    assert pseudo_days(student("o", [obs(5), obs(12)], status="ongoing"), 7) == []
 
 
 @given(
@@ -68,29 +66,32 @@ def test_pseudo_day_count_matches_closed_form(t_prev, gap, lam):
 
 
 def test_weight_formulas_exact():
-    lam = 7
-    lin = WeightingFunction("linear")
-    cvx = WeightingFunction("convex")
-    ccv = WeightingFunction("concave")
-    for d, t_n in [(99, 100), (94, 100), (96, 100)]:
-        u = (t_n - d) / lam
-        assert abs(weight_of(d, t_n, lam, lin) - (1 - u)) < 1e-12
-        assert abs(weight_of(d, t_n, lam, cvx) - (1 - u) ** 2) < 1e-12
-        assert abs(weight_of(d, t_n, lam, ccv) - (1 - u * u)) < 1e-12
+    lam, t_n = 7, 100
+    cohort = cohort_of(dropout_with([90, t_n]))  # pseudo days 94..99
+    formulas = {
+        "linear": lambda u: 1 - u,
+        "convex": lambda u: (1 - u) ** 2,
+        "concave": lambda u: 1 - u * u,
+    }
+    for tag, formula in formulas.items():
+        pairs = augment(cohort, AugmentationConfig(lookback_days=lam, weighting=tag))
+        assert [p.day for p in pairs] == [94, 95, 96, 97, 98, 99]
+        for p in pairs:
+            assert abs(p.weight - formula((t_n - p.day) / lam)) < 1e-12
 
 
 def test_weight_endpoint_values():
     for tag in ("linear", "convex", "concave"):
-        g = WeightingFunction(tag)
-        assert g.evaluate(0.0) == 1.0
-        assert g.evaluate(1.0) == 0.0
+        g = WEIGHTINGS[tag]
+        assert g(0.0) == 1.0
+        assert g(1.0) == 0.0
 
 
 @given(u=st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 def test_weighting_shape_ordering(u):
-    lin = WeightingFunction("linear").evaluate(u)
-    cvx = WeightingFunction("convex").evaluate(u)
-    ccv = WeightingFunction("concave").evaluate(u)
+    lin = WEIGHTINGS["linear"](u)
+    cvx = WEIGHTINGS["convex"](u)
+    ccv = WEIGHTINGS["concave"](u)
     assert 0.0 <= cvx <= lin <= ccv <= 1.0
 
 
@@ -100,22 +101,12 @@ def test_weighting_shape_ordering(u):
     u2=st.floats(min_value=0.0, max_value=1.0),
 )
 def test_weightings_non_increasing(tag, u1, u2):
-    g = WeightingFunction(tag)
+    g = WEIGHTINGS[tag]
     lo, hi = min(u1, u2), max(u1, u2)
-    assert g.evaluate(lo) >= g.evaluate(hi)
-
-
-def test_weight_of_rejects_out_of_window_days():
-    g = WeightingFunction("linear")
-    with pytest.raises(ValidationError):
-        weight_of(100, 100, 7, g)  # not strictly before dropout
-    with pytest.raises(ValidationError):
-        weight_of(92, 100, 7, g)  # beyond the lookback
+    assert g(lo) >= g(hi)
 
 
 def test_unknown_weighting_rejected():
-    with pytest.raises(ValidationError):
-        WeightingFunction("sigmoid")
     with pytest.raises(ValidationError):
         AugmentationConfig(weighting="sigmoid")
 
@@ -137,8 +128,7 @@ def test_augment_counts_and_weights():
             assert p.weight == pytest.approx((1 - u) ** 2, abs=1e-12)
 
 
-def test_augment_requires_enabled_config():
+def test_augment_disabled_config_yields_no_pairs():
     cohort = cohort_of(dropout_with([90, 100]))
-    with pytest.raises(ValidationError):
-        augment(cohort, AugmentationConfig(lookback_days=None))
+    assert augment(cohort, AugmentationConfig(lookback_days=None)) == []
 

@@ -149,6 +149,24 @@ def test_data_error_exit_code(tmp_path):
     assert code == EXIT_DATA
 
 
+@pytest.mark.parametrize("broken", ["--events", "--schema", "--out-dir"])
+def test_unusable_path_exits_3(sim_dir, tmp_path, capsys, broken):
+    """A missing input file, or an output directory under a regular file."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    paths = {"--events": sim_dir / "events.jsonl", "--schema": sim_dir / "schema.json",
+             "--out-dir": tmp_path / "out"}
+    paths[broken] = blocker / "out" if broken == "--out-dir" else tmp_path / "missing"
+    argv = ["featurize"]
+    for flag, path in paths.items():
+        argv += [flag, str(path)]
+    code = main(argv)
+    stderr = capsys.readouterr().err.splitlines()
+    assert code == EXIT_DATA
+    assert len(stderr) == 1
+    assert set(json.loads(stderr[0])) == {"error", "message"}
+
+
 def test_model_error_exit_code(sim_dir, tmp_path):
     code = main(["train", *io_args(sim_dir, tmp_path), "--n-trees", "-1"])
     assert code == EXIT_MODEL
@@ -247,6 +265,7 @@ def test_valid_cohort_featurizes():
     ("outclass", "0.5"), ("outclass", {"x": 1}), ("outclass", ["0.5", 1.0]),
     ("kind", ["class_session"]), ("status", ["completion"]), ("teacher", 7),
     ("polarity", "1"), ("polarity", [1]), ("day", 10**20), ("day", 2**31),
+    ("student", None), ("student", [1]),
 ])
 def test_malformed_event_field_exits_3_with_line_number(field, value):
     records = valid_events()

@@ -14,13 +14,13 @@ from atrisk.evaluation import (
     auc_bruteforce,
     daily_flagging,
     evaluate_horizons,
+    _flag_top,
     query_points,
-    recall_at_fraction,
     run_sweep,
     split_students,
 )
 
-from conftest import cohort_of, obs, student
+from conftest import BatchScorer, cohort_of, obs, student
 
 
 def test_auc_hand_value():
@@ -89,7 +89,7 @@ def test_evaluate_horizons_with_oracle_scorer(small_cohort):
             return 0.0
         return 1.0 / (student_record.last_day - day)
 
-    report = evaluate_horizons(oracle, small_cohort, [1, 2, 8, 30])
+    report = evaluate_horizons(BatchScorer(oracle), small_cohort, [1, 2, 8, 30])
     assert report.auc_by_horizon[30] == 1.0  # all dropout days within horizon
     assert report.auc_by_horizon[1] is None  # no positives at delta=1 here
     assert report.auc_by_horizon[2] == 1.0  # s3 day 6 -> dropout day 8
@@ -97,15 +97,21 @@ def test_evaluate_horizons_with_oracle_scorer(small_cohort):
 
 
 def test_eval_report_save_round_trips(tmp_path, small_cohort):
-    report = evaluate_horizons(lambda s, d: 0.5, small_cohort, [30])
+    report = evaluate_horizons(BatchScorer(lambda s, d: 0.5), small_cohort, [30])
     path = tmp_path / "report.json"
     report.save(path)
     raw = json.loads(path.read_text())
     assert raw["auc_by_horizon"]["30"] == report.auc_by_horizon[30]
 
 
+def recall_at_fraction(scores, dropouts, fraction):
+    """Share of `dropouts` among the top fraction, as daily_flagging counts it."""
+    return len(_flag_top(scores, fraction) & dropouts) / len(dropouts)
+
+
 def test_recall_at_fraction_hand_case():
     scores = {"a": 0.9, "b": 0.8, "c": 0.3, "d": 0.2, "e": 0.1}
+    assert _flag_top(scores, 0.4) == {"a", "b"}
     assert recall_at_fraction(scores, {"a", "b"}, 0.4) == 1.0
     assert recall_at_fraction(scores, {"a", "e"}, 0.4) == 0.5
     assert recall_at_fraction(scores, {"e"}, 0.4) == 0.0
@@ -118,10 +124,9 @@ def test_recall_ties_break_by_student_id():
 
 
 def test_recall_validation():
-    with pytest.raises(ValidationError):
-        recall_at_fraction({"a": 1.0}, {"a"}, 0.0)
-    with pytest.raises(UndefinedMetricError):
-        recall_at_fraction({"a": 1.0}, set(), 0.3)
+    for fraction in (0.0, -0.1, 1.5):
+        with pytest.raises(ValidationError):
+            _flag_top({"a": 1.0}, fraction)
 
 
 def flagging_cohort(n_per_day=10, n_days=4):
@@ -151,7 +156,7 @@ def test_daily_flagging_oracle_reaches_full_recall():
             return 0.0
         return 1.0 if student_record.last_day == day + 1 else 0.5
 
-    report = daily_flagging(oracle, cohort, fraction=0.3)
+    report = daily_flagging(BatchScorer(oracle), cohort, fraction=0.3)
     assert report.pooled_recall == 1.0
     assert report.daily_mean_recall == 1.0
     assert report.n_dropouts == 4
@@ -160,7 +165,7 @@ def test_daily_flagging_oracle_reaches_full_recall():
 def test_daily_flagging_antioracle_misses():
     cohort = flagging_cohort()
     report = daily_flagging(
-        lambda s, d: 0.0 if s.final_status == "dropout" else 1.0, cohort, 0.3
+        BatchScorer(lambda s, d: 0.0 if s.final_status == "dropout" else 1.0), cohort, 0.3
     )
     assert report.pooled_recall == 0.0
 
@@ -168,7 +173,7 @@ def test_daily_flagging_antioracle_misses():
 def test_daily_flagging_needs_dropouts():
     completers = cohort_of(student("c", [obs(1), obs(9)], status="completion"))
     with pytest.raises(UndefinedMetricError):
-        daily_flagging(lambda s, d: 0.0, completers, 0.3)
+        daily_flagging(BatchScorer(lambda s, d: 0.0), completers, 0.3)
 
 
 def test_split_students_partition(small_cohort):
@@ -187,7 +192,7 @@ def test_run_sweep_single_cell_matches_direct_call(small_cohort):
     cell = SweepCell(lookback=7, weighting="convex", blocks=("in", "out", "time"))
 
     def train_cell(train_cohort, c, seed):
-        return lambda s, d: float(s.final_status == "dropout")
+        return BatchScorer(lambda s, d: float(s.final_status == "dropout"))
 
     report = run_sweep(cohort, [cell], [5], [0], train_cell, train_fraction=0.5)
     train_cohort, test_cohort = split_students(cohort, 0.5, 0)
@@ -204,7 +209,7 @@ def test_sweep_report_save_csv(tmp_path):
     ]
 
     def train_cell(train_cohort, c, seed):
-        return lambda s, d: float(s.final_status == "dropout")
+        return BatchScorer(lambda s, d: float(s.final_status == "dropout"))
 
     report = run_sweep(cohort, cells, [5, 40], [0, 1], train_cell, 0.5)
     jpath, cpath = tmp_path / "sweep.json", tmp_path / "sweep.csv"

@@ -51,7 +51,8 @@ def test_scorer_many_invariant_to_order_and_split(trained, cohort):
 
 
 def test_scorer_rejects_model_with_other_columns(trained):
-    other = dataclasses.replace(trained, feature_config=FeatureConfig(blocks=("time",)))
+    config = dataclasses.replace(trained.config, feature=FeatureConfig(blocks=("time",)))
+    other = dataclasses.replace(trained, config=config)
     with pytest.raises(SchemaError):
         PipelineScorer(other)
     with pytest.raises(SchemaError):

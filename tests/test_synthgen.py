@@ -89,8 +89,8 @@ def test_generated_files_ingest_cleanly(tmp_path):
 
 def test_unreachable_target_raises():
     with pytest.raises(CalibrationError):
-        generate_cohort(SimConfig(n_students=30, target_dropout_rate=0.999,
-                                  calibration_tol=0.001, seed=0))
+        # one student realizes a rate of 0 or 1, never within 0.02 of 0.5
+        generate_cohort(SimConfig(n_students=1, target_dropout_rate=0.5))
 
 
 def test_config_validation():
@@ -98,8 +98,6 @@ def test_config_validation():
         SimConfig(target_dropout_rate=0.0)
     with pytest.raises(ValidationError):
         SimConfig(mean_span_days=3)
-    with pytest.raises(ValidationError):
-        SimConfig(class_gap_days=(5, 3))
 
 
 def test_mean_span_in_expected_range(generated):
