@@ -4,8 +4,9 @@ Every subcommand writes a manifest.json into its output directory recording
 the resolved configuration, seed, and sha256 hashes of inputs and outputs,
 so any run can be replayed bit-exactly.
 
-Exit codes: 0 ok, 2 usage, 3 data error (malformed input, or an input or
-output path that cannot be read or written), 4 model error.
+Exit codes: 0 ok, 2 usage (an unknown flag, or a flag value that does not
+parse), 3 data error (malformed input, an out-of-range fraction, or an input
+or output path that cannot be read or written), 4 model error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -23,7 +23,9 @@ from . import features, labeling, pipeline, synthgen
 from .augmentation import AugmentationConfig
 from .errors import DataError, ModelError
 from .events import cohort_stats, ingest
-from .evaluation import SweepCell, daily_flagging, evaluate_horizons, run_sweep, split_students
+from .evaluation import (
+    SweepCell, daily_flagging, evaluate_horizons, flag_top, run_sweep, split_students,
+)
 from .features import FeatureConfig
 from .gbdt import GBDTConfig
 from .trainer import SamplerConfig
@@ -62,11 +64,15 @@ def _parse_lookback(value: str) -> int | None:
     return None if value == "none" else int(value)
 
 
-def _parse_deltas(value: str) -> list[int]:
-    if ".." in value:
-        lo, hi = value.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in value.split(",")]
+# Argparse types for list flags: a value that does not parse exits 2 with usage.
+def int_list(value: str) -> list[int]:
+    """Integers as 'a,b,c' or as the inclusive range 'a..b'."""
+    lo, sep, hi = value.partition("..")
+    return list(range(int(lo), int(hi) + 1)) if sep else [int(v) for v in value.split(",")]
+
+
+def lookback_list(value: str) -> list[int | None]:
+    return [_parse_lookback(v) for v in value.split(",")]
 
 
 def _parse_blocks(value: str) -> tuple[str, ...]:
@@ -179,15 +185,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
               for sid in sorted(cohort.students) if cohort.students[sid].first_day <= at_day]
     values = trained.scorer.many(points)
     scores = {s.student_id: float(v) for (s, _), v in zip(points, values)}
+    flagged = flag_top(scores, args.top_fraction)
     ranked = sorted(scores, key=lambda sid: (-scores[sid], sid))
-    n_flag = int(math.ceil(args.top_fraction * len(ranked)))
     out_path = out_dir / "predictions.csv"
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["student_id", "probability", "flagged"])
-        for rank, sid in enumerate(ranked):
-            writer.writerow([sid, f"{scores[sid]:.6f}", int(rank < n_flag)])
-    print(f"scored {len(ranked)} students at day {at_day}; flagged {n_flag}")
+        for sid in ranked:
+            writer.writerow([sid, f"{scores[sid]:.6f}", int(sid in flagged)])
+    print(f"scored {len(ranked)} students at day {at_day}; flagged {len(flagged)}")
     _write_manifest(out_dir, "predict", args, [Path(args.events), Path(args.schema)], [out_path])
     return EXIT_OK
 
@@ -199,8 +205,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _pipeline_config(args)
     train_cohort, test_cohort = split_students(cohort, args.train_fraction, args.seed)
     trained = pipeline.train(train_cohort, config)
-    deltas = _parse_deltas(args.deltas)
-    report = evaluate_horizons(trained.scorer, test_cohort, deltas, config.fingerprint())
+    report = evaluate_horizons(trained.scorer, test_cohort, args.deltas, config.fingerprint())
     try:
         flagging = daily_flagging(trained.scorer, test_cohort, args.top_fraction)
         report.recall_at_fraction = {
@@ -211,7 +216,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         pass  # no evaluable dropout days in the test split
     report_path = out_dir / "report.json"
     report.save(report_path)
-    for d in deltas:
+    for d in args.deltas:
         a = report.auc_by_horizon[d]
         print(f"delta={d:2d}  auc={'undefined' if a is None else f'{a:.4f}'}")
     _write_manifest(out_dir, "evaluate", args, [Path(args.events), Path(args.schema)], [report_path])
@@ -222,11 +227,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cohort = _load_cohort(args)
-    deltas = _parse_deltas(args.deltas)
-    seeds = [int(s) for s in args.seeds.split(",")]
     cells = [
-        SweepCell(_parse_lookback(lb), wt, _parse_blocks(fs))
-        for lb in args.lookbacks.split(",")
+        SweepCell(lb, wt, _parse_blocks(fs))
+        for lb in args.lookbacks
         for wt in args.weightings.split(",")
         for fs in args.feature_sets.split(",")
     ]
@@ -234,7 +237,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     def train_cell(train_cohort, cell: SweepCell, seed: int):
         return pipeline.train(train_cohort, _pipeline_config(args, cell, seed)).scorer
 
-    report = run_sweep(cohort, cells, deltas, seeds, train_cell, args.train_fraction)
+    report = run_sweep(cohort, cells, args.deltas, args.seeds, train_cell, args.train_fraction)
     json_path = out_dir / "report.json"
     csv_path = out_dir / "report.csv"
     report.save(json_path)
@@ -242,7 +245,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for key in sorted(report.cells):
         means = " ".join(
             f"d{d}={report.mean_auc(key, d):.3f}"
-            for d in deltas
+            for d in args.deltas
             if any(v is not None for v in report.cells[key][d])
         )
         print(f"{key}: {means}")
@@ -302,18 +305,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="split, train, and report AUC per horizon")
     _add_io_args(p)
     _add_train_args(p)
-    p.add_argument("--deltas", default="1..14")
+    p.add_argument("--deltas", type=int_list, default="1..14")
     p.add_argument("--train-fraction", type=float, default=0.8)
     p.add_argument("--top-fraction", type=float, default=0.3)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep", help="grid over lookback/weighting/feature sets")
     _add_io_args(p)
-    p.add_argument("--lookbacks", default="none,3,7,14")
+    p.add_argument("--lookbacks", type=lookback_list, default="none,3,7,14")
     p.add_argument("--weightings", default="convex")
     p.add_argument("--feature-sets", default="in+out+time")
-    p.add_argument("--deltas", default="1,7,14")
-    p.add_argument("--seeds", default="0")
+    p.add_argument("--deltas", type=int_list, default="1,7,14")
+    p.add_argument("--seeds", type=int_list, default="0")
     p.add_argument("--positive-fraction", type=float, default=0.3)
     p.add_argument("--n-trees", type=int, default=60)
     p.add_argument("--max-depth", type=int, default=3)

@@ -115,7 +115,7 @@ def evaluate_horizons(
     )
 
 
-def _flag_top(scores_by_student: dict[str, float], fraction: float) -> set[str]:
+def flag_top(scores_by_student: dict[str, float], fraction: float) -> set[str]:
     """The top ceil(fraction * n) students by score, ties broken by id."""
     if not 0.0 < fraction <= 1.0:
         raise ValidationError(f"fraction {fraction} outside (0, 1]")
@@ -161,7 +161,7 @@ def daily_flagging(scorer, cohort: Cohort, fraction: float = 0.3) -> FlaggingRep
         sids = sorted(active)
         values = scorer.many([(active[sid], eval_day) for sid in sids])
         scores = dict(zip(sids, (float(v) for v in values)))
-        hits = len(_flag_top(scores, fraction) & todays)
+        hits = len(flag_top(scores, fraction) & todays)
         daily.append(hits / len(todays))
         detected += hits
         total += len(todays)
@@ -177,6 +177,8 @@ def daily_flagging(scorer, cohort: Cohort, fraction: float = 0.3) -> FlaggingRep
 
 def split_students(cohort: Cohort, train_fraction: float, seed: int):
     """Seeded student-level split; no id appears on both sides."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ValidationError(f"train fraction {train_fraction} outside (0, 1)")
     ids = sorted(cohort.students)
     rng = np.random.default_rng(seed)
     rng.shuffle(ids)

@@ -8,7 +8,8 @@ and per-feature prefix sums over them give every split's gain. Thresholds sit
 at midpoints between a node's consecutive occupied distinct values, so they
 are the thresholds an exhaustive sorted search would try; gain ties break
 toward the lowest feature index and then the lowest threshold, so training is
-fully deterministic.
+fully deterministic. Leaf regularisation is fixed: an L2 penalty of 1 on leaf
+values and a minimum hessian of 1 in each child, so no gain divides by zero.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import numpy as np
 from .errors import DegenerateDataError, ModelError, SchemaError
 
 MODEL_FORMAT_VERSION = 1
+L2_LEAF_REG = 1.0
+MIN_CHILD_WEIGHT = 1.0
 _MIN_GAIN = 1e-12
 # Features with at most this many distinct values share one padded block of
 # bins; wider features are blocked by power-of-two width class, so padding at
@@ -35,8 +38,6 @@ class GBDTConfig:
     n_trees: int = 200
     max_depth: int = 4
     learning_rate: float = 0.1
-    min_child_weight: float = 1.0
-    l2_leaf_reg: float = 1.0
 
     def __post_init__(self):
         if self.n_trees < 0:
@@ -45,16 +46,12 @@ class GBDTConfig:
             raise ModelError("max_depth must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ModelError("learning_rate must be in (0, 1]")
-        if self.min_child_weight < 0 or self.l2_leaf_reg < 0:
-            raise ModelError("regularization parameters must be non-negative")
 
     def to_dict(self) -> dict:
         return {
             "n_trees": self.n_trees,
             "max_depth": self.max_depth,
             "learning_rate": self.learning_rate,
-            "min_child_weight": self.min_child_weight,
-            "l2_leaf_reg": self.l2_leaf_reg,
         }
 
 
@@ -115,11 +112,6 @@ class TreeNode:
             left=cls.from_dict(raw["left"], n_features),
             right=cls.from_dict(raw["right"], n_features),
         )
-
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
 
 
 def _tree_predict(node: TreeNode, X: np.ndarray) -> np.ndarray:
@@ -194,7 +186,7 @@ class _Bins:
         return hist
 
     def best_split(
-        self, hist: np.ndarray, n_rows: int, G: float, H: float, cfg: GBDTConfig
+        self, hist: np.ndarray, n_rows: int, G: float, H: float
     ) -> tuple[int, float, int] | None:
         """(feature, threshold, cut cell) of the best split, or None.
 
@@ -210,19 +202,13 @@ class _Bins:
                 out=prefix[:, start:stop].reshape(3, n_feats, width),
             )
         cg, ch, cn = prefix
-        lam, min_child = cfg.l2_leaf_reg, cfg.min_child_weight
-        # An occupied cell with rows above it in the same feature can split.
+        # An occupied cell with rows above it in the same feature can split,
+        # if each side keeps a hessian of at least MIN_CHILD_WEIGHT.
         splittable = (hist[2] > 0) & (cn < n_rows)
-        if min_child > 0:
-            splittable &= (ch >= min_child) & ((H - ch) >= min_child)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gains = 0.5 * (
-                cg**2 / (ch + lam) + (G - cg) ** 2 / (H - ch + lam) - G * G / (H + lam)
-            )
+        splittable &= (ch >= MIN_CHILD_WEIGHT) & ((H - ch) >= MIN_CHILD_WEIGHT)
+        lam = L2_LEAF_REG
+        gains = 0.5 * (cg**2 / (ch + lam) + (G - cg) ** 2 / (H - ch + lam) - G * G / (H + lam))
         gains = np.where(splittable, gains, -np.inf)[self.candidates]
-        nan = np.isnan(gains)
-        if nan.any():  # a feature whose gains hold NaN is skipped
-            gains[np.isin(self.candidate_feature, self.candidate_feature[nan])] = -np.inf
         best = int(np.argmax(gains))
         if not gains[best] > _MIN_GAIN:
             return None
@@ -243,7 +229,6 @@ def _grow_tree(
     `GBDTModel.raw_scores` forms, so `score` stays bit-identical to it. A
     node gets a histogram only if it may split (depth and rows permitting).
     """
-    lam = cfg.l2_leaf_reg
     root = TreeNode()
     rows = np.arange(g.shape[0])
     may_split = rows.shape[0] >= 2 and bins.candidates.shape[0] > 0
@@ -251,9 +236,9 @@ def _grow_tree(
     while stack:
         node, rows, depth, hist = stack.pop()
         G, H = g[rows].sum(), h[rows].sum()
-        split = None if hist is None else bins.best_split(hist, rows.shape[0], G, H, cfg)
+        split = None if hist is None else bins.best_split(hist, rows.shape[0], G, H)
         if split is None:
-            node.value = float(-cfg.learning_rate * G / (H + lam))
+            node.value = float(-cfg.learning_rate * G / (H + L2_LEAF_REG))
             score[rows] += node.value
             continue
         node.feature, node.threshold, cut = split

@@ -180,6 +180,33 @@ def test_usage_error_exit_code(sim_dir, tmp_path):
         main(["no-such-command"])
 
 
+@pytest.mark.parametrize("subcommand, flag, value", [
+    ("evaluate", "--deltas", "1..x"),
+    ("sweep", "--seeds", "a"),
+    ("sweep", "--lookbacks", "abc"),
+])
+def test_malformed_list_flag_exits_2(sim_dir, tmp_path, capsys, subcommand, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, *io_args(sim_dir, tmp_path), flag, value])
+    assert exc.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("usage:") and flag in stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--top-fraction", "0"],
+    ["predict", "--top-fraction", "2"],
+    ["evaluate", "--train-fraction", "1.5"],
+])
+def test_out_of_range_fraction_exits_3(sim_dir, tmp_path, capsys, argv):
+    code = main([argv[0], *io_args(sim_dir, tmp_path), *FAST, *argv[1:]])
+    stderr = capsys.readouterr().err.splitlines()
+    assert code == EXIT_DATA
+    assert json.loads(stderr[-1])["error"] == "ValidationError"
+    assert not (tmp_path / "predictions.csv").exists()
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_workers_flag_is_gone(sim_dir, tmp_path):
     for argv in (["train", *io_args(sim_dir, tmp_path), "--workers", "2"],
                  ["sweep", *io_args(sim_dir, tmp_path), "--workers", "2"],

@@ -14,7 +14,7 @@ from atrisk.evaluation import (
     auc_bruteforce,
     daily_flagging,
     evaluate_horizons,
-    _flag_top,
+    flag_top,
     query_points,
     run_sweep,
     split_students,
@@ -106,12 +106,12 @@ def test_eval_report_save_round_trips(tmp_path, small_cohort):
 
 def recall_at_fraction(scores, dropouts, fraction):
     """Share of `dropouts` among the top fraction, as daily_flagging counts it."""
-    return len(_flag_top(scores, fraction) & dropouts) / len(dropouts)
+    return len(flag_top(scores, fraction) & dropouts) / len(dropouts)
 
 
 def test_recall_at_fraction_hand_case():
     scores = {"a": 0.9, "b": 0.8, "c": 0.3, "d": 0.2, "e": 0.1}
-    assert _flag_top(scores, 0.4) == {"a", "b"}
+    assert flag_top(scores, 0.4) == {"a", "b"}
     assert recall_at_fraction(scores, {"a", "b"}, 0.4) == 1.0
     assert recall_at_fraction(scores, {"a", "e"}, 0.4) == 0.5
     assert recall_at_fraction(scores, {"e"}, 0.4) == 0.0
@@ -126,7 +126,7 @@ def test_recall_ties_break_by_student_id():
 def test_recall_validation():
     for fraction in (0.0, -0.1, 1.5):
         with pytest.raises(ValidationError):
-            _flag_top({"a": 1.0}, fraction)
+            flag_top({"a": 1.0}, fraction)
 
 
 def flagging_cohort(n_per_day=10, n_days=4):
@@ -185,6 +185,12 @@ def test_split_students_partition(small_cohort):
     other_train, _ = split_students(small_cohort, 0.5, seed=99)
     # a different seed is allowed to give a different split; sizes must match
     assert len(other_train.students) == len(train.students)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.1])
+def test_split_students_refuses_fraction_outside_open_unit_interval(small_cohort, fraction):
+    with pytest.raises(ValidationError):
+        split_students(small_cohort, fraction, seed=0)
 
 
 def test_run_sweep_single_cell_matches_direct_call(small_cohort):

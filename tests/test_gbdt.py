@@ -84,6 +84,12 @@ def test_duplicated_dataset_trains_identical_model(seed):
     assert once.to_json() == twice.to_json()
 
 
+def tree_depth(node):
+    if node.is_leaf:
+        return 0
+    return 1 + max(tree_depth(node.left), tree_depth(node.right))
+
+
 def brute_force_best_split(X, g, h, lam, min_child):
     """Enumerate every (feature, midpoint) split and return the best gain."""
     n, d = X.shape
@@ -119,7 +125,7 @@ def test_root_split_matches_brute_force_oracle(seed):
     p0 = y.mean()
     g = np.full(40, p0) - y
     h = np.full(40, p0 * (1 - p0))
-    gain, f, _thr = brute_force_best_split(X, g, h, cfg.l2_leaf_reg, cfg.min_child_weight)
+    gain, f, _thr = brute_force_best_split(X, g, h, gbdt.L2_LEAF_REG, gbdt.MIN_CHILD_WEIGHT)
     if root.is_leaf:
         assert gain < 1e-9
         return
@@ -130,20 +136,19 @@ def test_root_split_matches_brute_force_oracle(seed):
 
 
 def test_thresholds_are_midpoints():
-    X = np.array([[1.0], [2.0], [5.0], [6.0]])
-    y = np.array([0.0, 0.0, 1.0, 1.0])
-    cfg = GBDTConfig(n_trees=1, max_depth=1, min_child_weight=0.0)
-    model = gbdt.fit(X, y, None, cfg)
+    # eight rows a side, so each side's hessian (8 x 0.25) clears MIN_CHILD_WEIGHT
+    X = np.concatenate([np.linspace(1.0, 2.0, 8), np.linspace(5.0, 6.0, 8)])[:, None]
+    y = np.repeat([0.0, 1.0], 8)
+    model = gbdt.fit(X, y, None, GBDTConfig(n_trees=1, max_depth=1))
     assert model.trees[0].threshold == pytest.approx(3.5)
 
 
 def test_tie_breaks_toward_lowest_feature_index():
     # identical columns: the split must land on feature 0
-    col = np.array([[0.0], [0.0], [1.0], [1.0]])
+    col = np.arange(16.0)[:, None]
     X = np.hstack([col, col])
-    y = np.array([0.0, 0.0, 1.0, 1.0])
-    cfg = GBDTConfig(n_trees=1, max_depth=1, min_child_weight=0.0)
-    model = gbdt.fit(X, y, None, cfg)
+    y = np.repeat([0.0, 1.0], 8)
+    model = gbdt.fit(X, y, None, GBDTConfig(n_trees=1, max_depth=1))
     assert model.trees[0].feature == 0
 
 
@@ -151,14 +156,21 @@ def test_max_depth_respected():
     X, y, w = random_fixture(5)
     for depth in (1, 2, 3):
         model = gbdt.fit(X, y, w, GBDTConfig(n_trees=8, max_depth=depth))
-        assert max(t.depth() for t in model.trees) <= depth
+        assert max(tree_depth(t) for t in model.trees) <= depth
 
 
 def test_min_child_weight_blocks_small_leaves():
-    X = np.array([[0.0], [1.0], [2.0], [3.0]])
-    y = np.array([0.0, 0.0, 0.0, 1.0])
-    blocked = gbdt.fit(X, y, None, GBDTConfig(n_trees=1, max_depth=1, min_child_weight=10.0))
-    assert blocked.trees[0].is_leaf
+    # Unconstrained, the best split isolates rows 0 and 1, whose hessian of
+    # 0.5 is below MIN_CHILD_WEIGHT; the learner must split elsewhere.
+    X = np.arange(16.0)[:, None]
+    y = np.array([1, 1, 0, 0] + [1, 0] * 6, dtype=float)
+    p0 = y.mean()
+    g, h = p0 - y, np.full(16, p0 * (1 - p0))
+    assert brute_force_best_split(X, g, h, gbdt.L2_LEAF_REG, 0.0)[2] == 2.0
+    root = gbdt.fit(X, y, None, GBDTConfig(n_trees=1, max_depth=1)).trees[0]
+    assert root.threshold == 4.5
+    left = X[:, 0] < root.threshold
+    assert min(h[left].sum(), h[~left].sum()) >= gbdt.MIN_CHILD_WEIGHT
 
 
 def test_single_class_raises():
@@ -182,8 +194,6 @@ def test_config_validation():
         GBDTConfig(max_depth=0)
     with pytest.raises(ModelError):
         GBDTConfig(learning_rate=0.0)
-    with pytest.raises(ModelError):
-        GBDTConfig(l2_leaf_reg=-0.1)
 
 
 def test_tree_node_round_trip():
@@ -196,7 +206,7 @@ def test_tree_node_round_trip():
     )
     again = TreeNode.from_dict(node.to_dict())
     assert again.to_dict() == node.to_dict()
-    assert again.depth() == 2
+    assert tree_depth(again) == 2
 
 
 def test_prediction_width_validation():
@@ -245,7 +255,7 @@ def exact_build_tree(X, g, h, root_orders, cfg):
     `root_orders[f]` holds all row indices sorted by feature f. Each split
     partitions these per-feature orderings into the children.
     """
-    lam = cfg.l2_leaf_reg
+    lam, min_child = gbdt.L2_LEAF_REG, gbdt.MIN_CHILD_WEIGHT
     goes_left = np.empty(X.shape[0], dtype=bool)
 
     def grow(orders, depth):
@@ -259,7 +269,7 @@ def exact_build_tree(X, g, h, root_orders, cfg):
         for f in range(X.shape[1]):
             order = orders[f]
             gain, thr = exact_best_split_for_feature(
-                X[order, f], g[order], h[order], lam, cfg.min_child_weight
+                X[order, f], g[order], h[order], lam, min_child
             )
             if gain > best_gain:  # strict: ties keep the lowest feature index
                 best_gain, best_feat, best_thr = gain, f, thr
@@ -278,12 +288,12 @@ def exact_build_tree(X, g, h, root_orders, cfg):
 
 
 def exact_best_gain(x, g, h, cfg):
-    """The oracle's best gain over all features on these rows (NaN features skipped)."""
+    """The oracle's best gain over all features on these rows."""
     best = -np.inf
     for f in range(x.shape[1]):
         order = np.argsort(x[:, f], kind="stable")
         gain, _ = exact_best_split_for_feature(
-            x[order, f], g[order], h[order], cfg.l2_leaf_reg, cfg.min_child_weight
+            x[order, f], g[order], h[order], gbdt.L2_LEAF_REG, gbdt.MIN_CHILD_WEIGHT
         )
         if gain > best:
             best = gain
@@ -315,7 +325,7 @@ def round_gradients(model, X, y, w, k):
 @pytest.mark.parametrize("seed", range(6))
 def test_every_split_gain_matches_exact_oracle(seed):
     X, y, w = tied_fixture(seed)
-    cfg = GBDTConfig(n_trees=8, max_depth=3, min_child_weight=0.5)
+    cfg = GBDTConfig(n_trees=8, max_depth=3)
     model = gbdt.fit(X, y, w, cfg)
     checked = 0
     for k, tree in enumerate(model.trees):
@@ -329,7 +339,7 @@ def test_every_split_gain_matches_exact_oracle(seed):
                     assert oracle < 1e-9
                 continue
             chosen = split_gain(X[rows, node.feature], g[rows], h[rows],
-                                node.threshold, cfg.l2_leaf_reg)
+                                node.threshold, gbdt.L2_LEAF_REG)
             assert chosen == pytest.approx(oracle, rel=1e-9, abs=1e-15)
             checked += 1
             left = X[rows, node.feature] < node.threshold
@@ -337,26 +347,20 @@ def test_every_split_gain_matches_exact_oracle(seed):
     assert checked > 8
 
 
-@pytest.mark.parametrize("regularized", [True, False])
+@pytest.mark.parametrize("zero_weight_rows", [False, True])
 @pytest.mark.parametrize("seed", range(6))
-def test_first_tree_agrees_with_exact_learner(seed, regularized):
+def test_first_tree_agrees_with_exact_learner(seed, zero_weight_rows):
     X, y, w = random_fixture(seed)
     cfg = GBDTConfig(n_trees=1, max_depth=4)
-    if not regularized:
-        # Zero-weight rows at the bottom of features 0 and 1 make their lowest
-        # split 0/0, so both learners must skip those features at the root.
-        cfg = GBDTConfig(n_trees=1, max_depth=4, l2_leaf_reg=0.0, min_child_weight=0.0)
+    if zero_weight_rows:
+        # Zero-hessian rows at the bottom of features 0 and 1: every gain must
+        # stay finite (a RuntimeWarning fails the test) and the trees agree.
         w[np.argmin(X[:, 0])] = w[np.argmin(X[:, 1])] = 0.0
     X, y, w = gbdt._canonicalize(X, y, w)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tree = gbdt.fit(X, y, w, cfg).trees[0]
-        g, h = round_gradients(gbdt.fit(X, y, w, GBDTConfig(n_trees=0)), X, y, w, 0)
-        orders = [np.argsort(X[:, f], kind="stable") for f in range(X.shape[1])]
-        exact = exact_build_tree(X, g, h, orders, cfg)
-        if not regularized:
-            for f in (0, 1):
-                o = orders[f]
-                assert np.isnan(exact_best_split_for_feature(X[o, f], g[o], h[o], 0.0, 0.0)[0])
+    tree = gbdt.fit(X, y, w, cfg).trees[0]
+    g, h = round_gradients(gbdt.fit(X, y, w, GBDTConfig(n_trees=0)), X, y, w, 0)
+    orders = [np.argsort(X[:, f], kind="stable") for f in range(X.shape[1])]
+    exact = exact_build_tree(X, g, h, orders, cfg)
     # Near-tied splits may break either way under a different summation
     # order, so compare the partitions the trees make, not their node lists.
     np.testing.assert_allclose(gbdt._tree_predict(tree, X), gbdt._tree_predict(exact, X),

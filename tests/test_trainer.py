@@ -88,7 +88,7 @@ def labeled_fixture(seed=0, n=60):
 
 def test_fit_gbdt_and_predict_round_trip():
     X, data = labeled_fixture()
-    model = fit_gbdt(X, data, NAMES, GBDTConfig(n_trees=20, max_depth=2, min_child_weight=0.0))
+    model = fit_gbdt(X, data, NAMES, GBDTConfig(n_trees=20, max_depth=2))
     assert model.feature_names == NAMES
     score, low = model.predict_proba(np.array([[2.0, 0.0], [-2.0, 0.0]]))
     assert 0.0 <= score <= 1.0
