@@ -24,7 +24,8 @@ from .augmentation import AugmentationConfig
 from .errors import DataError, ModelError
 from .events import cohort_stats, ingest
 from .evaluation import (
-    SweepCell, daily_flagging, evaluate_horizons, flag_top, run_sweep, split_students,
+    SweepCell, check_top_fraction, daily_flagging, evaluate_horizons, flag_top, run_sweep,
+    split_students,
 )
 from .features import FeatureConfig
 from .gbdt import GBDTConfig
@@ -177,6 +178,7 @@ def _retrain_for_scoring(args: argparse.Namespace):
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    check_top_fraction(args.top_fraction)  # refuse a bad fraction before training
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cohort, trained = _retrain_for_scoring(args)
@@ -199,6 +201,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    check_top_fraction(args.top_fraction)  # refuse a bad fraction before training
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cohort = _load_cohort(args)

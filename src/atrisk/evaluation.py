@@ -115,10 +115,14 @@ def evaluate_horizons(
     )
 
 
-def flag_top(scores_by_student: dict[str, float], fraction: float) -> set[str]:
-    """The top ceil(fraction * n) students by score, ties broken by id."""
+def check_top_fraction(fraction: float) -> None:
     if not 0.0 < fraction <= 1.0:
         raise ValidationError(f"fraction {fraction} outside (0, 1]")
+
+
+def flag_top(scores_by_student: dict[str, float], fraction: float) -> set[str]:
+    """The top ceil(fraction * n) students by score, ties broken by id."""
+    check_top_fraction(fraction)
     n_flag = int(np.ceil(fraction * len(scores_by_student)))
     ranked = sorted(scores_by_student, key=lambda sid: (-scores_by_student[sid], sid))
     return set(ranked[:n_flag])

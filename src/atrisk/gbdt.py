@@ -10,6 +10,8 @@ are the thresholds an exhaustive sorted search would try; gain ties break
 toward the lowest feature index and then the lowest threshold, so training is
 fully deterministic. Leaf regularisation is fixed: an L2 penalty of 1 on leaf
 values and a minimum hessian of 1 in each child, so no gain divides by zero.
+A model flattens its trees once into node arrays, and prediction steps all
+trees down a level at a time, adding leaf values in the order training does.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ _MIN_GAIN = 1e-12
 # bins; wider features are blocked by power-of-two width class, so padding at
 # most doubles their cells while the blocks (one cumsum call each) stay few.
 _NARROW_BINS = 64
+# Prediction takes rows in chunks of about this many (tree, row) pairs, so its
+# temporaries stay near 1.5 MB at any batch size.
+_PREDICT_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -114,20 +119,6 @@ class TreeNode:
         )
 
 
-def _tree_predict(node: TreeNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0], dtype=np.float64)
-    stack = [(node, np.arange(X.shape[0]))]
-    while stack:
-        nd, idx = stack.pop()
-        if nd.is_leaf:
-            out[idx] = nd.value
-            continue
-        mask = X[idx, nd.feature] < nd.threshold
-        stack.append((nd.left, idx[mask]))
-        stack.append((nd.right, idx[~mask]))
-    return out
-
-
 def _sigmoid(z: np.ndarray | float):
     return 1.0 / (1.0 + np.exp(-z))
 
@@ -154,25 +145,21 @@ class _Bins:
         width_class = np.maximum(np.ceil(np.log2(widths)), np.log2(_NARROW_BINS))
         self.offsets = np.empty(n_features, dtype=np.intp)
         self.blocks: list[tuple[int, int, int]] = []  # (first cell, features, width)
+        cell_feature = []
         start = 0
         for c in np.unique(width_class):
             feats = np.flatnonzero(width_class == c)
             width = int(widths[feats].max())
             self.offsets[feats] = start + width * np.arange(feats.shape[0])
             self.blocks.append((start, feats.shape[0], width))
+            cell_feature.append(np.repeat(feats, width))
             start += feats.shape[0] * width
         self.n_cells = start
+        self.cell_feature = np.concatenate(cell_feature)
         self.codes = np.empty((n, n_features), dtype=np.intp)
         for f, values in enumerate(self.values):
             self.codes[:, f] = self.offsets[f] + np.searchsorted(values, X[:, f])
         self.all_rows_counts = np.bincount(self.codes.ravel(), minlength=self.n_cells)
-        # Split candidates in feature-major order, so the first maximum is the
-        # lowest feature and then the lowest threshold; a feature's last value
-        # has nothing above it to split from.
-        self.candidates = np.concatenate(
-            [np.arange(o, o + k - 1) for o, k in zip(self.offsets, widths)]
-        )
-        self.candidate_feature = np.repeat(np.arange(n_features), widths - 1)
 
     def histogram(self, rows: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
         """(3, n_cells) sums of g, h and row counts over `rows` (ascending)."""
@@ -185,35 +172,36 @@ class _Bins:
         hist[2] = self.all_rows_counts if all_rows else np.bincount(cells, minlength=self.n_cells)
         return hist
 
-    def best_split(
-        self, hist: np.ndarray, n_rows: int, G: float, H: float
-    ) -> tuple[int, float, int] | None:
+    def best_split(self, hist: np.ndarray, G: float, H: float) -> tuple[int, float, int] | None:
         """(feature, threshold, cut cell) of the best split, or None.
 
         Rows whose cell is below the cut cell go left; that is exactly the
-        rows whose value is below the threshold.
+        rows whose value is below the threshold. The hessian bound alone rules
+        cells out: a cell before a feature's first row has no hessian on its
+        left, one at or after its last row none on its right, and an empty cell
+        repeats the prefix sums of the cell before it, so it ties it and loses.
         """
-        prefix = np.empty_like(hist)
+        prefix = np.empty((2, self.n_cells))
         for start, n_feats, width in self.blocks:
             stop = start + n_feats * width
             np.cumsum(
-                hist[:, start:stop].reshape(3, n_feats, width),
+                hist[:2, start:stop].reshape(2, n_feats, width),
                 axis=2,
-                out=prefix[:, start:stop].reshape(3, n_feats, width),
+                out=prefix[:, start:stop].reshape(2, n_feats, width),
             )
-        cg, ch, cn = prefix
-        # An occupied cell with rows above it in the same feature can split,
-        # if each side keeps a hessian of at least MIN_CHILD_WEIGHT.
-        splittable = (hist[2] > 0) & (cn < n_rows)
-        splittable &= (ch >= MIN_CHILD_WEIGHT) & ((H - ch) >= MIN_CHILD_WEIGHT)
+        cg, ch = prefix
         lam = L2_LEAF_REG
         gains = 0.5 * (cg**2 / (ch + lam) + (G - cg) ** 2 / (H - ch + lam) - G * G / (H + lam))
-        gains = np.where(splittable, gains, -np.inf)[self.candidates]
+        gains[(ch < MIN_CHILD_WEIGHT) | (H - ch < MIN_CHILD_WEIGHT)] = -np.inf
         best = int(np.argmax(gains))
         if not gains[best] > _MIN_GAIN:
             return None
-        f = int(self.candidate_feature[best])
-        cell, offset, values = int(self.candidates[best]), int(self.offsets[f]), self.values[f]
+        # Blocks are not in feature order: among equal gains take the lowest
+        # feature, then (cells ascending within a feature) the lowest threshold.
+        tied = np.flatnonzero(gains == gains[best])
+        cell = int(tied[np.argmin(self.cell_feature[tied])])
+        f = int(self.cell_feature[cell])
+        offset, values = int(self.offsets[f]), self.values[f]
         lo = cell - offset
         hi = lo + 1 + int(np.flatnonzero(hist[2, cell + 1 : offset + values.shape[0]])[0])
         threshold = float(0.5 * (values[lo] + values[hi]))
@@ -231,12 +219,11 @@ def _grow_tree(
     """
     root = TreeNode()
     rows = np.arange(g.shape[0])
-    may_split = rows.shape[0] >= 2 and bins.candidates.shape[0] > 0
-    stack = [(root, rows, 0, bins.histogram(rows, g, h) if may_split else None)]
+    stack = [(root, rows, 0, bins.histogram(rows, g, h) if rows.shape[0] >= 2 else None)]
     while stack:
         node, rows, depth, hist = stack.pop()
         G, H = g[rows].sum(), h[rows].sum()
-        split = None if hist is None else bins.best_split(hist, rows.shape[0], G, H)
+        split = None if hist is None else bins.best_split(hist, G, H)
         if split is None:
             node.value = float(-cfg.learning_rate * G / (H + L2_LEAF_REG))
             score[rows] += node.value
@@ -267,15 +254,46 @@ def _subtract(parent: np.ndarray, child: np.ndarray) -> np.ndarray:
     return parent
 
 
-@dataclass
+def _flatten(trees) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The depth of the deepest tree, and node arrays laid out breadth first.
+
+    Tree t's root is node t. Internal node i sends a row to
+    `child[2 * i + (x[feature[i]] < threshold[i])]`: slot 2i holds its right
+    child, so NaN (which fails `<`) goes right as in a walk of the tree. A
+    leaf is its own child on both sides, so a row that reaches it early stays
+    on it while deeper trees are walked, and its value is `value[i]`.
+    """
+    nodes, depth, child = list(trees), [0] * len(trees), []
+    for i, node in enumerate(nodes):  # visits the children appended below
+        if node.is_leaf:
+            child += [i, i]
+        else:
+            child += [len(nodes) + 1, len(nodes)]
+            nodes += [node.left, node.right]
+            depth += [depth[i] + 1] * 2
+    return (
+        max(depth, default=0),
+        np.array([0 if n.is_leaf else n.feature for n in nodes], dtype=np.intp),
+        np.array([n.threshold for n in nodes], dtype=np.float64),
+        np.array(child, dtype=np.intp),
+        np.array([n.value if n.is_leaf else 0.0 for n in nodes], dtype=np.float64),
+    )
+
+
+@dataclass(frozen=True)
 class GBDTModel:
-    """Trained boosted-tree predictor: base log-odds plus an ordered tree list."""
+    """Trained boosted-tree predictor: base log-odds plus an ordered tree tuple."""
 
     base_score: float
-    trees: list[TreeNode]
+    trees: tuple[TreeNode, ...]
     feature_names: tuple[str, ...]
     config: GBDTConfig
     train_loss_curve: list[float] = field(default_factory=list, repr=False)
+    _flat: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "trees", tuple(self.trees))
+        object.__setattr__(self, "_flat", _flatten(self.trees))
 
     def raw_scores(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -283,9 +301,23 @@ class GBDTModel:
             raise SchemaError(
                 f"input width {X.shape[1]} != model width {len(self.feature_names)}"
             )
-        score = np.full(X.shape[0], self.base_score)
-        for tree in self.trees:
-            score += _tree_predict(tree, X)
+        depth, feature, threshold, child, value = self._flat
+        n_trees = len(self.trees)
+        roots = np.arange(n_trees)[:, None]
+        step = max(1, _PREDICT_CELLS // max(n_trees, 1))
+        score = np.empty(X.shape[0])
+        for start in range(0, X.shape[0], step):
+            chunk = X[start : start + step]
+            row_offsets = chunk.shape[1] * np.arange(chunk.shape[0])
+            flat = chunk.ravel()
+            node = roots
+            for _ in range(depth):
+                node = child[2 * node + (flat[row_offsets + feature[node]] < threshold[node])]
+            # cumsum adds base + v0 + v1 + ... in order, as fit does; a sum may pair terms.
+            terms = np.empty((n_trees + 1, chunk.shape[0]))
+            terms[0] = self.base_score
+            terms[1:] = value[node]
+            score[start : start + step] = np.cumsum(terms, axis=0)[-1]
         return score
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from atrisk import pipeline
 from atrisk.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, main
 
 FAST = ["--n-trees", "10", "--max-depth", "2"]
@@ -197,8 +198,13 @@ def test_malformed_list_flag_exits_2(sim_dir, tmp_path, capsys, subcommand, flag
     ["predict", "--top-fraction", "0"],
     ["predict", "--top-fraction", "2"],
     ["evaluate", "--train-fraction", "1.5"],
+    ["evaluate", "--top-fraction", "2"],
 ])
-def test_out_of_range_fraction_exits_3(sim_dir, tmp_path, capsys, argv):
+def test_out_of_range_fraction_exits_3(sim_dir, tmp_path, capsys, monkeypatch, argv):
+    def no_training(*args, **kwargs):  # a bad fraction is refused before any training
+        raise AssertionError("pipeline.train ran")
+
+    monkeypatch.setattr(pipeline, "train", no_training)
     code = main([argv[0], *io_args(sim_dir, tmp_path), *FAST, *argv[1:]])
     stderr = capsys.readouterr().err.splitlines()
     assert code == EXIT_DATA

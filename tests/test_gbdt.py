@@ -2,6 +2,7 @@
 
 import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -363,7 +364,7 @@ def test_first_tree_agrees_with_exact_learner(seed, zero_weight_rows):
     exact = exact_build_tree(X, g, h, orders, cfg)
     # Near-tied splits may break either way under a different summation
     # order, so compare the partitions the trees make, not their node lists.
-    np.testing.assert_allclose(gbdt._tree_predict(tree, X), gbdt._tree_predict(exact, X),
+    np.testing.assert_allclose(tree_predict(tree, X), tree_predict(exact, X),
                                rtol=1e-12, atol=1e-15)
     stack = [(tree, np.arange(X.shape[0]))]
     while stack:
@@ -373,6 +374,95 @@ def test_first_tree_agrees_with_exact_learner(seed, zero_weight_rows):
             assert node.threshold in 0.5 * (values[:-1] + values[1:])
             left = X[rows, node.feature] < node.threshold
             stack += [(node.left, rows[left]), (node.right, rows[~left])]
+
+
+# --- node-walk oracle --------------------------------------------------------------
+# The predictor this package shipped before flattened trees: it walks each tree
+# node by node. `raw_scores` must give the same bytes.
+
+
+def tree_predict(node, X):
+    out = np.empty(X.shape[0], dtype=np.float64)
+    stack = [(node, np.arange(X.shape[0]))]
+    while stack:
+        nd, idx = stack.pop()
+        if nd.is_leaf:
+            out[idx] = nd.value
+            continue
+        mask = X[idx, nd.feature] < nd.threshold
+        stack.append((nd.left, idx[mask]))
+        stack.append((nd.right, idx[~mask]))
+    return out
+
+
+def oracle_raw_scores(model, X):
+    score = np.full(X.shape[0], model.base_score)
+    for tree in model.trees:
+        score += tree_predict(tree, X)
+    return score
+
+
+def random_tree(rng, n_features, depth, p_leaf=0.3):
+    """An unbalanced tree of depth at most `depth`; thresholds on a 0.1 grid."""
+    if depth == 0 or rng.random() < p_leaf:
+        return TreeNode(value=float(rng.normal()))
+    return TreeNode(
+        feature=int(rng.integers(n_features)),
+        threshold=float(np.round(rng.normal(), 1)),
+        left=random_tree(rng, n_features, depth - 1, p_leaf),
+        right=random_tree(rng, n_features, depth - 1, p_leaf),
+    )
+
+
+def query_rows(rng, n, d):
+    """Rows that hit thresholds exactly, and hold NaN and +-inf entries."""
+    X = np.round(rng.normal(size=(n, d)), 1)
+    X[rng.random((n, d)) < 0.05] = np.nan
+    X[rng.random((n, d)) < 0.05] = np.inf
+    X[rng.random((n, d)) < 0.05] = -np.inf
+    return X
+
+
+# With 600 trees, a one-row batch summed pairwise (np.sum) differs in the last bit.
+@pytest.mark.parametrize("n_trees", [0, 1, 7, 600])
+@pytest.mark.parametrize("seed", range(4))
+def test_raw_scores_match_node_walk_oracle(seed, n_trees):
+    rng = np.random.default_rng(seed)
+    d = 4
+    trees = [random_tree(rng, d, int(rng.integers(0, 9))) for _ in range(n_trees)]
+    if n_trees:
+        trees[0] = TreeNode(value=0.25)  # a single-leaf tree
+    if n_trees > 1:  # a 40-deep chain: 2^40 slots if laid out as a complete tree
+        for _ in range(40):
+            trees[1] = TreeNode(feature=int(rng.integers(d)), threshold=float(rng.normal()),
+                                left=TreeNode(value=float(rng.normal())), right=trees[1])
+    fitted = GBDTModel(float(rng.normal()), trees, tuple(f"f{i}" for i in range(d)),
+                       GBDTConfig(n_trees=n_trees, max_depth=2))
+    # From JSON, as a model file deeper than its config's max_depth.
+    model = GBDTModel.from_json(fitted.to_json())
+    chunk = gbdt._PREDICT_CELLS // max(n_trees, 1)
+    for n in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+        X = query_rows(rng, n, d)
+        assert model.raw_scores(X).tobytes() == oracle_raw_scores(model, X).tobytes()
+
+
+def test_raw_scores_temporaries_stay_small():
+    # 200 complete depth-4 trees on 20k rows; the chunked walk keeps its
+    # temporaries near 1.5 MB, where one pass over every row takes ~130 MB.
+    rng = np.random.default_rng(12)
+    trees = [random_tree(rng, 50, 4, p_leaf=0.0) for _ in range(200)]
+    model = GBDTModel(0.0, trees, tuple(f"f{i}" for i in range(50)), GBDTConfig())
+    X = rng.normal(size=(20_000, 50))
+    tracemalloc.start()
+    try:
+        model.raw_scores(X[:10])
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        model.raw_scores(X)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_boosted_score_is_bit_identical_to_raw_scores(monkeypatch):
