@@ -207,10 +207,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     cohort = _load_cohort(args)
     config = _pipeline_config(args)
     train_cohort, test_cohort = split_students(cohort, args.train_fraction, args.seed)
-    trained = pipeline.train(train_cohort, config)
-    report = evaluate_horizons(trained.scorer, test_cohort, args.deltas, config.fingerprint())
+    scorer = pipeline.train(train_cohort, config).scorer  # one index for both reports
+    report = evaluate_horizons(scorer, test_cohort, args.deltas, config.fingerprint())
     try:
-        flagging = daily_flagging(trained.scorer, test_cohort, args.top_fraction)
+        flagging = daily_flagging(scorer, test_cohort, args.top_fraction)
         report.recall_at_fraction = {
             f"pooled@{args.top_fraction}": flagging.pooled_recall,
             f"daily_mean@{args.top_fraction}": flagging.daily_mean_recall,

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import UndefinedMetricError, ValidationError
 from .events import Cohort, StudentRecord
-from .labeling import horizon_label
 
 
 def auc(scores, labels) -> float:
@@ -90,6 +89,18 @@ def query_points(cohort: Cohort) -> list[tuple[StudentRecord, int]]:
     return points
 
 
+def horizon_labels(points: list[tuple[StudentRecord, int]], deltas: list[int]) -> np.ndarray:
+    """`horizon_label` of every resolved point at every delta, one row per delta."""
+    bad = [delta for delta in deltas if delta < 1]
+    if bad:
+        raise ValidationError(f"horizon delta must be positive, got {bad[0]}")
+    # days from each point to its dropout; completers drop out on day -1, i.e. never
+    ahead = np.array(
+        [(s.last_day if s.final_status == "dropout" else -1) - d for s, d in points], np.int64
+    )
+    return np.array([(ahead > 0) & (ahead <= delta) for delta in deltas], np.int64)
+
+
 def evaluate_horizons(
     scorer,
     cohort: Cohort,
@@ -101,8 +112,7 @@ def evaluate_horizons(
     scores = np.asarray(scorer.many(points))
     auc_map: dict[int, float | None] = {}
     n_map: dict[int, int] = {}
-    for delta in deltas:
-        labels = np.array([horizon_label(s, d, delta) for s, d in points])
+    for delta, labels in zip(deltas, horizon_labels(points, deltas)):
         n_map[delta] = len(labels)
         try:
             auc_map[delta] = auc(scores, labels)

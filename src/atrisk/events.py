@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -83,50 +82,15 @@ class ObservationPair:
             raise ValidationError(f"negative day {self.day}")
 
 
-def _days(observations, keep) -> np.ndarray:
-    return np.array([o.day for o in observations if keep(o)], dtype=np.int64)
-
-
 @dataclass(frozen=True)
 class StudentRecord:
-    """One student's ordered observation sequence and terminal status."""
+    """One student's ordered observation sequence and terminal status; plain
+    data, whose columnar form for feature assembly is a features.TimelineIndex."""
 
     student_id: str
     observations: tuple[ObservationPair, ...]
     final_status: str
     teacher_id: str
-
-    @cached_property
-    def timeline(self) -> dict[str, np.ndarray]:
-        """The observations as arrays for batch feature queries.
-
-        `<kind>_days` holds the sorted days of each kind: class, followup,
-        reschedule, pos_followup, neg_followup, inclass and outclass. The
-        `inclass_rows`/`outclass_rows` stack the vectors of those days ((0, 0)
-        when there are none) and `*_cumsum` holds their running sums. Built on
-        first use and owned by the record, so freed with it.
-        """
-        obs = self.observations
-        t = {
-            "class_days": _days(obs, lambda o: o.kind == "class_session"),
-            "followup_days": _days(obs, lambda o: o.kind == "follow_up"),
-            "reschedule_days": _days(obs, lambda o: o.kind == "reschedule"),
-            "pos_followup_days": _days(
-                obs, lambda o: o.kind == "follow_up" and (o.polarity or 0) > 0
-            ),
-            "neg_followup_days": _days(
-                obs, lambda o: o.kind == "follow_up" and (o.polarity or 0) < 0
-            ),
-        }
-        for kind in ("inclass", "outclass"):
-            kept = [o for o in obs if getattr(o, f"{kind}_values") is not None]
-            rows = np.empty((0, 0))
-            if kept:
-                rows = np.vstack([getattr(o, f"{kind}_values") for o in kept])
-            t[f"{kind}_days"] = np.array([o.day for o in kept], dtype=np.int64)
-            t[f"{kind}_rows"] = rows
-            t[f"{kind}_cumsum"] = np.cumsum(rows, axis=0)
-        return t
 
     @property
     def days(self) -> tuple[int, ...]:

@@ -9,8 +9,9 @@ features (counts and gaps over the LOOKBACK_DAYS windows plus teacher-history
 statistics).
 Everything observed strictly after a point's day is invisible to its row.
 Histories differ in length from point to point; no point scans its own.
-Every aggregate is read off per-record sorted day arrays and running row sums,
-with one binary search per event kind for the whole batch.
+Every aggregate is read off a TimelineIndex (per-kind day keys, vector rows
+and running row sums of every record it has seen; one per PipelineScorer, so a
+record is indexed once), with one binary search per event kind for the batch.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InsufficientDataError, ValidationError
-from .events import Cohort, ColumnSchema, StudentRecord
+from .events import MAX_DAY, Cohort, ColumnSchema, StudentRecord
 
 ALL_BLOCKS = ("in", "out", "time")
 PCA_COMPONENTS = 4  # at most; fewer when the in-class rows have lower rank
 LOOKBACK_DAYS = (7, 14, 21, 30)  # time-block window lengths
 _RANK_TOL = 1e-10
+_STRIDE = 2**32  # > MAX_DAY + 1: keys of one slot or teacher stay below the next one's
 
 
 @dataclass(frozen=True)
@@ -96,13 +98,16 @@ def fit_pca(rows: np.ndarray) -> PCAModel:
 class TeacherHistoryIndex:
     """Per-teacher session/student/dropout timelines for causal queries.
 
-    All queries are strict in the day: only activity on days < the query day
-    is counted, so the index can never leak a same-day outcome.
+    Each timeline is one flat sorted array of keys teacher_code * 2**32 + day,
+    so one binary search per timeline answers a whole batch of queries. All
+    queries are strict in the day: only activity on days < the query day is
+    counted, so the index can never leak a same-day outcome.
     """
 
-    session_days: dict[str, np.ndarray]  # sorted class-session days per teacher
-    student_first_days: dict[str, np.ndarray]  # sorted first-contact days per teacher
-    student_dropout_days: dict[str, np.ndarray]  # sorted dropout days per teacher
+    codes: dict[str, int]  # teacher id -> code, in sorted id order
+    session_keys: np.ndarray
+    first_keys: np.ndarray
+    dropout_keys: np.ndarray
     cohort_first_days: np.ndarray  # sorted, all students
     cohort_dropout_days: np.ndarray  # sorted, all dropout students
 
@@ -112,33 +117,33 @@ class TeacherHistoryIndex:
         dropped = np.searchsorted(self.cohort_dropout_days, days)
         return np.divide(dropped, seen, out=np.zeros(np.shape(seen)), where=seen > 0)
 
-    def query(self, teacher_id: str, days):
-        """(courses taught, distinct students, dropout rate) before each day.
+    def query(self, teacher_ids, days):
+        """(courses taught, distinct students, dropout rate) of each teacher before
+        its day. An unseen teacher, or one with no students yet, gets the global prior."""
+        days = np.asarray(days, dtype=np.int64)
+        # an unseen teacher gets the code past the last one, which owns no keys
+        code = np.fromiter(
+            (self.codes.get(t, len(self.codes)) for t in teacher_ids), np.int64, len(days)
+        )
+        lo = code * _STRIDE
+        hi = lo + np.maximum(days, 0)
 
-        An unseen teacher, or one with no students yet, gets the global prior.
-        """
-        prior = self.global_prior(days)
-        sessions = self.session_days.get(teacher_id)
-        if sessions is None:
-            zero = np.zeros(np.shape(days), dtype=np.int64)
-            return zero, zero, prior
-        n_courses = np.searchsorted(sessions, days)
-        n_students = np.searchsorted(self.student_first_days[teacher_id], days)
-        n_dropped = np.searchsorted(self.student_dropout_days[teacher_id], days)
-        rate = np.divide(n_dropped, n_students, out=prior, where=n_students > 0)
-        return n_courses, n_students, rate
+        def before(keys):
+            return np.searchsorted(keys, hi) - np.searchsorted(keys, lo)
+
+        n_students = before(self.first_keys)
+        rate = np.divide(
+            before(self.dropout_keys), n_students,
+            out=self.global_prior(days), where=n_students > 0,
+        )
+        return before(self.session_keys), n_students, rate
 
 
 def build_teacher_history(cohort: Cohort) -> TeacherHistoryIndex:
-    sessions: dict[str, list[int]] = {}
-    firsts: dict[str, list[int]] = {}
-    drops: dict[str, list[int]] = {}
-    cohort_firsts: list[int] = []
-    cohort_drops: list[int] = []
+    # (teacher, day) of each session, of each student's first session with the
+    # teacher and of each dropout of the teacher's students
+    sessions, firsts, drops = [], [], []
     for student in cohort:
-        cohort_firsts.append(student.first_day)
-        if student.final_status == "dropout":
-            cohort_drops.append(student.last_day)
         seen_teachers: set[str] = set()
         for obs in student.observations:
             if obs.kind != "class_session":
@@ -146,20 +151,26 @@ def build_teacher_history(cohort: Cohort) -> TeacherHistoryIndex:
             tid = obs.teacher_id or student.teacher_id
             if not tid:
                 continue
-            sessions.setdefault(tid, []).append(obs.day)
+            sessions.append((tid, obs.day))
             if tid not in seen_teachers:
                 seen_teachers.add(tid)
-                firsts.setdefault(tid, []).append(obs.day)
+                firsts.append((tid, obs.day))
                 if student.final_status == "dropout":
-                    drops.setdefault(tid, []).append(student.last_day)
+                    drops.append((tid, student.last_day))
+    codes = {t: i for i, t in enumerate(sorted({t for t, _ in sessions}))}
+
+    def keys(pairs):
+        return np.sort(np.array([codes[t] * _STRIDE + d for t, d in pairs], np.int64))
+
     return TeacherHistoryIndex(
-        session_days={t: np.sort(np.array(v)) for t, v in sessions.items()},
-        student_first_days={t: np.sort(np.array(v)) for t, v in firsts.items()},
-        student_dropout_days={
-            t: np.sort(np.array(drops.get(t, []), dtype=np.int64)) for t in sessions
-        },
-        cohort_first_days=np.sort(np.array(cohort_firsts, dtype=np.int64)),
-        cohort_dropout_days=np.sort(np.array(cohort_drops, dtype=np.int64)),
+        codes=codes,
+        session_keys=keys(sessions),
+        first_keys=keys(firsts),
+        dropout_keys=keys(drops),
+        cohort_first_days=np.sort(np.array([s.first_day for s in cohort], np.int64)),
+        cohort_dropout_days=np.sort(np.array(
+            [s.last_day for s in cohort if s.final_status == "dropout"], np.int64
+        )),
     )
 
 
@@ -208,52 +219,98 @@ def _feature_names(
     return tuple(names)
 
 
-class _Batch:
-    """The students a batch touches, with each point's student position.
+_VECTORS = ("inclass", "outclass")
+_FIELDS = _KINDS + _VECTORS
+_KIND_OF = {"class_session": "class", "follow_up": "followup", "reschedule": "reschedule"}
 
-    `search` answers "how many days <= q" for every point at once: each
-    student's sorted days are concatenated under the key
-    position * stride + day + 1, which keeps students apart and in order.
-    """
 
-    def __init__(self, points: list[tuple[StudentRecord, int]]):
-        index: dict[int, int] = {}  # id() is stable: `points` holds every record
-        self.students: list[StudentRecord] = []
-        for student, _ in points:
-            if index.setdefault(id(student), len(self.students)) == len(self.students):
-                self.students.append(student)
+class TimelineIndex:
+    """Every record it has been given, as flat columns for batch queries.
+
+    A record gets a slot the first time a batch brings it; the index knows it
+    by identity, not by student id, and keeps a reference to it. The days of
+    each field (the `_KINDS` of event, and the days with `_VECTORS`) are kept
+    in one sorted array under the key slot * _STRIDE + day + 1, so "how many
+    days <= q" is one binary search for every point at once; a slot's keys
+    begin at `starts[field][slot]`. `rows` stacks the vectors in key order,
+    `cumsum` each record's running sums of them."""
+
+    def __init__(self):
+        self._slot: dict[int, int] = {}  # id(record) -> slot; `_records` keeps ids valid
+        self._records: list[StudentRecord] = []
+        self.first_days = np.empty(0, np.int64)
+        self.keys = {f: np.empty(0, np.int64) for f in _FIELDS}
+        self.starts = {f: np.empty(0, np.int64) for f in _FIELDS}
+        self.rows = {k: np.empty((0, 0)) for k in _VECTORS}
+        self.cumsum = {k: np.empty((0, 0)) for k in _VECTORS}
+
+    def _extend(self, records: list[StudentRecord]) -> None:
+        keys: dict[str, list[int]] = {f: [] for f in _FIELDS}
+        rows: dict[str, list[np.ndarray]] = {k: [] for k in _VECTORS}
+        cumsum: dict[str, list[np.ndarray]] = {k: [] for k in _VECTORS}
+        for slot, record in enumerate(records, len(self._records)):
+            vectors: dict[str, list[np.ndarray]] = {k: [] for k in _VECTORS}
+            for o in record.observations:
+                if o.day > MAX_DAY:
+                    raise ValidationError(f"day {o.day} of {record.student_id} exceeds {MAX_DAY}")
+                key = slot * _STRIDE + o.day + 1
+                if o.kind in _KIND_OF:
+                    keys[_KIND_OF[o.kind]].append(key)
+                if o.kind == "follow_up" and o.polarity:
+                    keys["pos_followup" if o.polarity > 0 else "neg_followup"].append(key)
+                for k, v in (("inclass", o.inclass_values), ("outclass", o.outclass_values)):
+                    if v is not None:
+                        keys[k].append(key)
+                        vectors[k].append(v)
+            for k, v in vectors.items():
+                if v:
+                    rows[k].append(np.vstack(v))
+                    cumsum[k].append(np.cumsum(rows[k][-1], axis=0))
+        # every record is valid: commit
+        n_slots = len(self._records) + len(records)
+        for f in _FIELDS:
+            self.keys[f] = np.concatenate([self.keys[f], np.array(keys[f], np.int64)])
+            self.starts[f] = np.searchsorted(self.keys[f], np.arange(n_slots) * _STRIDE)
+        for k in _VECTORS:
+            self.rows[k] = _stack([self.rows[k], *rows[k]])  # one old array at a time
+            self.cumsum[k] = _stack([self.cumsum[k], *cumsum[k]])
+        self.first_days = np.concatenate([self.first_days, [r.first_day for r in records]])
+        self._slot.update((id(r), len(self._records) + j) for j, r in enumerate(records))
+        self._records += records
+
+    def locate(self, points: list[tuple[StudentRecord, int]]):
+        """The slot and the day of every point; new records are indexed first."""
+        new = {id(s): s for s, _ in points if id(s) not in self._slot}
+        if new:
+            self._extend(list(new.values()))
         n = len(points)
-        self.pos = np.fromiter((index[id(s)] for s, _ in points), np.int64, n)
-        self.days = np.fromiter((d for _, d in points), np.int64, n)
-        self.first_days = np.array([s.first_day for s in self.students])[self.pos]
-        early = np.flatnonzero(self.days < self.first_days)
+        slots = np.fromiter((self._slot[id(s)] for s, _ in points), np.int64, n)
+        days = np.fromiter((d for _, d in points), np.int64, n)
+        late = np.flatnonzero(days > MAX_DAY)
+        if late.size:
+            raise ValidationError(f"at_day {days[late[0]]} exceeds {MAX_DAY}")
+        early = np.flatnonzero(days < self.first_days[slots])
         if early.size:
             student, day = points[int(early[0])]
             raise ValidationError(
                 f"at_day {day} precedes first observation "
                 f"day {student.first_day} of student {student.student_id}"
             )
-        self.timelines = [s.timeline for s in self.students]
-        self.stride = max(int(self.days.max()), max(s.last_day for s in self.students)) + 2
+        return slots, days
 
-    def concat(self, field: str) -> np.ndarray:
-        return np.concatenate([t[field] for t in self.timelines])
-
-    def search(self, field: str, queries: np.ndarray):
+    def search(self, field: str, slots: np.ndarray, queries: np.ndarray):
         """For (n_points, m) query days: the index just past the last `field`
-        day <= each query in the concatenation, and the number of such days
-        of the point's own student."""
-        lengths = np.array([len(t[field]) for t in self.timelines])
-        starts = np.cumsum(lengths) - lengths
-        base = np.arange(len(self.timelines)) * self.stride
-        keys = self.concat(field) + np.repeat(base, lengths) + 1
-        q = np.maximum(queries, -1) + (base[self.pos] + 1)[:, None]
-        idx = np.searchsorted(keys, q, side="right")
-        return idx, idx - starts[self.pos][:, None]
+        key at or before each query, and the number of such days of the
+        point's own record."""
+        q = np.maximum(queries, -1) + (slots * _STRIDE + 1)[:, None]
+        idx = np.searchsorted(self.keys[field], q, side="right")
+        return idx, idx - self.starts[field][slots][:, None]
 
-    def rows(self, field: str) -> np.ndarray:
-        # records without such rows hold (0, 0) arrays, which cannot be stacked
-        return np.concatenate([t[field] for t in self.timelines if len(t[field])])
+
+def _stack(parts: list[np.ndarray]) -> np.ndarray:
+    # an index without such rows holds a (0, 0) array, which cannot be stacked
+    parts = [a for a in parts if len(a)]
+    return np.concatenate(parts) if parts else np.empty((0, 0))
 
 
 def _project(v: np.ndarray, components: np.ndarray) -> np.ndarray:
@@ -262,7 +319,7 @@ def _project(v: np.ndarray, components: np.ndarray) -> np.ndarray:
     return (v[:, None, :] @ components.T)[:, 0, :]
 
 
-def _vector_block(out, col, batch, kind, width, pca=None) -> int:
+def _vector_block(out, col, index, slots, days, kind, width, pca=None) -> int:
     """Write the mean and the last row of one vector kind, then its count.
 
     The mean comes from the running row sums; the "in" block then projects
@@ -270,7 +327,7 @@ def _vector_block(out, col, batch, kind, width, pca=None) -> int:
     zeros.
     """
     end = col + 2 * width
-    idx, n = batch.search(f"{kind}_days", batch.days[:, None])
+    idx, n = index.search(kind, slots, days[:, None])
     n = n[:, 0]
     out[:, col:end] = 0.0
     out[:, end] = n
@@ -278,8 +335,8 @@ def _vector_block(out, col, batch, kind, width, pca=None) -> int:
     if not have.size:
         return end + 1
     g = idx[have, 0] - 1
-    mean = batch.rows(f"{kind}_cumsum")[g] / n[have][:, None].astype(np.float64)
-    for v in (mean, batch.rows(f"{kind}_rows")[g]):
+    mean = index.cumsum[kind][g] / n[have][:, None].astype(np.float64)
+    for v in (mean, index.rows[kind][g]):
         if pca is not None:
             v = _project(v - pca.mean, pca.components)
         out[have, col : col + width] = v
@@ -287,44 +344,35 @@ def _vector_block(out, col, batch, kind, width, pca=None) -> int:
     return end + 1
 
 
-def _time_block(out, col, batch, hist) -> None:
-    days = batch.days
+def _time_block(out, col, index, slots, days, hist, teacher_ids) -> None:
     # window i holds the days in (day - L_i, day]: count(<= day) - count(<= day - L_i)
     bounds = np.column_stack([days - L for L in LOOKBACK_DAYS] + [days])
     width = len(_KINDS) + 2  # columns per window
     stop = col + width * len(LOOKBACK_DAYS)
-    class_days = batch.concat("class_days")
-    class_idx, class_n = batch.search("class_days", bounds)
+    # keys of one slot differ by their days; each point's own day has key `at`
+    class_keys = index.keys["class"]
+    at = days + slots * _STRIDE + 1
+    class_idx, class_n = index.search("class", slots, bounds)
     for j, kind in enumerate(_KINDS):
-        n = class_n if kind == "class" else batch.search(f"{kind}_days", bounds)[1]
+        n = class_n if kind == "class" else index.search(kind, slots, bounds)[1]
         out[:, col + j : stop : width] = n[:, -1:] - n[:, :-1]
     n_gaps = class_idx[:, -1:] - class_idx[:, :-1] - 1
     r, i = np.nonzero(n_gaps > 0)
     gap_mean = np.zeros(n_gaps.shape)
-    span = class_days[class_idx[r, -1] - 1] - class_days[class_idx[r, i]]
+    span = class_keys[class_idx[r, -1] - 1] - class_keys[class_idx[r, i]]
     gap_mean[r, i] = span / n_gaps[r, i]
     out[:, col + len(_KINDS) : stop : width] = gap_mean
     out[:, col + len(_KINDS) + 1 : stop : width] = np.maximum(n_gaps, 0)
     col = stop
 
-    n_class = class_n[:, -1]
-    seen = np.flatnonzero(n_class > 0)
+    seen = np.flatnonzero(class_n[:, -1] > 0)
     out[:, col : col + 2] = 0.0
-    out[seen, col] = days[seen] - class_days[class_idx[seen, -1] - 1]
+    out[seen, col] = at[seen] - class_keys[class_idx[seen, -1] - 1]
     out[seen, col + 1] = 1.0
-    out[:, col + 2] = days - batch.first_days
+    out[:, col + 2] = days - index.first_days[slots]
     col += 3
 
-    teacher_ids = [s.teacher_id for s in batch.students]
-    teachers = sorted(set(teacher_ids))
-    code = np.searchsorted(teachers, teacher_ids)[batch.pos]
-    order = np.argsort(code, kind="stable")
-    ends = np.searchsorted(code[order], np.arange(len(teachers)), side="right")
-    for teacher, sel in zip(teachers, np.split(order, ends[:-1])):
-        courses, students, rate = hist.query(teacher, days[sel])
-        out[sel, col] = courses
-        out[sel, col + 1] = students
-        out[sel, col + 2] = rate
+    out[:, col : col + 3] = np.column_stack(hist.query(teacher_ids, days))
 
 
 def assemble(
@@ -333,28 +381,33 @@ def assemble(
     hist: TeacherHistoryIndex,
     config: FeatureConfig,
     schema: ColumnSchema,
+    index: TimelineIndex | None = None,
 ) -> np.ndarray:
     """Feature matrix with one row per <student, at_day> point.
 
     Only observations with day <= at_day contribute to a row; teacher history
     is queried strictly before at_day. Missing blocks encode as zeros plus an
     explicit count column, never NaN. Rows do not depend on the order or the
-    company of their points.
+    company of their points, nor on what `index` (a fresh one by default)
+    has indexed before.
     """
     names = feature_names(schema, pca, config)
     out = np.empty((len(points), len(names)))
     if not points:
         return out
+    index = TimelineIndex() if index is None else index
     # Vectors near the float limit overflow silently here and are refused below.
     with np.errstate(over="ignore", invalid="ignore"):
-        batch = _Batch(points)
+        slots, days = index.locate(points)
         col = 0
         if "in" in config.blocks:
-            col = _vector_block(out, col, batch, "inclass", pca.n_components, pca)
+            col = _vector_block(out, col, index, slots, days, "inclass", pca.n_components, pca)
         if "out" in config.blocks:
-            col = _vector_block(out, col, batch, "outclass", len(schema.outclass_columns))
+            col = _vector_block(
+                out, col, index, slots, days, "outclass", len(schema.outclass_columns)
+            )
         if "time" in config.blocks:
-            _time_block(out, col, batch, hist)
+            _time_block(out, col, index, slots, days, hist, [s.teacher_id for s, _ in points])
     if not np.all(np.isfinite(out)):
         raise ValidationError("feature matrix contains non-finite values")
     return out

@@ -66,17 +66,19 @@ class TrainedPipeline:
 
 
 class PipelineScorer:
-    """Scores batches of (student, day) points with a trained pipeline."""
+    """Scores batches of (student, day) points with a trained pipeline; each
+    record is indexed once, into the TimelineIndex the scorer owns."""
 
     def __init__(self, trained: TrainedPipeline):
         names = F.feature_names(trained.schema, trained.pca, trained.config.feature)
         if names != tuple(trained.model.feature_names):
             raise SchemaError("the model's feature columns differ from the featurizer's")
         self._trained = trained
+        self._index = F.TimelineIndex()
 
     def many(self, points: list[tuple[StudentRecord, int]]) -> np.ndarray:
         t = self._trained
-        X = F.assemble(points, t.pca, t.hist, t.config.feature, t.schema)
+        X = F.assemble(points, t.pca, t.hist, t.config.feature, t.schema, self._index)
         return t.model.predict_proba(X)
 
 

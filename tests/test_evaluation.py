@@ -15,10 +15,14 @@ from atrisk.evaluation import (
     daily_flagging,
     evaluate_horizons,
     flag_top,
+    horizon_labels,
     query_points,
     run_sweep,
     split_students,
 )
+
+from atrisk.labeling import horizon_label
+from atrisk.synthgen import SimConfig, generate_cohort
 
 from conftest import BatchScorer, cohort_of, obs, student
 
@@ -94,6 +98,24 @@ def test_evaluate_horizons_with_oracle_scorer(small_cohort):
     assert report.auc_by_horizon[1] is None  # no positives at delta=1 here
     assert report.auc_by_horizon[2] == 1.0  # s3 day 6 -> dropout day 8
     assert set(report.n_queries_by_horizon.values()) == {len(query_points(small_cohort))}
+
+
+def test_horizon_labels_equal_per_point_definition():
+    cohort, _, _ = generate_cohort(SimConfig(n_students=60, seed=5))
+    points = query_points(cohort)
+    deltas = list(range(1, 15))
+    labels = horizon_labels(points, deltas)
+    assert labels.shape == (len(deltas), len(points))
+    expected = [[horizon_label(s, d, delta) for s, d in points] for delta in deltas]
+    assert labels.tolist() == expected
+    assert 0 < labels.sum() < labels.size
+
+
+@pytest.mark.parametrize("deltas", [[0], [3, -2, 0]])
+def test_evaluate_horizons_refuses_non_positive_delta(small_cohort, deltas):
+    scorer = BatchScorer(lambda s, d: 0.5)
+    with pytest.raises(ValidationError, match=f"got {[d for d in deltas if d < 1][0]}"):
+        evaluate_horizons(scorer, small_cohort, deltas)
 
 
 def test_eval_report_save_round_trips(tmp_path, small_cohort):

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from atrisk.errors import InsufficientDataError, ValidationError
-from atrisk.events import ColumnSchema
+from atrisk.events import MAX_DAY, ColumnSchema
 from atrisk.features import (
     LOOKBACK_DAYS,
     FeatureConfig,
+    TimelineIndex,
     assemble,
     build_teacher_history,
     feature_names,
@@ -136,28 +137,51 @@ def teacher_fixture():
     return cohort_of(*students)
 
 
+def query_one(hist, teacher_id, day):
+    """One (teacher, day) query through the batch `query`, as plain numbers."""
+    return tuple(a.item() for a in hist.query([teacher_id], [day]))
+
+
 def test_teacher_history_hand_count():
     hist = build_teacher_history(teacher_fixture())
-    courses, n_students, rate = hist.query("t1", 50)
+    courses, n_students, rate = query_one(hist, "t1", 50)
     assert (courses, n_students, rate) == (10, 4, 0.25)
 
 
 def test_teacher_history_dropout_day_boundary_is_strict():
     hist = build_teacher_history(teacher_fixture())
-    assert hist.query("t1", 40)[2] == 0.0  # day 40 dropout not yet counted
-    assert hist.query("t1", 41)[2] == 0.25
+    assert query_one(hist, "t1", 40)[2] == 0.0  # day 40 dropout not yet counted
+    assert query_one(hist, "t1", 41)[2] == 0.25
 
 
 def test_teacher_history_unseen_teacher_uses_global_prior():
     hist = build_teacher_history(teacher_fixture())
-    courses, n_students, rate = hist.query("t999", 50)
+    courses, n_students, rate = query_one(hist, "t999", 50)
     assert (courses, n_students) == (0, 0)
     assert rate == hist.global_prior(50) == 0.25
 
 
 def test_teacher_history_before_any_activity():
     hist = build_teacher_history(teacher_fixture())
-    assert hist.query("t1", 5) == (0, 0, 0.0)
+    assert query_one(hist, "t1", 5) == (0, 0, 0.0)
+
+
+def test_teacher_history_batch_query_mixes_teachers():
+    """One query over unseen teachers (sorting before and after the known
+    ones), a teacher asked before its first student, and the day-40 boundary."""
+    cohort = cohort_of(
+        *teacher_fixture(), student("s4", [session(45, teacher="t2"), session(50, teacher="t2")],
+                                    teacher="t2"),
+    )
+    hist = build_teacher_history(cohort)
+    teachers = ["t0", "t2", "t2", "t1", "t1", "t999", "t1", ""]
+    days = [50, 45, 46, 40, 41, 41, 5, 41]
+    courses, n_students, rate = hist.query(teachers, days)
+    assert courses.tolist() == [0, 0, 1, 10, 10, 0, 0, 0]
+    assert n_students.tolist() == [0, 0, 1, 4, 4, 0, 0, 0]
+    assert rate.tolist() == [0.2, 0.25, 0.0, 0.0, 0.25, 0.25, 0.0, 0.25]
+    for t, d, *got in zip(teachers, days, courses, n_students, rate):
+        assert tuple(got) == oracle_teacher_query(cohort, t, d)
 
 
 # The per-pair featurizer that the batch `assemble` replaced, kept as its
@@ -166,22 +190,26 @@ def test_teacher_history_before_any_activity():
 _ORACLE_AGGS = ("mean", "last")
 
 
-def oracle_teacher_query(hist, teacher_id, day):
-    def global_prior():
-        seen = int(np.searchsorted(hist.cohort_first_days, day))
-        if seen == 0:
-            return 0.0
-        return int(np.searchsorted(hist.cohort_dropout_days, day)) / seen
+def oracle_teacher_query(history, teacher_id, day):
+    """Teacher history before `day`, counted straight from the observations of
+    `history`, the cohort the TeacherHistoryIndex was built from."""
 
-    sessions = hist.session_days.get(teacher_id)
-    if sessions is None:
-        return 0, 0, global_prior()
-    n_courses = int(np.searchsorted(sessions, day))
-    n_students = int(np.searchsorted(hist.student_first_days[teacher_id], day))
-    if n_students == 0:
-        return n_courses, 0, global_prior()
-    n_dropped = int(np.searchsorted(hist.student_dropout_days[teacher_id], day))
-    return n_courses, n_students, n_dropped / n_students
+    def taught(s):
+        return [
+            o.day for o in s.observations
+            if o.kind == "class_session" and teacher_id
+            and (o.teacher_id or s.teacher_id) == teacher_id and o.day < day
+        ]
+
+    def dropped(students):
+        return sum(s.final_status == "dropout" and s.last_day < day for s in students)
+
+    courses = sum(len(taught(s)) for s in history)
+    students = [s for s in history if taught(s)]
+    if students:
+        return courses, len(students), dropped(students) / len(students)
+    seen = sum(s.first_day < day for s in history)
+    return courses, 0, dropped(history) / seen if seen else 0.0
 
 
 def oracle_vector_aggregates(stack, width):
@@ -198,7 +226,7 @@ def oracle_vector_aggregates(stack, width):
     return out
 
 
-def oracle_assemble(student, at_day, pca, hist, config, schema):
+def oracle_assemble(student, at_day, pca, history, config, schema):
     if at_day < student.first_day:
         raise ValidationError("at_day precedes first observation")
     obs_ = student.observations
@@ -252,7 +280,7 @@ def oracle_assemble(student, at_day, pca, hist, config, schema):
         past = class_days[class_days <= at_day]
         values += [float(at_day - past[-1]), 1.0] if len(past) else [0.0, 0.0]
         values.append(float(at_day - student.first_day))
-        courses, students, rate = oracle_teacher_query(hist, student.teacher_id, at_day)
+        courses, students, rate = oracle_teacher_query(history, student.teacher_id, at_day)
         values += [float(courses), float(students), float(rate)]
     return np.array(values, dtype=np.float64)
 
@@ -423,14 +451,15 @@ def test_assemble_causality_randomized(at_day, seed):
 # ---------------------------------------------------------------------------
 # batch featurizer against the per-pair oracle
 
-SHAPES = ("mixed", "no_sessions", "no_outclass", "single")
+SHAPES = ("mixed", "no_sessions", "no_outclass", "bare", "single")  # bare: no vectors
 
 
 @st.composite
 def batches(draw):
     """A cohort of varied histories, teacher history from part of it (so some
     teachers are unseen), random blocks, a PCA of random rank (so fewer than
-    PCA_COMPONENTS components), and points with duplicates."""
+    PCA_COMPONENTS components), and points with duplicates. `history` is the
+    cohort the teacher history was built from."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     students = []
     for k in range(draw(st.integers(1, 6))):
@@ -438,12 +467,12 @@ def batches(draw):
         n_obs = 1 if shape == "single" else draw(st.integers(1, 14))
         days = sorted(draw(st.sets(st.integers(0, 60), min_size=n_obs, max_size=n_obs)))
         kinds = ["follow_up", "reschedule", "purchase_event"]
-        if shape != "no_sessions":
+        if shape not in ("no_sessions", "bare"):
             kinds.append("class_session")
         pairs = []
         for d in days:
             kind = kinds[int(rng.integers(len(kinds)))]
-            with_out = shape != "no_outclass" and rng.random() < 0.6
+            with_out = shape not in ("no_outclass", "bare") and rng.random() < 0.6
             pairs.append(obs(
                 d, kind=kind,
                 inclass=rng.normal(size=len(IN_COLS)) if kind == "class_session" else None,
@@ -455,7 +484,8 @@ def batches(draw):
         status = draw(st.sampled_from(["completion", "dropout", "ongoing"]))
         students.append(student(f"s{k}", pairs, status=status, teacher=teacher))
     cohort = cohort_of(*students)
-    hist = build_teacher_history(cohort_of(*students[: draw(st.integers(0, len(students)))]))
+    history = cohort_of(*students[: draw(st.integers(0, len(students)))])
+    hist = build_teacher_history(history)
     config = FeatureConfig(
         blocks=tuple(draw(st.sets(st.sampled_from(["in", "out", "time"]), min_size=1))),
     )
@@ -467,17 +497,17 @@ def batches(draw):
         st.tuples(st.integers(0, len(students) - 1), st.integers(0, 70)), min_size=1, max_size=40,
     ))
     points = [(students[j], students[j].first_day + offset) for j, offset in picks]
-    return cohort, hist, config, pca, points, rng
+    return cohort, history, hist, config, pca, points, rng
 
 
 @settings(max_examples=120, deadline=None)
 @given(case=batches(), data=st.data())
 def test_assemble_rows_equal_per_pair_oracle(case, data):
-    cohort, hist, config, pca, points, rng = case
+    cohort, history, hist, config, pca, points, rng = case
     X = assemble(points, pca, hist, config, cohort.schema)
     assert X.shape == (len(points), len(feature_names(cohort.schema, pca, config)))
     for row, (s, day) in zip(X, points):
-        expected = oracle_assemble(s, day, pca, hist, config, cohort.schema)
+        expected = oracle_assemble(s, day, pca, history, config, cohort.schema)
         assert row.tobytes() == expected.tobytes()
 
     perm = rng.permutation(len(points))
@@ -488,6 +518,69 @@ def test_assemble_rows_equal_per_pair_oracle(case, data):
     assert np.vstack(halves).tobytes() == X.tobytes()
 
 
+@st.composite
+def batch_sequences(draw):
+    """Two separately built `batches()` cases, whose records share student ids,
+    scored with the first one's state: both cases' points plus points far past
+    a record's last day (up to MAX_DAY), cut into a sequence of batches, so new
+    records arrive mid-sequence and records repeat within and across batches."""
+    cohort, history, hist, config, pca, points, _ = draw(batches())
+    other = draw(batches())[-2]
+    records = [s for s, _ in points + other]
+    far = draw(st.lists(st.tuples(
+        st.integers(0, len(records) - 1),
+        st.one_of(st.integers(0, MAX_DAY), st.just(MAX_DAY)),
+    ), max_size=8))
+    points = points + other + [
+        (records[j], min(records[j].first_day + offset, MAX_DAY)) for j, offset in far
+    ]
+    cuts = sorted(draw(st.lists(st.integers(0, len(points)), max_size=6)))
+    sequence = [points[a:b] for a, b in zip([0, *cuts], [*cuts, len(points)])]
+    return cohort.schema, history, hist, config, pca, sequence + [points]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=batch_sequences())
+def test_long_lived_index_rows_equal_fresh_assemble_and_oracle(case):
+    schema, history, hist, config, pca, sequence = case
+    index = TimelineIndex()
+    for batch in sequence:
+        X = assemble(batch, pca, hist, config, schema, index)
+        assert X.tobytes() == assemble(batch, pca, hist, config, schema).tobytes()
+        for row, (s, day) in zip(X, batch):
+            assert row.tobytes() == oracle_assemble(s, day, pca, history, config, schema).tobytes()
+
+
+def test_index_keeps_slots_apart_at_max_day(small_cohort):
+    """A point at MAX_DAY on one record, a day-0 session on the next record."""
+    pca, hist, config = fitted(small_cohort)
+    a = small_cohort.students["s1"]
+    b = student("b", [session(0, (1.0, 2.0, 3.0, 4.0)), obs(1, outclass=[1, 2, 3], polarity=-1)])
+    points = [(a, MAX_DAY), (b, 0), (b, MAX_DAY), (a, a.first_day)]
+    index = TimelineIndex()
+    for batch in ([points[0]], points, points[::-1]):
+        X = assemble(batch, pca, hist, config, small_cohort.schema, index)
+        for row, (s, day) in zip(X, batch):
+            expected = oracle_assemble(s, day, pca, small_cohort, config, small_cohort.schema)
+            assert row.tobytes() == expected.tobytes()
+
+
+def test_index_refuses_days_past_max_day(small_cohort):
+    pca, hist, config = fitted(small_cohort)
+    schema = small_cohort.schema
+    s1 = small_cohort.students["s1"]
+    late = student("late", [session(1), obs(MAX_DAY + 1)])
+    index = TimelineIndex()
+    with pytest.raises(ValidationError, match="exceeds"):
+        assemble([(s1, 3), (late, 1)], pca, hist, config, schema, index)
+    with pytest.raises(ValidationError, match="exceeds"):
+        assemble([(s1, MAX_DAY + 1)], pca, hist, config, schema, index)
+    # a refused batch leaves the index answering as a fresh one
+    points = [(s1, MAX_DAY), (s1, 3)]
+    assert (assemble(points, pca, hist, config, schema, index).tobytes()
+            == assemble(points, pca, hist, config, schema).tobytes())
+
+
 def test_assemble_matches_oracle_on_simulated_cohort():
     cohort, _, _ = generate_cohort(SimConfig(n_students=40, seed=3))
     config = FeatureConfig()
@@ -496,7 +589,7 @@ def test_assemble_matches_oracle_on_simulated_cohort():
     points = [(s, d) for s in cohort for d in s.days]
     X = assemble(points, pca, hist, config, cohort.schema)
     for row, (s, day) in zip(X, points):
-        assert row.tobytes() == oracle_assemble(s, day, pca, hist, config, cohort.schema).tobytes()
+        assert row.tobytes() == oracle_assemble(s, day, pca, cohort, config, cohort.schema).tobytes()
 
 
 def test_assemble_single_column_sums_within_rounding_of_oracle():
@@ -512,7 +605,7 @@ def test_assemble_single_column_sums_within_rounding_of_oracle():
     pca = fit_pca(rng.normal(size=(10, 1)))
     hist = build_teacher_history(cohort_of(s))
     X = assemble([(s, d) for d in s.days], pca, hist, config, schema)
-    expected = np.vstack([oracle_assemble(s, d, pca, hist, config, schema) for d in s.days])
+    expected = np.vstack([oracle_assemble(s, d, pca, cohort_of(s), config, schema) for d in s.days])
     np.testing.assert_allclose(X, expected, rtol=1e-12, atol=1e-12)
 
 
