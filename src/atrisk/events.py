@@ -304,11 +304,12 @@ def _obs_to_record(sid: str, student: StudentRecord, obs: ObservationPair) -> di
 
 def write_events(cohort: Cohort, events_path: str | Path) -> None:
     """Serialize a cohort back to the JSON-lines event format (round-trips)."""
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(events_path, "w") as fh:
         for sid in sorted(cohort.students):
             student = cohort.students[sid]
             for obs in student.observations:
-                fh.write(json.dumps(_obs_to_record(sid, student, obs), sort_keys=True))
+                fh.write(encode(_obs_to_record(sid, student, obs)))
                 fh.write("\n")
 
 

@@ -4,14 +4,20 @@ Each student gets a latent engagement level, a class schedule with variable
 gaps, and a per-day discrete-time logistic dropout hazard that grows with
 days since the last class and shrinks with engagement and recent follow-ups.
 The hazard intercept is calibrated by bisection so the realized dropout rate
-hits the configured target. All randomness is fixed by the seed, so output
-files are byte-identical across runs.
+hits the configured target. Every trajectory's hazard logits are laid out once
+as one flat array, so each bisection step counts the dropouts in one numpy
+pass over the students' final survivals; a student whose final cumulative
+dropout probability lies within a guard band of its uniform draw is decided by
+the exact scalar loop instead, so the count always equals the scalar count.
+All randomness is fixed by the seed, so output files are byte-identical across
+runs.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -33,6 +39,16 @@ DECLINE_WINDOW_DAYS = 7  # planted pre-dropout behavioral decline
 DECLINE_STRENGTH = 1.0
 SILENT_EXIT_PROB = 0.75  # fraction of dropouts who stop responding
 CALIBRATION_TOL = 0.02  # largest |realized - target| dropout rate accepted
+MAX_MEAN_SPAN_DAYS = 3650  # spans are clipped to 2x the mean, so <= 7,300 hazard days
+# Margins |(1 - survival) - uniform| below this go to the scalar loop. Each
+# hazard factor 1 - sigmoid(alpha + z) lies in [0, 1]. Both paths form the same
+# alpha + z and differ only in exp (numpy's vs libm's, each within a few ulp),
+# so the two factors differ by less than 2^-46. A product of factors in [0, 1]
+# moves by at most the sum of its factors' moves, plus one rounding of at most
+# 2^-53 per multiply, so over at most 2 * MAX_MEAN_SPAN_DAYS = 7,300 hazard
+# days the two final survivals differ by less than 7,300 * 2^-45 ~ 2.1e-10.
+# The band is ~4,800x that.
+SURVIVAL_GUARD_BAND = 1e-6
 
 
 @dataclass(frozen=True)
@@ -47,6 +63,10 @@ class SimConfig:
             raise ValidationError("target_dropout_rate must be in (0, 1)")
         if self.mean_span_days < 7 or self.n_students < 1:
             raise ValidationError("mean_span_days and n_students must be sensible")
+        if self.mean_span_days > MAX_MEAN_SPAN_DAYS:
+            raise ValidationError(f"mean_span_days must be at most {MAX_MEAN_SPAN_DAYS}")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
 
 
 def _sigmoid(z: float) -> float:
@@ -144,9 +164,9 @@ def _plan_student(idx: int, cfg: SimConfig, teacher_quality: np.ndarray) -> _Tra
         fu_days = sorted(d for d, o in events.items() if o.kind == "follow_up")
         first_risk_day = session_days[0] + 1
         for d in range(first_risk_day, end + 1):
-            prior_sessions = [s for s in session_days if s < d]
-            gap_d = d - prior_sessions[-1] if prior_sessions else 0
-            recent_fu = sum(1 for f in fu_days if d - 7 <= f < d)
+            n_prior = bisect_left(session_days, d)
+            gap_d = d - session_days[n_prior - 1] if n_prior else 0
+            recent_fu = bisect_left(fu_days, d) - bisect_left(fu_days, d - 7)
             hazard_z[d] = (
                 RECENCY_SLOPE * gap_d
                 - ENGAGEMENT_SLOPE * engagement
@@ -257,13 +277,45 @@ def _dropout_day(traj: _Trajectory, alpha: float) -> int | None:
     return None
 
 
+class _HazardTable:
+    """Every at-risk trajectory's hazard logits, laid out once in day order.
+
+    `count(alpha)` equals `sum(_dropout_day(t, alpha) is not None)`. Survival
+    never rises when multiplied by a factor in [0, 1], so `_dropout_day` crosses
+    the uniform on some day exactly when it crosses on the last one; only the
+    final survival matters. A student with no hazard days never drops out and
+    is left out, so every segment of `z` is non-empty.
+    """
+
+    def __init__(self, trajectories: list[_Trajectory]):
+        self.trajectories = [t for t in trajectories if t.hazard_z]
+        lengths = [len(t.hazard_z) for t in self.trajectories]
+        self.starts = np.cumsum([0, *lengths], dtype=np.intp)[:-1]
+        self.z = np.fromiter(
+            (z for t in self.trajectories for _, z in sorted(t.hazard_z.items())),
+            dtype=np.float64, count=sum(lengths),
+        )
+        self.uniform = np.array([t.uniform for t in self.trajectories], dtype=np.float64)
+
+    def count(self, alpha: float) -> int:
+        with np.errstate(under="ignore"):  # survival may underflow to 0 at large alpha
+            factors = 1.0 - 1.0 / (1.0 + np.exp(-(alpha + self.z)))
+            survival = np.multiply.reduceat(factors, self.starts)
+        margin = (1.0 - survival) - self.uniform
+        n = int(np.count_nonzero(margin >= SURVIVAL_GUARD_BAND))
+        for i in np.flatnonzero(np.abs(margin) < SURVIVAL_GUARD_BAND):
+            n += _dropout_day(self.trajectories[i], alpha) is not None
+        return n
+
+
 def _calibrate_alpha(trajectories: list[_Trajectory], cfg: SimConfig) -> float:
     """Bisect the hazard intercept until the realized rate hits the target."""
     target = cfg.target_dropout_rate
     n = len(trajectories)
+    table = _HazardTable(trajectories)
 
     def rate(alpha: float) -> float:
-        return sum(1 for t in trajectories if _dropout_day(t, alpha) is not None) / n
+        return table.count(alpha) / n
 
     lo, hi = -20.0, 5.0
     if rate(lo) > target or rate(hi) < target:
@@ -287,13 +339,15 @@ def _calibrate_alpha(trajectories: list[_Trajectory], cfg: SimConfig) -> float:
     return alpha
 
 
-def generate_cohort(cfg: SimConfig) -> tuple[Cohort, list[dict], float]:
-    """Simulate the cohort; returns (cohort, truth records, calibrated intercept)."""
+def _plan_cohort(cfg: SimConfig) -> list[_Trajectory]:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 999_983]))
     teacher_quality = rng.normal(0.0, TEACHER_EFFECT_SD, size=N_TEACHERS)
-    trajectories = [
-        _plan_student(i, cfg, teacher_quality) for i in range(cfg.n_students)
-    ]
+    return [_plan_student(i, cfg, teacher_quality) for i in range(cfg.n_students)]
+
+
+def generate_cohort(cfg: SimConfig) -> tuple[Cohort, list[dict], float]:
+    """Simulate the cohort; returns (cohort, truth records, calibrated intercept)."""
+    trajectories = _plan_cohort(cfg)
     alpha = _calibrate_alpha(trajectories, cfg)
 
     students: dict[str, StudentRecord] = {}
@@ -348,10 +402,11 @@ def generate(cfg: SimConfig, out_dir: str | Path) -> dict[str, Path]:
     truth_path = out / "truth.jsonl"
     write_events(cohort, events_path)
     cohort.schema.dump(schema_path)
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(truth_path, "w") as fh:
-        fh.write(json.dumps({"alpha": alpha, "config_seed": cfg.seed}, sort_keys=True))
+        fh.write(encode({"alpha": alpha, "config_seed": cfg.seed}))
         fh.write("\n")
         for rec in truth:
-            fh.write(json.dumps(rec, sort_keys=True))
+            fh.write(encode(rec))
             fh.write("\n")
     return {"events": events_path, "schema": schema_path, "truth": truth_path}

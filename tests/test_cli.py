@@ -222,6 +222,15 @@ def test_workers_flag_is_gone(sim_dir, tmp_path):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--mean-span", "3651")])
+def test_simulate_bad_config_exits_3(tmp_path, capsys, flag, value):
+    code = main(["simulate", "--n-students", "5", flag, value, "--out-dir", str(tmp_path)])
+    assert code == EXIT_DATA
+    stderr = capsys.readouterr().err.splitlines()
+    assert len(stderr) == 1
+    assert json.loads(stderr[0])["error"] == "ValidationError"
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "atrisk", "simulate", "--n-students", "30",
