@@ -108,8 +108,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         mean_span_days=args.mean_span,
         seed=args.seed,
     )
-    paths = synthgen.generate(cfg, out_dir)
-    cohort = ingest(paths["events"], paths["schema"])
+    cohort, truth, alpha = synthgen.generate_cohort(cfg)
+    paths = synthgen.write_cohort(out_dir, cfg.seed, cohort, truth, alpha)
     stats = cohort_stats(cohort)
     print(
         f"simulated {stats.n_students} students, dropout rate "

@@ -21,8 +21,25 @@ from .errors import UndefinedMetricError, ValidationError
 from .events import Cohort, StudentRecord
 
 
-def auc(scores, labels) -> float:
-    """Rank-based (Mann-Whitney) AUC with average-rank tie handling."""
+def average_ranks(scores) -> np.ndarray:
+    """1-based ranks of `scores`; a run of tied scores shares its mean rank."""
+    scores = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(scores, kind="stable")
+    sorted_scores = scores[order]
+    # A run of tied scores at sorted positions first..last shares their mean 1-based rank.
+    first = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    last = np.r_[first[1:], sorted_scores.shape[0]] - 1
+    ranks = np.empty(scores.shape[0])
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
+    return ranks
+
+
+def auc(scores, labels, ranks: np.ndarray | None = None) -> float:
+    """Rank-based (Mann-Whitney) AUC with average-rank tie handling.
+
+    `ranks`, when given, must be `average_ranks(scores)`: a caller that
+    scores one vector against many label sets ranks it once.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape[0] != labels.shape[0]:
@@ -31,14 +48,9 @@ def auc(scores, labels) -> float:
     n_neg = labels.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC undefined with a single class")
-    order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    # A run of tied scores at sorted positions first..last shares their mean 1-based rank.
-    first = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
-    last = np.r_[first[1:], sorted_scores.shape[0]] - 1
-    ranks = np.empty(scores.shape[0])
-    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
-    rank_sum_pos = float(np.sum(ranks[np.asarray(labels) == 1]))
+    if ranks is None:
+        ranks = average_ranks(scores)
+    rank_sum_pos = float(np.sum(ranks[labels == 1]))
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
@@ -107,15 +119,16 @@ def evaluate_horizons(
     deltas: list[int],
     fingerprint: str = "",
 ) -> EvalReport:
-    """Score every query point once, then label and compute AUC per horizon."""
+    """Score and rank every query point once, then label and compute AUC per horizon."""
     points = query_points(cohort)
     scores = np.asarray(scorer.many(points))
+    ranks = average_ranks(scores)
     auc_map: dict[int, float | None] = {}
     n_map: dict[int, int] = {}
     for delta, labels in zip(deltas, horizon_labels(points, deltas)):
         n_map[delta] = len(labels)
         try:
-            auc_map[delta] = auc(scores, labels)
+            auc_map[delta] = auc(scores, labels, ranks)
         except UndefinedMetricError:
             auc_map[delta] = None  # single-class ground truth at this horizon
     return EvalReport(

@@ -4,12 +4,16 @@ Greedy split search with second-order (Newton) gains and leaf values, from
 scratch on numpy. Each feature's exact sorted distinct values are its
 histogram bins: a node's gradient, hessian and row-count histograms come from
 one `bincount`, the larger child's as its parent's minus the smaller child's,
-and per-feature prefix sums over them give every split's gain. Thresholds sit
-at midpoints between a node's consecutive occupied distinct values, so they
-are the thresholds an exhaustive sorted search would try; gain ties break
-toward the lowest feature index and then the lowest threshold, so training is
-fully deterministic. Leaf regularisation is fixed: an L2 penalty of 1 on leaf
-values and a minimum hessian of 1 in each child, so no gain divides by zero.
+and per-feature prefix sums over them give every split's candidates. Only the
+work that can change the answer is done: a node whose hessian sum is below
+twice the minimum child hessian can never split, so it gets no histogram and
+no search, and gains are formed only at occupied cells that leave the minimum
+hessian on both sides. Thresholds sit at midpoints between a node's
+consecutive occupied distinct values, so they are the thresholds an
+exhaustive sorted search would try; gain ties break toward the lowest feature
+index and then the lowest threshold, so training is fully deterministic. Leaf
+regularisation is fixed: an L2 penalty of 1 on leaf values and a minimum
+hessian of 1 in each child, so no gain divides by zero.
 A model flattens its trees once into node arrays, and prediction steps all
 trees down a level at a time, adding leaf values in the order training does.
 """
@@ -176,10 +180,11 @@ class _Bins:
         """(feature, threshold, cut cell) of the best split, or None.
 
         Rows whose cell is below the cut cell go left; that is exactly the
-        rows whose value is below the threshold. The hessian bound alone rules
-        cells out: a cell before a feature's first row has no hessian on its
-        left, one at or after its last row none on its right, and an empty cell
-        repeats the prefix sums of the cell before it, so it ties it and loses.
+        rows whose value is below the threshold. Gains are formed only at
+        occupied cells that leave MIN_CHILD_WEIGHT of hessian on each side.
+        No other cell can win: one below the bound on either side never
+        could, and an empty cell repeats the prefix sums of the cell before
+        it, so it ties that cell and loses.
         """
         prefix = np.empty((2, self.n_cells))
         for start, n_feats, width in self.blocks:
@@ -190,15 +195,21 @@ class _Bins:
                 out=prefix[:, start:stop].reshape(2, n_feats, width),
             )
         cg, ch = prefix
+        right_h = H - ch
+        cells = np.flatnonzero(
+            (ch >= MIN_CHILD_WEIGHT) & (right_h >= MIN_CHILD_WEIGHT) & (hist[2] > 0)
+        )
+        if cells.shape[0] == 0:
+            return None
+        cg, ch, right_h = cg[cells], ch[cells], right_h[cells]
         lam = L2_LEAF_REG
-        gains = 0.5 * (cg**2 / (ch + lam) + (G - cg) ** 2 / (H - ch + lam) - G * G / (H + lam))
-        gains[(ch < MIN_CHILD_WEIGHT) | (H - ch < MIN_CHILD_WEIGHT)] = -np.inf
+        gains = 0.5 * (cg**2 / (ch + lam) + (G - cg) ** 2 / (right_h + lam) - G * G / (H + lam))
         best = int(np.argmax(gains))
         if not gains[best] > _MIN_GAIN:
             return None
         # Blocks are not in feature order: among equal gains take the lowest
         # feature, then (cells ascending within a feature) the lowest threshold.
-        tied = np.flatnonzero(gains == gains[best])
+        tied = cells[gains == gains[best]]
         cell = int(tied[np.argmin(self.cell_feature[tied])])
         f = int(self.cell_feature[cell])
         offset, values = int(self.offsets[f]), self.values[f]
@@ -215,14 +226,16 @@ def _grow_tree(
 
     Each leaf adds its value to `score` over its own rows, the same sum
     `GBDTModel.raw_scores` forms, so `score` stays bit-identical to it. A
-    node gets a histogram only if it may split (depth and rows permitting).
+    node's gradient and hessian sums are taken once, when it is made, and it
+    gets a histogram only if `_may_split` says it can split.
     """
     root = TreeNode()
     rows = np.arange(g.shape[0])
-    stack = [(root, rows, 0, bins.histogram(rows, g, h) if rows.shape[0] >= 2 else None)]
+    G, H = g[rows].sum(), h[rows].sum()
+    hist = bins.histogram(rows, g, h) if _may_split(rows, H, 0, cfg) else None
+    stack = [(root, rows, 0, G, H, hist)]
     while stack:
-        node, rows, depth, hist = stack.pop()
-        G, H = g[rows].sum(), h[rows].sum()
+        node, rows, depth, G, H, hist = stack.pop()
         split = None if hist is None else bins.best_split(hist, G, H)
         if split is None:
             node.value = float(-cfg.learning_rate * G / (H + L2_LEAF_REG))
@@ -231,20 +244,34 @@ def _grow_tree(
         node.feature, node.threshold, cut = split
         goes_left = bins.codes[rows, node.feature] < cut
         left, right = rows[goes_left], rows[~goes_left]
+        GL, HL, GR, HR = g[left].sum(), h[left].sum(), g[right].sum(), h[right].sum()
+        split_left = _may_split(left, HL, depth + 1, cfg)
+        split_right = _may_split(right, HR, depth + 1, cfg)
         node.left, node.right = TreeNode(), TreeNode()
         left_hist = right_hist = None
-        if depth + 1 < cfg.max_depth:
+        if split_left or split_right:
             # Bin the smaller child; the parent's buffer becomes the larger's.
             if left.shape[0] <= right.shape[0]:
                 left_hist = bins.histogram(left, g, h)
-                right_hist = _subtract(hist, left_hist)
+                right_hist = _subtract(hist, left_hist) if split_right else None
             else:
                 right_hist = bins.histogram(right, g, h)
-                left_hist = _subtract(hist, right_hist)
-        stack.append((node.right, right, depth + 1, right_hist if right.shape[0] >= 2 else None))
-        stack.append((node.left, left, depth + 1, left_hist if left.shape[0] >= 2 else None))
+                left_hist = _subtract(hist, right_hist) if split_left else None
+        stack.append((node.right, right, depth + 1, GR, HR, right_hist if split_right else None))
+        stack.append((node.left, left, depth + 1, GL, HL, left_hist if split_left else None))
         del hist, left_hist, right_hist  # each histogram lives only as long as its node
     return root
+
+
+def _may_split(rows: np.ndarray, H: float, depth: int, cfg: GBDTConfig) -> bool:
+    """Whether a node could split: depth, rows and its hessian sum H permitting.
+
+    Below H = 2m (m = MIN_CHILD_WEIGHT) no cell leaves m on both sides. Take
+    a cell whose prefix hessian ch is at least m. If ch <= H, then
+    H < 2m <= 2 ch, so H - ch is exact (Sterbenz) and below m; if ch > H, it
+    is negative. `best_split` would mask every cell and return None.
+    """
+    return depth < cfg.max_depth and rows.shape[0] >= 2 and H >= 2 * MIN_CHILD_WEIGHT
 
 
 def _subtract(parent: np.ndarray, child: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ training pairs it was built from.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -60,8 +61,10 @@ class TrainedPipeline:
     def n_pseudo_pairs(self) -> int:
         return sum(p.provenance == "pseudo_positive" for p in self.pairs)
 
-    @property
+    @functools.cached_property
     def scorer(self) -> "PipelineScorer":
+        """One scorer, and so one timeline index, per trained pipeline; a
+        SchemaError raises on every read, since nothing is cached then."""
         return PipelineScorer(self)
 
 
@@ -73,13 +76,15 @@ class PipelineScorer:
         names = F.feature_names(trained.schema, trained.pca, trained.config.feature)
         if names != tuple(trained.model.feature_names):
             raise SchemaError("the model's feature columns differ from the featurizer's")
-        self._trained = trained
+        # Not the pipeline itself: it caches its scorer, and a cycle would
+        # keep both alive until a garbage collection.
+        self._model, self._pca, self._hist = trained.model, trained.pca, trained.hist
+        self._feature, self._schema = trained.config.feature, trained.schema
         self._index = F.TimelineIndex()
 
     def many(self, points: list[tuple[StudentRecord, int]]) -> np.ndarray:
-        t = self._trained
-        X = F.assemble(points, t.pca, t.hist, t.config.feature, t.schema, self._index)
-        return t.model.predict_proba(X)
+        X = F.assemble(points, self._pca, self._hist, self._feature, self._schema, self._index)
+        return self._model.predict_proba(X)
 
 
 def _inclass_rows(cohort: Cohort) -> np.ndarray:

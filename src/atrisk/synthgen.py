@@ -39,6 +39,7 @@ DECLINE_WINDOW_DAYS = 7  # planted pre-dropout behavioral decline
 DECLINE_STRENGTH = 1.0
 SILENT_EXIT_PROB = 0.75  # fraction of dropouts who stop responding
 CALIBRATION_TOL = 0.02  # largest |realized - target| dropout rate accepted
+MIN_SPAN_DAYS = 21  # spans are clipped to at least this; the mean may not be lower
 MAX_MEAN_SPAN_DAYS = 3650  # spans are clipped to 2x the mean, so <= 7,300 hazard days
 # Margins |(1 - survival) - uniform| below this go to the scalar loop. Each
 # hazard factor 1 - sigmoid(alpha + z) lies in [0, 1]. Both paths form the same
@@ -61,8 +62,10 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 < self.target_dropout_rate < 1.0:
             raise ValidationError("target_dropout_rate must be in (0, 1)")
-        if self.mean_span_days < 7 or self.n_students < 1:
-            raise ValidationError("mean_span_days and n_students must be sensible")
+        if self.mean_span_days < MIN_SPAN_DAYS or self.n_students < 1:
+            raise ValidationError(
+                f"mean_span_days must be at least {MIN_SPAN_DAYS} and n_students at least 1"
+            )
         if self.mean_span_days > MAX_MEAN_SPAN_DAYS:
             raise ValidationError(f"mean_span_days must be at most {MAX_MEAN_SPAN_DAYS}")
         if self.seed < 0:
@@ -99,7 +102,7 @@ def _plan_student(idx: int, cfg: SimConfig, teacher_quality: np.ndarray) -> _Tra
 
     start = int(rng.integers(1, 41))
     span = int(np.clip(rng.normal(cfg.mean_span_days, cfg.mean_span_days * 0.25),
-                       21, 2 * cfg.mean_span_days))
+                       MIN_SPAN_DAYS, 2 * cfg.mean_span_days))
     end = start + span
     lo, hi = CLASS_GAP_DAYS
 
@@ -394,9 +397,15 @@ def generate_cohort(cfg: SimConfig) -> tuple[Cohort, list[dict], float]:
 
 def generate(cfg: SimConfig, out_dir: str | Path) -> dict[str, Path]:
     """Write events.jsonl, schema.json, and truth.jsonl under `out_dir`."""
+    return write_cohort(out_dir, cfg.seed, *generate_cohort(cfg))
+
+
+def write_cohort(
+    out_dir: str | Path, seed: int, cohort: Cohort, truth: list[dict], alpha: float
+) -> dict[str, Path]:
+    """Write what `generate_cohort(SimConfig(..., seed=seed))` returned."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cohort, truth, alpha = generate_cohort(cfg)
     events_path = out / "events.jsonl"
     schema_path = out / "schema.json"
     truth_path = out / "truth.jsonl"
@@ -404,7 +413,7 @@ def generate(cfg: SimConfig, out_dir: str | Path) -> dict[str, Path]:
     cohort.schema.dump(schema_path)
     encode = json.JSONEncoder(sort_keys=True).encode
     with open(truth_path, "w") as fh:
-        fh.write(encode({"alpha": alpha, "config_seed": cfg.seed}))
+        fh.write(encode({"alpha": alpha, "config_seed": seed}))
         fh.write("\n")
         for rec in truth:
             fh.write(encode(rec))

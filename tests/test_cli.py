@@ -222,7 +222,9 @@ def test_workers_flag_is_gone(sim_dir, tmp_path):
         assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--mean-span", "3651")])
+@pytest.mark.parametrize(
+    "flag,value", [("--seed", "-1"), ("--mean-span", "3651"), ("--mean-span", "7")]
+)
 def test_simulate_bad_config_exits_3(tmp_path, capsys, flag, value):
     code = main(["simulate", "--n-students", "5", flag, value, "--out-dir", str(tmp_path)])
     assert code == EXIT_DATA

@@ -111,6 +111,28 @@ def test_horizon_labels_equal_per_point_definition():
     assert 0 < labels.sum() < labels.size
 
 
+def test_evaluate_horizons_auc_equals_auc_of_each_label_set():
+    """One shared ranking gives each delta the bits `auc` gives on its own."""
+    cohort, _, _ = generate_cohort(SimConfig(n_students=60, seed=5))
+    points = query_points(cohort)
+    deltas = list(range(1, 15))
+
+    def rounded(s, d):  # rounding forces ties across students and days
+        return round((int(s.student_id[1:]) % 13 + d % 7) / 100.0, 2)
+
+    scores = BatchScorer(rounded).many(points)
+    report = evaluate_horizons(BatchScorer(rounded), cohort, deltas)
+    defined = 0
+    for delta, labels in zip(deltas, horizon_labels(points, deltas)):
+        if labels.min() == labels.max():
+            assert report.auc_by_horizon[delta] is None
+            continue
+        assert report.auc_by_horizon[delta] == auc(scores, labels)
+        assert abs(report.auc_by_horizon[delta] - auc_bruteforce(scores, labels)) <= 1e-12
+        defined += 1
+    assert defined > 5
+
+
 @pytest.mark.parametrize("deltas", [[0], [3, -2, 0]])
 def test_evaluate_horizons_refuses_non_positive_delta(small_cohort, deltas):
     scorer = BatchScorer(lambda s, d: 0.5)

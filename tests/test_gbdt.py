@@ -1,6 +1,7 @@
 """From-scratch GBDT: losses, splits against a brute-force oracle, serialization."""
 
 import gc
+import hashlib
 import json
 import tracemalloc
 
@@ -583,3 +584,217 @@ def test_from_json_rejects_truncated_text():
     text = gbdt.fit(X, y, None, GBDTConfig(n_trees=2)).to_json()
     with pytest.raises(ModelError):
         GBDTModel.from_json(text[:-7])
+
+
+# --- full-table split oracle -------------------------------------------------------
+# The split search this package shipped before it pruned: it scores every cell of
+# the bin table and masks the cells that leave less than MIN_CHILD_WEIGHT on a
+# side. `best_split` must return the same (feature, threshold, cut) on any
+# histogram it is given.
+
+
+def full_table_best_split(bins, hist, G, H):
+    prefix = np.empty((2, bins.n_cells))
+    for start, n_feats, width in bins.blocks:
+        stop = start + n_feats * width
+        np.cumsum(
+            hist[:2, start:stop].reshape(2, n_feats, width),
+            axis=2,
+            out=prefix[:, start:stop].reshape(2, n_feats, width),
+        )
+    cg, ch = prefix
+    lam = gbdt.L2_LEAF_REG
+    gains = 0.5 * (cg**2 / (ch + lam) + (G - cg) ** 2 / (H - ch + lam) - G * G / (H + lam))
+    gains[(ch < gbdt.MIN_CHILD_WEIGHT) | (H - ch < gbdt.MIN_CHILD_WEIGHT)] = -np.inf
+    best = int(np.argmax(gains))
+    if not gains[best] > gbdt._MIN_GAIN:
+        return None
+    tied = np.flatnonzero(gains == gains[best])
+    cell = int(tied[np.argmin(bins.cell_feature[tied])])
+    f = int(bins.cell_feature[cell])
+    offset, values = int(bins.offsets[f]), bins.values[f]
+    lo = cell - offset
+    hi = lo + 1 + int(np.flatnonzero(hist[2, cell + 1 : offset + values.shape[0]])[0])
+    threshold = float(0.5 * (values[lo] + values[hi]))
+    return f, threshold, offset + int(np.searchsorted(values, threshold))
+
+
+def confident_fixture(seed=0, n=400, d=6):
+    """Nearly separable rows: after a few rounds most of them are predicted
+    with p near 0 or 1, so many nodes hold less than 2 of hessian."""
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(n, d)), 2)
+    y = (X[:, 0] + 0.3 * X[:, 1] > 0).astype(float)
+    flip = rng.random(n) < 0.05
+    y[flip] = 1.0 - y[flip]
+    return X, y, rng.uniform(0.5, 1.5, size=n)
+
+
+SATURATING = GBDTConfig(n_trees=60, max_depth=4, learning_rate=0.5)
+
+
+def zoo_fixture(seed):
+    """A small fit with ties, duplicated and constant columns and zero-weight
+    rows; its depth cycles through 1-6."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(8, 300)), int(rng.integers(1, 7))
+    X = np.round(rng.normal(size=(n, d)), int(rng.integers(0, 3)))
+    if d > 1 and rng.random() < 0.5:
+        X[:, d - 1] = X[:, 0]  # a duplicated column
+    if d > 2 and rng.random() < 0.5:
+        X[:, 1] = 0.5  # a constant column
+    y = (X[:, 0] + rng.normal(size=n) > 0).astype(float)
+    y[:2] = 0.0, 1.0
+    w = rng.uniform(0.1, 2.0, size=n)
+    w[2:][rng.random(n - 2) < 0.15] = 0.0
+    cfg = GBDTConfig(
+        n_trees=int(rng.integers(1, 30)),
+        max_depth=seed % 6 + 1,
+        learning_rate=float(rng.choice([0.1, 0.5, 1.0])),
+    )
+    return X, y, w, cfg
+
+
+def split_fixture(name):
+    """(X, y, w, cfg) of a fit whose every split search the oracle checks."""
+    if name == "random":
+        X, y, w = random_fixture(0, n=300, d=6)
+        return X, y, w, GBDTConfig(n_trees=20, max_depth=4)
+    if name == "zero_weight":
+        X, y, w = random_fixture(1, n=300, d=6)
+        w[np.random.default_rng(1).random(300) < 0.2] = 0.0
+        return X, y, w, GBDTConfig(n_trees=20, max_depth=4)
+    if name == "saturated":
+        return (*confident_fixture(), SATURATING)
+    if name == "ties":  # rounded values and a duplicated column
+        X, y, w = tied_fixture(2, n=300)
+        return np.hstack([X, X[:, :1]]), y, w, GBDTConfig(n_trees=20, max_depth=5)
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("name", ["random", "zero_weight", "saturated", "ties"])
+def test_best_split_matches_full_table_oracle_in_fits(monkeypatch, name):
+    X, y, w, cfg = split_fixture(name)
+    best_split, subtract = gbdt._Bins.best_split, gbdt._subtract
+    subtracted, checked = {}, {"binned": 0, "subtracted": 0}
+
+    def tracking_subtract(parent, child):
+        out = subtract(parent, child)
+        subtracted[id(out)] = out  # kept alive, so its id stays unique
+        return out
+
+    def checked_best_split(bins, hist, G, H):
+        got = best_split(bins, hist, G, H)
+        assert got == full_table_best_split(bins, hist, G, H)
+        checked["subtracted" if id(hist) in subtracted else "binned"] += 1
+        return got
+
+    monkeypatch.setattr(gbdt, "_subtract", tracking_subtract)
+    monkeypatch.setattr(gbdt._Bins, "best_split", checked_best_split)
+    gbdt.fit(X, y, w, cfg)
+    assert checked["binned"] > cfg.n_trees and checked["subtracted"] > cfg.n_trees
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_best_split_matches_full_table_oracle_on_row_subsets(seed):
+    """Binned and subtracted histograms of random row subsets, down to a few
+    rows; wherever H < 2 the oracle finds no split, the premise of the prune."""
+    X, y, w = confident_fixture(seed, n=200)
+    w[:10] = 0.0
+    X, y, w = gbdt._canonicalize(X, y, w)
+    model = gbdt.fit(X, y, w, GBDTConfig(n_trees=12, max_depth=3, learning_rate=0.5))
+    g, h = round_gradients(model, X, y, w, 12)
+    bins = gbdt._Bins(X)
+    rng = np.random.default_rng(seed)
+    below_two = 0
+    for size in np.geomspace(2, X.shape[0], 40).astype(int):
+        rows = np.sort(rng.choice(X.shape[0], size, replace=False))
+        inner = np.sort(rng.choice(rows, rng.integers(1, size + 1), replace=False))
+        rest = np.setdiff1d(rows, inner)
+        inner_hist = bins.histogram(inner, g, h)
+        hists = [(inner, inner_hist)]
+        if rest.shape[0]:
+            hists.append((rest, gbdt._subtract(bins.histogram(rows, g, h), inner_hist)))
+        for part, hist in hists:
+            G, H = g[part].sum(), h[part].sum()
+            expected = full_table_best_split(bins, hist, G, H)
+            assert bins.best_split(hist, G, H) == expected
+            if H < 2 * gbdt.MIN_CHILD_WEIGHT:
+                assert expected is None
+                below_two += 1
+    assert below_two > 0
+
+
+def parent_histogram_count(model, n_rows):
+    """Histograms the unpruned learner builds: each tree's root, and the
+    smaller child of every split whose children may still split."""
+    count = 0
+    for tree in model.trees:
+        count += n_rows >= 2
+        stack = [(tree, 0)]
+        while stack:
+            node, depth = stack.pop()
+            if not node.is_leaf:
+                count += depth + 1 < model.config.max_depth
+                stack += [(node.left, depth + 1), (node.right, depth + 1)]
+    return count
+
+
+def test_nodes_below_twice_min_child_weight_are_not_searched(monkeypatch):
+    X, y, w = confident_fixture()
+    histogram, best_split = gbdt._Bins.histogram, gbdt._Bins.best_split
+    hessians, n_histograms = [], [0]
+
+    def counting_histogram(bins, rows, g, h):
+        n_histograms[0] += 1
+        return histogram(bins, rows, g, h)
+
+    def recording_best_split(bins, hist, G, H):
+        hessians.append(H)
+        return best_split(bins, hist, G, H)
+
+    monkeypatch.setattr(gbdt._Bins, "histogram", counting_histogram)
+    monkeypatch.setattr(gbdt._Bins, "best_split", recording_best_split)
+    model = gbdt.fit(X, y, w, SATURATING)
+    assert min(hessians) >= 2 * gbdt.MIN_CHILD_WEIGHT
+    n_rows = gbdt._canonicalize(X, y, w)[0].shape[0]
+    assert n_histograms[0] < parent_histogram_count(model, n_rows)
+
+
+def pinned_digest(name):
+    """sha256 over the model.json and raw_scores bytes of a named fit."""
+    if name == "cli_default_200x4":
+        rng = np.random.default_rng(10)
+        X = np.hstack([rng.normal(size=(1000, 6)), rng.integers(0, 5, size=(1000, 4))])
+        y = (X[:, 0] + 0.5 * X[:, 6] + rng.normal(size=1000) > 1.0).astype(float)
+        fits = [(X, y, rng.uniform(0.5, 2.0, size=1000), GBDTConfig())]
+    elif name == "saturated":
+        fits = [(*confident_fixture(), SATURATING)]
+    elif name == "zoo_150":
+        fits = [zoo_fixture(seed) for seed in range(150)]
+    else:
+        raise KeyError(name)
+    digest = hashlib.sha256()
+    for X, y, w, cfg in fits:
+        model = gbdt.fit(X, y, w, cfg)
+        digest.update(model.to_json().encode())
+        digest.update(model.raw_scores(X).tobytes())
+    return digest.hexdigest()
+
+
+PINNED_SHA256 = {
+    "cli_default_200x4": "5dbb8e22b1b388a39107cf04720b4fc2111f530cd8afa5691efc400c38501ded",
+    "saturated": "80a2a1403d2cbf9b6e6b6eb036ef8576b3fec88c9f0ab814c2c8efa633bb8ae3",
+    "zoo_150": "3973a20fb1664764d299fb7528504ec633f119f0be7e4672f7d1a5494de48a96",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SHA256))
+def test_models_are_pinned(name):
+    """Models and scores are the bytes they were at commit 9520246.
+
+    The hashes were computed at that commit, before split search skipped the
+    nodes that cannot split and the cells that cannot win: pruning must leave
+    every model and score byte-identical.
+    """
+    assert pinned_digest(name) == PINNED_SHA256[name]

@@ -56,8 +56,21 @@ def test_scorer_rejects_model_with_other_columns(trained):
     other = dataclasses.replace(trained, config=config)
     with pytest.raises(SchemaError):
         PipelineScorer(other)
-    with pytest.raises(SchemaError):
-        other.scorer
+    for _ in range(2):  # a failed read caches nothing, so the next one raises too
+        with pytest.raises(SchemaError):
+            other.scorer
+
+
+def test_scorer_is_built_once_per_pipeline(cohort):
+    trained = train(cohort, FAST)
+    assert trained.scorer is trained.scorer
+    alive = weakref.ref(trained)
+    gc.disable()
+    try:
+        del trained  # the cached scorer holds no cycle back to its pipeline
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_scoring_does_not_keep_records_alive():

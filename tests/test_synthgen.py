@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from atrisk.errors import CalibrationError, ValidationError
-from atrisk.events import ingest
+from atrisk.events import cohort_stats, ingest
 from atrisk.synthgen import (
     INCLASS_COLUMNS,
     MAX_MEAN_SPAN_DAYS,
+    MIN_SPAN_DAYS,
     OUTCLASS_COLUMNS,
     SimConfig,
     _calibrate_alpha,
@@ -21,6 +22,7 @@ from atrisk.synthgen import (
     _plan_cohort,
     generate,
     generate_cohort,
+    write_cohort,
 )
 
 
@@ -104,13 +106,24 @@ def test_unreachable_target_raises():
 def test_config_validation():
     with pytest.raises(ValidationError):
         SimConfig(target_dropout_rate=0.0)
-    with pytest.raises(ValidationError):
-        SimConfig(mean_span_days=3)
+    for mean in (3, 10, MIN_SPAN_DAYS - 1):  # below 10.5 the span clip would be empty
+        with pytest.raises(ValidationError, match="at least 21"):
+            SimConfig(mean_span_days=mean)
     with pytest.raises(ValidationError):
         SimConfig(mean_span_days=MAX_MEAN_SPAN_DAYS + 1)
     with pytest.raises(ValidationError):
         SimConfig(seed=-1)
     SimConfig(mean_span_days=MAX_MEAN_SPAN_DAYS, seed=0)
+    SimConfig(mean_span_days=MIN_SPAN_DAYS)
+
+
+@pytest.mark.parametrize("n_students,seed", [(60, 1), (120, 7), (500, 0)])
+def test_in_memory_cohort_stats_equal_ingested_ones(tmp_path, n_students, seed):
+    """`atrisk simulate` reports the stats of the cohort it built, not of a
+    re-ingest of the file it wrote; both must be the same."""
+    cohort, truth, alpha = generate_cohort(SimConfig(n_students=n_students, seed=seed))
+    paths = write_cohort(tmp_path, seed, cohort, truth, alpha)
+    assert cohort_stats(cohort) == cohort_stats(ingest(paths["events"], paths["schema"]))
 
 
 def test_mean_span_in_expected_range(generated):
