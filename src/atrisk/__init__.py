@@ -5,9 +5,9 @@ from .events import Cohort, CohortSummary, ColumnSchema, ObservationPair, Studen
 from .features import FeatureConfig, PCAModel, TeacherHistoryIndex, TimelineIndex, assemble, build_teacher_history, fit_pca
 from .gbdt import GBDTConfig, GBDTModel
 from .labeling import TrainingPair, build_original_pairs, horizon_label
-from .pipeline import PipelineConfig, TrainedPipeline, train
+from .pipeline import PipelineConfig, TrainedPipeline, run_sweep, train
 from .synthgen import SimConfig, generate, generate_cohort
 from .trainer import SamplerConfig, fit_gbdt, oversample
-from .evaluation import EvalReport, auc, evaluate_horizons, run_sweep, split_students
+from .evaluation import EvalReport, auc, evaluate_horizons, split_students
 
 __version__ = "0.1.0"

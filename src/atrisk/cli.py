@@ -24,8 +24,7 @@ from .augmentation import AugmentationConfig
 from .errors import DataError, ModelError
 from .events import cohort_stats, ingest
 from .evaluation import (
-    SweepCell, check_top_fraction, daily_flagging, evaluate_horizons, flag_top, run_sweep,
-    split_students,
+    check_top_fraction, daily_flagging, evaluate_horizons, flag_top, split_students,
 )
 from .features import FeatureConfig
 from .gbdt import GBDTConfig
@@ -76,27 +75,39 @@ def lookback_list(value: str) -> list[int | None]:
     return [_parse_lookback(v) for v in value.split(",")]
 
 
+def choice_list(choices: tuple[str, ...]):
+    """An argparse type for 'a,b,c' where every value is one of `choices`."""
+    def parse(value: str) -> list[str]:
+        values = value.split(",")
+        if not set(values) <= set(choices):
+            raise argparse.ArgumentTypeError(f"{value!r}: choose each from {', '.join(choices)}")
+        return values
+    return parse
+
+
 def _parse_blocks(value: str) -> tuple[str, ...]:
     return tuple(value.split("+"))
 
 
-def _pipeline_config(
-    args: argparse.Namespace, cell: SweepCell | None = None, seed: int | None = None
-) -> pipeline.PipelineConfig:
-    """The training config of a run; a sweep passes the cell and seed it varies."""
-    if cell is None:
-        cell = SweepCell(_parse_lookback(args.lookback), args.weighting, _parse_blocks(args.features))
+def _arm_config(args: argparse.Namespace, lookback: int | None, weighting: str,
+                features: str, seed: int = 0) -> pipeline.PipelineConfig:
+    """A training config: the flags every training subcommand shares plus the
+    augmentation and feature blocks that a sweep varies (a sweep replaces the
+    sampler seed with each split's)."""
     return pipeline.PipelineConfig(
-        feature=FeatureConfig(blocks=cell.blocks),
-        augmentation=AugmentationConfig(lookback_days=cell.lookback, weighting=cell.weighting),
-        sampler=SamplerConfig(
-            target_positive_fraction=args.positive_fraction,
-            seed=args.seed if seed is None else seed,
-        ),
+        feature=FeatureConfig(blocks=_parse_blocks(features)),
+        augmentation=AugmentationConfig(lookback_days=lookback, weighting=weighting),
+        sampler=SamplerConfig(target_positive_fraction=args.positive_fraction, seed=seed),
         gbdt=GBDTConfig(
             n_trees=args.n_trees, max_depth=args.max_depth, learning_rate=args.learning_rate
         ),
     )
+
+
+def _pipeline_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
+    """The training config of a train, predict or evaluate run."""
+    return _arm_config(args, _parse_lookback(args.lookback), args.weighting, args.features,
+                       args.seed)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -230,30 +241,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cohort = _load_cohort(args)
-    cells = [
-        SweepCell(lb, wt, _parse_blocks(fs))
-        for lb in args.lookbacks
-        for wt in args.weightings.split(",")
-        for fs in args.feature_sets.split(",")
-    ]
-
-    def train_cell(train_cohort, cell: SweepCell, seed: int):
-        return pipeline.train(train_cohort, _pipeline_config(args, cell, seed)).scorer
-
-    report = run_sweep(cohort, cells, args.deltas, args.seeds, train_cell, args.train_fraction)
+    arms = {  # a repeated flag value names the same arm, which trains once per seed
+        f"lookback={'none' if lb is None else lb},weighting={wt},blocks={fs}":
+            _arm_config(args, lb, wt, fs)
+        for lb in args.lookbacks for wt in args.weightings for fs in args.feature_sets
+    }
+    report = pipeline.run_sweep(cohort, arms, args.deltas, args.seeds, args.train_fraction)
     json_path = out_dir / "report.json"
-    csv_path = out_dir / "report.csv"
-    report.save(json_path)
-    report.save_csv(csv_path)
-    for key in sorted(report.cells):
-        means = " ".join(
-            f"d{d}={report.mean_auc(key, d):.3f}"
-            for d in args.deltas
-            if any(v is not None for v in report.cells[key][d])
-        )
+    json_path.write_text(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
+    for key in sorted(report["cells"]):
+        summary = report["cells"][key]
+        means = " ".join(f"d{d}={summary[str(d)]['mean']:.3f}" for d in args.deltas
+                         if summary[str(d)]["mean"] is not None)
         print(f"{key}: {means}")
-    _write_manifest(out_dir, "sweep", args, [Path(args.events), Path(args.schema)],
-                    [json_path, csv_path])
+    _write_manifest(out_dir, "sweep", args, [Path(args.events), Path(args.schema)], [json_path])
     return EXIT_OK
 
 
@@ -316,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="grid over lookback/weighting/feature sets")
     _add_io_args(p)
     p.add_argument("--lookbacks", type=lookback_list, default="none,3,7,14")
-    p.add_argument("--weightings", default="convex")
-    p.add_argument("--feature-sets", default="in+out+time")
+    p.add_argument("--weightings", type=choice_list(WEIGHTING_CHOICES), default="convex")
+    p.add_argument("--feature-sets", type=choice_list(FEATURE_CHOICES), default="in+out+time")
     p.add_argument("--deltas", type=int_list, default="1,7,14")
     p.add_argument("--seeds", type=int_list, default="0")
     p.add_argument("--positive-fraction", type=float, default=0.3)

@@ -1,4 +1,4 @@
-"""Multi-step-ahead evaluation: AUC per horizon, top-k% flagging, sweeps.
+"""Multi-step-ahead evaluation: AUC per horizon, top-k% flagging, student splits.
 
 Query points are every observation day of a test student that still has at
 least one future day before resolution. Horizons with single-class ground
@@ -9,11 +9,9 @@ each report scores its points in batches.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -211,97 +209,3 @@ def split_students(cohort: Cohort, train_fraction: float, seed: int):
     rng.shuffle(ids)
     n_train = int(round(train_fraction * len(ids)))
     return cohort.subset(ids[:n_train]), cohort.subset(ids[n_train:])
-
-
-@dataclass
-class SweepCell:
-    lookback: int | None
-    weighting: str
-    blocks: tuple[str, ...]
-
-    @property
-    def key(self) -> str:
-        lb = "none" if self.lookback is None else str(self.lookback)
-        return f"lookback={lb},weighting={self.weighting},blocks={'+'.join(self.blocks)}"
-
-
-@dataclass
-class SweepReport:
-    """Mean/std AUC per cell per horizon over seeds, plus per-seed values."""
-
-    deltas: list[int]
-    seeds: list[int]
-    cells: dict[str, dict[int, list[float | None]]]  # cell key -> delta -> per-seed AUC
-
-    def _summary(self, key: str, delta: int) -> tuple[float | None, float | None, int]:
-        """Mean, std and number of the defined per-seed AUCs of a cell at a
-        horizon; mean and std are None when no seed's AUC is defined."""
-        vals = [v for v in self.cells[key][delta] if v is not None]
-        if not vals:
-            return None, None, 0
-        return float(np.mean(vals)), float(np.std(vals)), len(vals)
-
-    def _statistic(self, key: str, delta: int, i: int) -> float:
-        value = self._summary(key, delta)[i]
-        if value is None:
-            raise UndefinedMetricError(f"no defined AUC for {key} at delta={delta}")
-        return value
-
-    def mean_auc(self, key: str, delta: int) -> float:
-        return self._statistic(key, delta, 0)
-
-    def std_auc(self, key: str, delta: int) -> float:
-        return self._statistic(key, delta, 1)
-
-    def to_dict(self) -> dict:
-        summary = {}
-        for key, per_delta in self.cells.items():
-            summary[key] = {}
-            for d in self.deltas:
-                mean, std, _ = self._summary(key, d)
-                summary[key][str(d)] = {"mean": mean, "std": std, "per_seed": per_delta[d]}
-        return {"deltas": self.deltas, "seeds": self.seeds, "cells": summary}
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
-        )
-
-    def save_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["cell", "delta", "mean_auc", "std_auc", "n_seeds"])
-            for key in sorted(self.cells):
-                for d in self.deltas:
-                    mean, std, n = self._summary(key, d)
-                    writer.writerow([
-                        key, d, "" if n == 0 else f"{mean:.6f}", "" if n == 0 else f"{std:.6f}", n
-                    ])
-
-
-def run_sweep(
-    cohort: Cohort,
-    cells: list[SweepCell],
-    deltas: list[int],
-    seeds: list[int],
-    train_cell: Callable[[Cohort, SweepCell, int], object],
-    train_fraction: float = 0.8,
-) -> SweepReport:
-    """Train and evaluate every cell on shared per-seed splits.
-
-    `train_cell(train_cohort, cell, seed)` builds a scorer; splits and seeds
-    are shared across cells so differences isolate the varied factor.
-    """
-    if not seeds:
-        raise ValidationError("at least one seed required")
-    results: dict[str, dict[int, list[float | None]]] = {
-        c.key: {d: [] for d in deltas} for c in cells
-    }
-    for seed in seeds:
-        train_cohort, test_cohort = split_students(cohort, train_fraction, seed)
-        for cell in cells:
-            scorer = train_cell(train_cohort, cell, seed)
-            report = evaluate_horizons(scorer, test_cohort, deltas, cell.key)
-            for d in deltas:
-                results[cell.key][d].append(report.auc_by_horizon[d])
-    return SweepReport(deltas=list(deltas), seeds=list(seeds), cells=results)

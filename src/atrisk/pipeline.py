@@ -1,9 +1,9 @@
 """End-to-end training: features -> pairs -> augmentation -> sampling -> GBDT.
 
-This is the glue the CLI and the sweep harness share. A TrainedPipeline
-bundles the fitted model with the feature-space state (PCA, teacher history,
-config, schema) needed to score <student, day> points causally, and the
-training pairs it was built from.
+This is the glue the CLI subcommands share. A TrainedPipeline bundles the
+fitted model with the feature-space state (PCA, teacher history, config,
+schema) needed to score <student, day> points causally, and the training
+pairs it was built from. `run_sweep` trains and evaluates a grid of configs.
 """
 
 from __future__ import annotations
@@ -11,14 +11,15 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import features as F
 from . import labeling, trainer
 from .augmentation import AugmentationConfig, augment
-from .errors import InsufficientDataError, SchemaError
+from .errors import InsufficientDataError, SchemaError, ValidationError
+from .evaluation import evaluate_horizons, split_students
 from .events import Cohort, ColumnSchema, StudentRecord
 from .features import FeatureConfig, PCAModel, TeacherHistoryIndex
 from .gbdt import GBDTConfig, GBDTModel
@@ -119,3 +120,37 @@ def train(cohort: Cohort, config: PipelineConfig) -> TrainedPipeline:
         config=config,
         pairs=positives + pseudo + negatives,
     )
+
+
+def _summary(per_seed: list[float | None]) -> dict:
+    """Every seed's AUC, and the mean and std of the defined ones (None if none is)."""
+    defined = [v for v in per_seed if v is not None]
+    if not defined:
+        return {"mean": None, "std": None, "per_seed": per_seed}
+    return {"mean": float(np.mean(defined)), "std": float(np.std(defined)), "per_seed": per_seed}
+
+
+def run_sweep(
+    cohort: Cohort,
+    arms: dict[str, PipelineConfig],
+    deltas: list[int],
+    seeds: list[int],
+    train_fraction: float = 0.8,
+) -> dict:
+    """Train and evaluate every arm on shared per-seed splits: the sweep report.
+
+    Each split's seed is also the arm's sampler seed, so arms differ only in
+    what they configure. The report summarises each arm's AUC per horizon.
+    """
+    if not seeds:
+        raise ValidationError("at least one seed required")
+    aucs: dict[str, dict[str, list]] = {key: {str(d): [] for d in deltas} for key in arms}
+    for seed in seeds:
+        train_cohort, test_cohort = split_students(cohort, train_fraction, seed)
+        for key, config in arms.items():
+            config = replace(config, sampler=replace(config.sampler, seed=seed))
+            scorer = train(train_cohort, config).scorer
+            for d, value in evaluate_horizons(scorer, test_cohort, deltas).auc_by_horizon.items():
+                aucs[key][str(d)].append(value)
+    cells = {key: {d: _summary(v) for d, v in by_delta.items()} for key, by_delta in aucs.items()}
+    return {"deltas": list(deltas), "seeds": list(seeds), "cells": cells}

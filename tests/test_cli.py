@@ -133,9 +133,35 @@ def test_sweep_writes_reports(sim_dir, tmp_path):
     assert code == EXIT_OK
     report = json.loads((tmp_path / "report.json").read_text())
     assert len(report["cells"]) == 2
-    lines = (tmp_path / "report.csv").read_text().strip().splitlines()
-    assert lines[0] == "cell,delta,mean_auc,std_auc,n_seeds"
-    assert len(lines) == 3
+    assert not (tmp_path / "report.csv").exists()
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert list(manifest["outputs"]) == [str(tmp_path / "report.json")]
+    assert manifest["args"]["weightings"] == ["convex"]
+    assert manifest["args"]["feature_sets"] == ["in+out+time"]
+
+
+def test_sweep_report_json_is_pinned(sim_dir, tmp_path):
+    """The sha256 was computed with the sweep engine this one replaced (SweepCell
+    and SweepReport in atrisk.evaluation), at the commit before the change."""
+    code = main(
+        ["sweep", *io_args(sim_dir, tmp_path), "--lookbacks", "none,7",
+         "--weightings", "convex,linear", "--feature-sets", "in,in+out+time",
+         "--deltas", "1,7", "--seeds", "0,1", "--n-trees", "5", "--max-depth", "2"]
+    )
+    assert code == EXIT_OK
+    assert sha256(tmp_path / "report.json") == (
+        "9ba28b56eea9005900b76fd079037584a2dd5c11db1ef9e89783f81338e60a3f"
+    )
+
+
+def test_sweep_repeated_value_trains_once_per_seed(sim_dir, tmp_path):
+    code = main(
+        ["sweep", *io_args(sim_dir, tmp_path), "--lookbacks", "7,7", "--seeds", "0,1",
+         "--deltas", "7,7", "--n-trees", "5", "--max-depth", "2"]
+    )
+    assert code == EXIT_OK
+    (cell,) = json.loads((tmp_path / "report.json").read_text())["cells"].values()
+    assert len(cell["7"]["per_seed"]) == 2
 
 
 def test_data_error_exit_code(tmp_path):
@@ -185,6 +211,8 @@ def test_usage_error_exit_code(sim_dir, tmp_path):
     ("evaluate", "--deltas", "1..x"),
     ("sweep", "--seeds", "a"),
     ("sweep", "--lookbacks", "abc"),
+    ("sweep", "--weightings", "sigmoid"),
+    ("sweep", "--feature-sets", "in+bogus"),
 ])
 def test_malformed_list_flag_exits_2(sim_dir, tmp_path, capsys, subcommand, flag, value):
     with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,4 @@
-"""AUC against the pair-counting oracle, flagging recall, sweeps."""
+"""AUC against the pair-counting oracle, flagging recall, student splits."""
 
 import json
 
@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from atrisk.errors import UndefinedMetricError, ValidationError
 from atrisk.evaluation import (
-    SweepCell,
-    SweepReport,
     auc,
     auc_bruteforce,
     daily_flagging,
@@ -17,7 +15,6 @@ from atrisk.evaluation import (
     flag_top,
     horizon_labels,
     query_points,
-    run_sweep,
     split_students,
 )
 
@@ -236,62 +233,3 @@ def test_split_students_refuses_fraction_outside_open_unit_interval(small_cohort
     with pytest.raises(ValidationError):
         split_students(small_cohort, fraction, seed=0)
 
-
-def test_run_sweep_single_cell_matches_direct_call(small_cohort):
-    cohort = flagging_cohort()
-    cell = SweepCell(lookback=7, weighting="convex", blocks=("in", "out", "time"))
-
-    def train_cell(train_cohort, c, seed):
-        return BatchScorer(lambda s, d: float(s.final_status == "dropout"))
-
-    report = run_sweep(cohort, [cell], [5], [0], train_cell, train_fraction=0.5)
-    train_cohort, test_cohort = split_students(cohort, 0.5, 0)
-    direct = evaluate_horizons(train_cell(train_cohort, cell, 0), test_cohort, [5])
-    assert report.cells[cell.key][5] == [direct.auc_by_horizon[5]]
-    assert report.mean_auc(cell.key, 5) == direct.auc_by_horizon[5]
-
-
-def test_sweep_report_save_csv(tmp_path):
-    cohort = flagging_cohort()
-    cells = [
-        SweepCell(lookback=None, weighting="convex", blocks=("in",)),
-        SweepCell(lookback=7, weighting="linear", blocks=("in", "out")),
-    ]
-
-    def train_cell(train_cohort, c, seed):
-        return BatchScorer(lambda s, d: float(s.final_status == "dropout"))
-
-    report = run_sweep(cohort, cells, [5, 40], [0, 1], train_cell, 0.5)
-    jpath, cpath = tmp_path / "sweep.json", tmp_path / "sweep.csv"
-    report.save(jpath)
-    report.save_csv(cpath)
-    raw = json.loads(jpath.read_text())
-    assert set(raw["cells"]) == {c.key for c in cells}
-    lines = cpath.read_text().strip().splitlines()
-    assert lines[0] == "cell,delta,mean_auc,std_auc,n_seeds"
-    assert len(lines) == 1 + len(cells) * 2
-
-
-def test_sweep_report_cell_without_defined_auc(tmp_path, recwarn):
-    """Every summary of a cell with no defined AUC agrees that it has none."""
-    report = SweepReport(
-        deltas=[1, 7], seeds=[0, 1], cells={"a": {1: [None, None], 7: [0.75, None]}}
-    )
-    for statistic in (report.mean_auc, report.std_auc):
-        with pytest.raises(UndefinedMetricError):
-            statistic("a", 1)
-    assert report.mean_auc("a", 7) == 0.75
-    assert report.std_auc("a", 7) == 0.0
-    cells = report.to_dict()["cells"]["a"]
-    assert cells["1"] == {"mean": None, "std": None, "per_seed": [None, None]}
-    assert cells["7"] == {"mean": 0.75, "std": 0.0, "per_seed": [0.75, None]}
-    report.save_csv(tmp_path / "r.csv")
-    assert (tmp_path / "r.csv").read_text().splitlines()[1:] == [
-        "a,1,,,0", "a,7,0.750000,0.000000,1"
-    ]
-    assert not recwarn.list
-
-
-def test_run_sweep_requires_seeds(small_cohort):
-    with pytest.raises(ValidationError):
-        run_sweep(small_cohort, [], [1], [], lambda *a: None)

@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 
 from atrisk.augmentation import AugmentationConfig
-from atrisk.errors import InsufficientDataError, SchemaError
+from atrisk.errors import InsufficientDataError, SchemaError, ValidationError
 from atrisk.evaluation import evaluate_horizons, query_points, split_students
 from atrisk.features import FeatureConfig
 from atrisk.gbdt import GBDTConfig, GBDTModel
-from atrisk.pipeline import PipelineConfig, PipelineScorer, train
+from atrisk.pipeline import PipelineConfig, PipelineScorer, run_sweep, train
+from atrisk.trainer import SamplerConfig
 from atrisk.synthgen import SimConfig, generate_cohort
 
-from conftest import cohort_of, session, student
+from conftest import cohort_of, obs, session, student
 
 FAST = PipelineConfig(gbdt=GBDTConfig(n_trees=10, max_depth=2))
 
@@ -164,3 +165,48 @@ def test_train_requires_class_sessions():
     # classes present, which `bare` lacks (no dropouts) - expect an error
     with pytest.raises(Exception):
         train(bare, FAST)
+
+
+def test_run_sweep_arm_equals_direct_train_and_evaluate(cohort):
+    """An arm trains with the split's seed as its sampler seed, whatever the
+    arm's own sampler seed, and reports that run's AUCs bit for bit."""
+    report = run_sweep(cohort, {"fast": FAST}, [1, 7], [3], train_fraction=0.7)
+    train_cohort, test_cohort = split_students(cohort, 0.7, seed=3)
+    config = dataclasses.replace(FAST, sampler=SamplerConfig(seed=3))
+    direct = evaluate_horizons(train(train_cohort, config).scorer, test_cohort, [1, 7])
+    assert report["deltas"] == [1, 7] and report["seeds"] == [3]
+    for d in (1, 7):
+        expected = direct.auc_by_horizon[d]
+        assert expected is not None
+        assert report["cells"]["fast"][str(d)] == {
+            "mean": expected, "std": 0.0, "per_seed": [expected]
+        }
+
+
+def gap_cohort():
+    """Half the students drop out five days after their last class, so no
+    point has a dropout one day ahead and AUC at delta 1 is never defined."""
+    students = []
+    for i in range(12):
+        sessions = [session(d, (i, d, (i * d) % 5, i % 3)) for d in (1, 4, 8)]
+        if i % 2:
+            students.append(student(f"s{i:02d}", [*sessions, session(20)]))
+        else:
+            students.append(student(
+                f"s{i:02d}", [*sessions, obs(13, kind="dropout_event")], status="dropout"
+            ))
+    return cohort_of(*students)
+
+
+def test_run_sweep_arm_without_defined_auc_reports_null(recwarn):
+    report = run_sweep(gap_cohort(), {"fast": FAST}, [1, 40], [0, 1], train_fraction=0.5)
+    cell = report["cells"]["fast"]
+    assert cell["1"] == {"mean": None, "std": None, "per_seed": [None, None]}
+    assert cell["40"]["mean"] is not None
+    assert None not in cell["40"]["per_seed"]
+    assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
+
+
+def test_run_sweep_requires_seeds(cohort):
+    with pytest.raises(ValidationError):
+        run_sweep(cohort, {"fast": FAST}, [1], [])
