@@ -1,12 +1,14 @@
 """Command-line entry point: simulate / featurize / train / predict / evaluate / sweep.
 
-Every subcommand writes a manifest.json into its output directory recording
-the resolved configuration, seed, and sha256 hashes of inputs and outputs,
-so any run can be replayed bit-exactly.
+`main` creates each run's output directory and writes its manifest.json,
+recording the resolved configuration, seed, and sha256 hashes of inputs and
+outputs, so any run can be replayed bit-exactly. Each subcommand returns the
+paths it wrote and any extra manifest keys.
 
 Exit codes: 0 ok, 2 usage (an unknown flag, or a flag value that does not
-parse), 3 data error (malformed input, an out-of-range fraction, or an input
-or output path that cannot be read or written), 4 model error.
+parse), 3 data error (malformed input, an out-of-range fraction, a negative
+seed, or an input or output path that cannot be read or written), 4 model
+error.
 """
 
 from __future__ import annotations
@@ -45,16 +47,15 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir: Path, subcommand: str, args: argparse.Namespace,
-                    inputs: list[Path], outputs: list[Path], extra: dict | None = None) -> None:
+def _write_manifest(out_dir: Path, args: argparse.Namespace, inputs: list[Path],
+                    outputs: list[Path], extra: dict) -> None:
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "args": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": {str(p): _sha256(p) for p in outputs},
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2, default=str) + "\n"
     )
@@ -66,13 +67,15 @@ def _parse_lookback(value: str) -> int | None:
 
 # Argparse types for list flags: a value that does not parse exits 2 with usage.
 def int_list(value: str) -> list[int]:
-    """Integers as 'a,b,c' or as the inclusive range 'a..b'."""
+    """Integers as 'a,b,c' or as the inclusive range 'a..b'; a repeated value counts once."""
     lo, sep, hi = value.partition("..")
-    return list(range(int(lo), int(hi) + 1)) if sep else [int(v) for v in value.split(",")]
+    values = range(int(lo), int(hi) + 1) if sep else map(int, value.split(","))
+    return list(dict.fromkeys(values))
 
 
 def lookback_list(value: str) -> list[int | None]:
-    return [_parse_lookback(v) for v in value.split(",")]
+    """Lookbacks as 'a,b,c', each one that --lookback accepts."""
+    return [_parse_lookback(v) for v in choice_list(LOOKBACK_CHOICES)(value)]
 
 
 def choice_list(choices: tuple[str, ...]):
@@ -110,9 +113,7 @@ def _pipeline_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
                        args.seed)
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_simulate(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], dict]:
     cfg = synthgen.SimConfig(
         n_students=args.n_students,
         target_dropout_rate=args.dropout_rate,
@@ -127,18 +128,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         f"{stats.dropout_rate:.4f}, mean span {stats.mean_span_days:.1f} days, "
         f"{stats.total_pairs} pairs"
     )
-    _write_manifest(out_dir, "simulate", args, [], sorted(paths.values()))
-    return EXIT_OK
+    return sorted(paths.values()), {}
 
 
-def _load_cohort(args: argparse.Namespace):
-    return ingest(args.events, args.schema)
-
-
-def cmd_featurize(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cohort = _load_cohort(args)
+def cmd_featurize(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], dict]:
+    cohort = ingest(args.events, args.schema)
     fconfig = FeatureConfig(blocks=_parse_blocks(args.features))
     pca = features.fit_pca(pipeline._inclass_rows(cohort))
     hist = features.build_teacher_history(cohort)
@@ -152,14 +146,11 @@ def cmd_featurize(args: argparse.Namespace) -> int:
         for (student, day), row in zip(points, X):
             writer.writerow([student.student_id, day, *map(repr, row.tolist())])
     print(f"wrote {out_path}")
-    _write_manifest(out_dir, "featurize", args, [Path(args.events), Path(args.schema)], [out_path])
-    return EXIT_OK
+    return [out_path], {}
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cohort = _load_cohort(args)
+def cmd_train(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], dict]:
+    cohort = ingest(args.events, args.schema)
     config = _pipeline_config(args)
     trained = pipeline.train(cohort, config)
     model_path = out_dir / "model.json"
@@ -172,27 +163,16 @@ def cmd_train(args: argparse.Namespace) -> int:
         f"{by_provenance['pseudo_positive']} pseudo positives, "
         f"{by_provenance['original_negative']} negatives"
     )
-    _write_manifest(
-        out_dir, "train", args, [Path(args.events), Path(args.schema)], [model_path, pairs_path],
-        extra={"n_pseudo_pairs": trained.n_pseudo_pairs,
-               "config_fingerprint": config.fingerprint()},
-    )
-    return EXIT_OK
+    return [model_path, pairs_path], {"n_pseudo_pairs": trained.n_pseudo_pairs,
+                                      "config_fingerprint": config.fingerprint()}
 
 
-def _retrain_for_scoring(args: argparse.Namespace):
+def cmd_predict(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], dict]:
+    check_top_fraction(args.top_fraction)  # refuse a bad fraction before training
+    cohort = ingest(args.events, args.schema)
     # Scoring needs the feature-space state (PCA, teacher history) alongside the
     # model; retraining from the events file with the same seed reproduces both.
-    cohort = _load_cohort(args)
-    config = _pipeline_config(args)
-    return cohort, pipeline.train(cohort, config)
-
-
-def cmd_predict(args: argparse.Namespace) -> int:
-    check_top_fraction(args.top_fraction)  # refuse a bad fraction before training
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cohort, trained = _retrain_for_scoring(args)
+    trained = pipeline.train(cohort, _pipeline_config(args))
     at_day = args.at_day if args.at_day is not None else max(s.last_day for s in cohort)
     points = [(cohort.students[sid], min(at_day, cohort.students[sid].last_day))
               for sid in sorted(cohort.students) if cohort.students[sid].first_day <= at_day]
@@ -207,15 +187,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
         for sid in ranked:
             writer.writerow([sid, f"{scores[sid]:.6f}", int(sid in flagged)])
     print(f"scored {len(ranked)} students at day {at_day}; flagged {len(flagged)}")
-    _write_manifest(out_dir, "predict", args, [Path(args.events), Path(args.schema)], [out_path])
-    return EXIT_OK
+    return [out_path], {}
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], dict]:
     check_top_fraction(args.top_fraction)  # refuse a bad fraction before training
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cohort = _load_cohort(args)
+    cohort = ingest(args.events, args.schema)
     config = _pipeline_config(args)
     train_cohort, test_cohort = split_students(cohort, args.train_fraction, args.seed)
     scorer = pipeline.train(train_cohort, config).scorer  # one index for both reports
@@ -233,14 +210,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for d in args.deltas:
         a = report.auc_by_horizon[d]
         print(f"delta={d:2d}  auc={'undefined' if a is None else f'{a:.4f}'}")
-    _write_manifest(out_dir, "evaluate", args, [Path(args.events), Path(args.schema)], [report_path])
-    return EXIT_OK
+    return [report_path], {}
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cohort = _load_cohort(args)
+def cmd_sweep(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], dict]:
+    cohort = ingest(args.events, args.schema)
     arms = {  # a repeated flag value names the same arm, which trains once per seed
         f"lookback={'none' if lb is None else lb},weighting={wt},blocks={fs}":
             _arm_config(args, lb, wt, fs)
@@ -254,8 +228,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         means = " ".join(f"d{d}={summary[str(d)]['mean']:.3f}" for d in args.deltas
                          if summary[str(d)]["mean"] is not None)
         print(f"{key}: {means}")
-    _write_manifest(out_dir, "sweep", args, [Path(args.events), Path(args.schema)], [json_path])
-    return EXIT_OK
+    return [json_path], {}
 
 
 def _add_io_args(p: argparse.ArgumentParser) -> None:
@@ -332,18 +305,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    out_dir = Path(args.out_dir)
+    inputs = [Path(args.events), Path(args.schema)] if "events" in args else []
     try:
-        return args.func(args)
-    except (DataError, OSError) as exc:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        outputs, extra = args.func(args, out_dir)
+        _write_manifest(out_dir, args, inputs, outputs, extra)
+    except (DataError, OSError, ModelError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
-        return EXIT_DATA
-    except ModelError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_MODEL
+        return EXIT_MODEL if isinstance(exc, ModelError) else EXIT_DATA
+    return EXIT_OK
 
 
 if __name__ == "__main__":

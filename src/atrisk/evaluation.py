@@ -204,6 +204,8 @@ def split_students(cohort: Cohort, train_fraction: float, seed: int):
     """Seeded student-level split; no id appears on both sides."""
     if not 0.0 < train_fraction < 1.0:
         raise ValidationError(f"train fraction {train_fraction} outside (0, 1)")
+    if seed < 0:
+        raise ValidationError("seed must be non-negative")
     ids = sorted(cohort.students)
     rng = np.random.default_rng(seed)
     rng.shuffle(ids)

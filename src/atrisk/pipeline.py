@@ -1,14 +1,14 @@
 """End-to-end training: features -> pairs -> augmentation -> sampling -> GBDT.
 
 This is the glue the CLI subcommands share. A TrainedPipeline bundles the
-fitted model with the feature-space state (PCA, teacher history, config,
-schema) needed to score <student, day> points causally, and the training
-pairs it was built from. `run_sweep` trains and evaluates a grid of configs.
+fitted model, one PipelineScorer holding the feature space (PCA, teacher
+history, feature blocks, schema) needed to score <student, day> points
+causally, the config, and the training pairs it was built from. `run_sweep`
+trains and evaluates a grid of configs.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 from dataclasses import dataclass, replace
@@ -49,43 +49,34 @@ class PipelineConfig:
         return hashlib.sha256(raw.encode()).hexdigest()[:16]
 
 
+class PipelineScorer:
+    """Scores batches of (student, day) points with a model and the feature
+    space it was trained in; each record is indexed once, into the
+    TimelineIndex the scorer owns."""
+
+    def __init__(self, model: GBDTModel, pca: PCAModel, hist: TeacherHistoryIndex,
+                 feature: FeatureConfig, schema: ColumnSchema):
+        if F.feature_names(schema, pca, feature) != tuple(model.feature_names):
+            raise SchemaError("the model's feature columns differ from the featurizer's")
+        self.model, self.pca, self.hist = model, pca, hist
+        self.feature, self.schema = feature, schema
+        self._index = F.TimelineIndex()
+
+    def many(self, points: list[tuple[StudentRecord, int]]) -> np.ndarray:
+        X = F.assemble(points, self.pca, self.hist, self.feature, self.schema, self._index)
+        return self.model.predict_proba(X)
+
+
 @dataclass
 class TrainedPipeline:
     model: GBDTModel
-    pca: PCAModel
-    hist: TeacherHistoryIndex
-    schema: ColumnSchema
+    scorer: PipelineScorer  # one scorer, and so one timeline index, per trained pipeline
     config: PipelineConfig
     pairs: list[TrainingPair]  # original positives, pseudo positives, negatives
 
     @property
     def n_pseudo_pairs(self) -> int:
         return sum(p.provenance == "pseudo_positive" for p in self.pairs)
-
-    @functools.cached_property
-    def scorer(self) -> "PipelineScorer":
-        """One scorer, and so one timeline index, per trained pipeline; a
-        SchemaError raises on every read, since nothing is cached then."""
-        return PipelineScorer(self)
-
-
-class PipelineScorer:
-    """Scores batches of (student, day) points with a trained pipeline; each
-    record is indexed once, into the TimelineIndex the scorer owns."""
-
-    def __init__(self, trained: TrainedPipeline):
-        names = F.feature_names(trained.schema, trained.pca, trained.config.feature)
-        if names != tuple(trained.model.feature_names):
-            raise SchemaError("the model's feature columns differ from the featurizer's")
-        # Not the pipeline itself: it caches its scorer, and a cycle would
-        # keep both alive until a garbage collection.
-        self._model, self._pca, self._hist = trained.model, trained.pca, trained.hist
-        self._feature, self._schema = trained.config.feature, trained.schema
-        self._index = F.TimelineIndex()
-
-    def many(self, points: list[tuple[StudentRecord, int]]) -> np.ndarray:
-        X = F.assemble(points, self._pca, self._hist, self._feature, self._schema, self._index)
-        return self._model.predict_proba(X)
 
 
 def _inclass_rows(cohort: Cohort) -> np.ndarray:
@@ -112,11 +103,10 @@ def train(cohort: Cohort, config: PipelineConfig) -> TrainedPipeline:
         pca, hist, config.feature, cohort.schema,
     )
     names = F.feature_names(cohort.schema, pca, config.feature)
+    model = trainer.fit_gbdt(X, data, names, config.gbdt)
     return TrainedPipeline(
-        model=trainer.fit_gbdt(X, data, names, config.gbdt),
-        pca=pca,
-        hist=hist,
-        schema=cohort.schema,
+        model=model,
+        scorer=PipelineScorer(model, pca, hist, config.feature, cohort.schema),
         config=config,
         pairs=positives + pseudo + negatives,
     )

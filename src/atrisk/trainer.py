@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import gbdt
-from .errors import EmptyInputError, ModelError
+from .errors import EmptyInputError, ModelError, ValidationError
 from .gbdt import GBDTConfig, GBDTModel
 from .labeling import TrainingPair
 
@@ -26,6 +26,8 @@ class SamplerConfig:
     def __post_init__(self):
         if not 0.0 < self.target_positive_fraction <= 0.5:
             raise ModelError("target_positive_fraction must be in (0, 0.5]")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
 
 
 def oversample(

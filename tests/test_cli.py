@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import atrisk
 from atrisk import pipeline
 from atrisk.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, main
 
@@ -156,12 +158,43 @@ def test_sweep_report_json_is_pinned(sim_dir, tmp_path):
 
 def test_sweep_repeated_value_trains_once_per_seed(sim_dir, tmp_path):
     code = main(
-        ["sweep", *io_args(sim_dir, tmp_path), "--lookbacks", "7,7", "--seeds", "0,1",
+        ["sweep", *io_args(sim_dir, tmp_path), "--lookbacks", "7,7", "--seeds", "0,1,0",
          "--deltas", "7,7", "--n-trees", "5", "--max-depth", "2"]
     )
     assert code == EXIT_OK
-    (cell,) = json.loads((tmp_path / "report.json").read_text())["cells"].values()
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["seeds"] == [0, 1]
+    assert report["deltas"] == [7]
+    (cell,) = report["cells"].values()
     assert len(cell["7"]["per_seed"]) == 2
+
+
+SUBCOMMAND_ARGV = {
+    "simulate": ["--n-students", "30", "--seed", "1"],
+    "featurize": [],
+    "train": FAST,
+    "predict": FAST,
+    "evaluate": [*FAST, "--deltas", "1,7"],
+    "sweep": ["--lookbacks", "7", "--deltas", "7", "--n-trees", "5", "--max-depth", "2"],
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(SUBCOMMAND_ARGV))
+def test_manifest_records_every_output(sim_dir, tmp_path, subcommand):
+    argv = [subcommand, *SUBCOMMAND_ARGV[subcommand]]
+    if subcommand == "simulate":
+        argv += ["--out-dir", str(tmp_path)]
+    else:
+        argv += io_args(sim_dir, tmp_path)
+    assert main(argv) == EXIT_OK
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["subcommand"] == subcommand
+    written = {p for p in tmp_path.iterdir() if p.name != "manifest.json"}
+    assert {Path(p) for p in manifest["outputs"]} == written
+    for path, digest in manifest["outputs"].items():
+        assert sha256(Path(path)) == digest
+    inputs = [] if subcommand == "simulate" else [sim_dir / "events.jsonl", sim_dir / "schema.json"]
+    assert manifest["inputs"] == {str(p): sha256(p) for p in inputs}
 
 
 def test_data_error_exit_code(tmp_path):
@@ -174,6 +207,7 @@ def test_data_error_exit_code(tmp_path):
          "--out-dir", str(tmp_path / "out")]
     )
     assert code == EXIT_DATA
+    assert not (tmp_path / "out" / "manifest.json").exists()  # a failed run has no manifest
 
 
 @pytest.mark.parametrize("broken", ["--events", "--schema", "--out-dir"])
@@ -211,6 +245,8 @@ def test_usage_error_exit_code(sim_dir, tmp_path):
     ("evaluate", "--deltas", "1..x"),
     ("sweep", "--seeds", "a"),
     ("sweep", "--lookbacks", "abc"),
+    ("sweep", "--lookbacks", "0"),
+    ("sweep", "--lookbacks", "5"),
     ("sweep", "--weightings", "sigmoid"),
     ("sweep", "--feature-sets", "in+bogus"),
 ])
@@ -261,11 +297,29 @@ def test_simulate_bad_config_exits_3(tmp_path, capsys, flag, value):
     assert json.loads(stderr[0])["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--seed", "-1"],
+    ["predict", "--seed", "-1"],
+    ["evaluate", "--seed", "-1"],
+    ["sweep", "--seeds=-1"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_exits_3(sim_dir, tmp_path, capsys, argv):
+    code = main([argv[0], *io_args(sim_dir, tmp_path), *FAST, *argv[1:]])
+    stderr = capsys.readouterr().err.splitlines()
+    assert code == EXIT_DATA
+    assert len(stderr) == 1
+    assert json.loads(stderr[0])["error"] == "ValidationError"
+
+
 def test_module_entry_point(tmp_path):
+    # The child does not inherit pytest's pythonpath: put the imported atrisk first.
+    src = str(Path(atrisk.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "atrisk", "simulate", "--n-students", "30",
          "--seed", "1", "--out-dir", str(tmp_path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == EXIT_OK
     assert "simulated 30 students" in proc.stdout

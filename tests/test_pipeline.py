@@ -53,13 +53,9 @@ def test_scorer_many_invariant_to_order_and_split(trained, cohort):
 
 
 def test_scorer_rejects_model_with_other_columns(trained):
-    config = dataclasses.replace(trained.config, feature=FeatureConfig(blocks=("time",)))
-    other = dataclasses.replace(trained, config=config)
+    s = trained.scorer
     with pytest.raises(SchemaError):
-        PipelineScorer(other)
-    for _ in range(2):  # a failed read caches nothing, so the next one raises too
-        with pytest.raises(SchemaError):
-            other.scorer
+        PipelineScorer(trained.model, s.pca, s.hist, FeatureConfig(blocks=("time",)), s.schema)
 
 
 def test_scorer_is_built_once_per_pipeline(cohort):
@@ -68,7 +64,7 @@ def test_scorer_is_built_once_per_pipeline(cohort):
     alive = weakref.ref(trained)
     gc.disable()
     try:
-        del trained  # the cached scorer holds no cycle back to its pipeline
+        del trained  # the scorer holds no cycle back to its pipeline
         assert alive() is None
     finally:
         gc.enable()
@@ -96,7 +92,8 @@ def test_scorer_index_memory_stays_small(trained):
         by_day.setdefault(d, []).append((s, d))
     tracemalloc.start()
     try:
-        scorer = PipelineScorer(trained)
+        s = trained.scorer
+        scorer = PipelineScorer(s.model, s.pca, s.hist, s.feature, s.schema)
         for day in sorted(by_day):
             scorer.many(by_day[day])
         peak = tracemalloc.get_traced_memory()[1]
