@@ -4,7 +4,7 @@ from .augmentation import WEIGHTINGS, AugmentationConfig, augment
 from .events import Cohort, CohortSummary, ColumnSchema, ObservationPair, StudentRecord, cohort_stats, ingest, write_events
 from .features import FeatureConfig, PCAModel, TeacherHistoryIndex, TimelineIndex, assemble, build_teacher_history, fit_pca
 from .gbdt import GBDTConfig, GBDTModel
-from .labeling import TrainingPair, build_original_pairs, horizon_label
+from .labeling import PairSet, build_original_pairs, horizon_label
 from .pipeline import PipelineConfig, TrainedPipeline, run_sweep, train
 from .synthgen import SimConfig, generate, generate_cohort
 from .trainer import SamplerConfig, fit_gbdt, oversample

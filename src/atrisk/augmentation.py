@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ValidationError
-from .events import Cohort
-from .labeling import TrainingPair
+from .events import Cohort, StudentRecord
+from .labeling import PairSet
 
 # g: normalized time-to-dropout u in [0, 1] -> weight in [0, 1], g(0)=1, g(1)=0.
 WEIGHTINGS: dict[str, Callable[[float], float]] = {
@@ -38,13 +38,14 @@ class AugmentationConfig:
             )
 
 
-def augment(cohort: Cohort, config: AugmentationConfig) -> list[TrainingPair]:
-    """The pseudo-positive set of every dropout student; [] when disabled."""
+def augment(cohort: Cohort, config: AugmentationConfig) -> PairSet:
+    """The pseudo-positive set of every dropout student; empty when disabled."""
     lookback = config.lookback_days
     if lookback is None:
-        return []
+        return PairSet.of([], 1)
     g = WEIGHTINGS[config.weighting]
-    out: list[TrainingPair] = []
+    points: list[tuple[StudentRecord, int]] = []
+    weights: list[float] = []
     for sid in sorted(cohort.students):
         student = cohort.students[sid]
         if student.final_status != "dropout":
@@ -52,14 +53,7 @@ def augment(cohort: Cohort, config: AugmentationConfig) -> list[TrainingPair]:
         days = student.days
         t_n = days[-1]
         lower = max(days[-2] if len(days) >= 2 else 0, t_n - lookback)
-        out.extend(
-            TrainingPair(
-                student_id=sid,
-                day=d,
-                label=1,
-                weight=g((t_n - d) / lookback),
-                provenance="pseudo_positive",
-            )
-            for d in range(lower + 1, t_n)
-        )
-    return out
+        for d in range(lower + 1, t_n):
+            points.append((student, d))
+            weights.append(g((t_n - d) / lookback))
+    return PairSet.of(points, 1, weights)

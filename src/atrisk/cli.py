@@ -6,9 +6,9 @@ outputs, so any run can be replayed bit-exactly. Each subcommand returns the
 paths it wrote and any extra manifest keys.
 
 Exit codes: 0 ok, 2 usage (an unknown flag, or a flag value that does not
-parse), 3 data error (malformed input, an out-of-range fraction, a negative
-seed, or an input or output path that cannot be read or written), 4 model
-error.
+parse, such as an empty range), 3 data error (malformed input, an
+out-of-range fraction or horizon, a negative seed, or an input or output path
+that cannot be read or written), 4 model error.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import csv
 import hashlib
 import json
 import sys
-from collections import Counter
 from pathlib import Path
 
 from . import features, labeling, pipeline, synthgen
@@ -26,7 +25,8 @@ from .augmentation import AugmentationConfig
 from .errors import DataError, ModelError
 from .events import cohort_stats, ingest
 from .evaluation import (
-    check_top_fraction, daily_flagging, evaluate_horizons, flag_top, split_students,
+    check_deltas, check_top_fraction, daily_flagging, evaluate_horizons, flag_top,
+    split_students,
 )
 from .features import FeatureConfig
 from .gbdt import GBDTConfig
@@ -67,10 +67,12 @@ def _parse_lookback(value: str) -> int | None:
 
 # Argparse types for list flags: a value that does not parse exits 2 with usage.
 def int_list(value: str) -> list[int]:
-    """Integers as 'a,b,c' or as the inclusive range 'a..b'; a repeated value counts once."""
+    """Integers as 'a,b,c' or as the inclusive range 'a..b', a <= b; a repeated value counts once."""
     lo, sep, hi = value.partition("..")
     values = range(int(lo), int(hi) + 1) if sep else map(int, value.split(","))
-    return list(dict.fromkeys(values))
+    if not (values := list(dict.fromkeys(values))):
+        raise argparse.ArgumentTypeError(f"{value!r} is an empty range")
+    return values
 
 
 def lookback_list(value: str) -> list[int | None]:
@@ -157,14 +159,13 @@ def cmd_train(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], dict
     trained.model.save(model_path)
     pairs_path = out_dir / "pairs.csv"
     labeling.write_pairs_csv(trained.pairs, pairs_path)
-    by_provenance = Counter(p.provenance for p in trained.pairs)
-    print(
-        f"trained gbdt on {by_provenance['original_positive']} positives, "
-        f"{by_provenance['pseudo_positive']} pseudo positives, "
-        f"{by_provenance['original_negative']} negatives"
-    )
-    return [model_path, pairs_path], {"n_pseudo_pairs": trained.n_pseudo_pairs,
-                                      "config_fingerprint": config.fingerprint()}
+    counts = {provenance: len(pairs) for provenance, pairs in trained.pairs.items()}
+    print(f"trained gbdt on {counts['original_positive']} positives, "
+          f"{counts['pseudo_positive']} pseudo positives, {counts['original_negative']} negatives")
+    return [model_path, pairs_path], {
+        "n_pseudo_pairs": trained.n_pseudo_pairs, "config_fingerprint": config.fingerprint(),
+        "pairs_by_provenance": {**counts, "drawn": trained.n_drawn},
+        "train_loss_curve": trained.model.train_loss_curve}
 
 
 def cmd_predict(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], dict]:
@@ -191,7 +192,8 @@ def cmd_predict(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], di
 
 
 def cmd_evaluate(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], dict]:
-    check_top_fraction(args.top_fraction)  # refuse a bad fraction before training
+    check_deltas(args.deltas)  # refuse a bad horizon or fraction before training
+    check_top_fraction(args.top_fraction)
     cohort = ingest(args.events, args.schema)
     config = _pipeline_config(args)
     train_cohort, test_cohort = split_students(cohort, args.train_fraction, args.seed)

@@ -101,9 +101,7 @@ def query_points(cohort: Cohort) -> list[tuple[StudentRecord, int]]:
 
 def horizon_labels(points: list[tuple[StudentRecord, int]], deltas: list[int]) -> np.ndarray:
     """`horizon_label` of every resolved point at every delta, one row per delta."""
-    bad = [delta for delta in deltas if delta < 1]
-    if bad:
-        raise ValidationError(f"horizon delta must be positive, got {bad[0]}")
+    check_deltas(deltas)
     # days from each point to its dropout; completers drop out on day -1, i.e. never
     ahead = np.array(
         [(s.last_day if s.final_status == "dropout" else -1) - d for s, d in points], np.int64
@@ -134,6 +132,11 @@ def evaluate_horizons(
         n_queries_by_horizon=n_map,
         config_fingerprint=fingerprint,
     )
+
+
+def check_deltas(deltas: list[int]) -> None:
+    if any(delta < 1 for delta in deltas):
+        raise ValidationError(f"horizon delta must be positive, got {min(deltas)}")
 
 
 def check_top_fraction(fraction: float) -> None:

@@ -3,7 +3,7 @@
 This is the glue the CLI subcommands share. A TrainedPipeline bundles the
 fitted model, one PipelineScorer holding the feature space (PCA, teacher
 history, feature blocks, schema) needed to score <student, day> points
-causally, the config, and the training pairs it was built from. `run_sweep`
+causally, the config, and the pair sets it was built from. `run_sweep`
 trains and evaluates a grid of configs.
 """
 
@@ -19,11 +19,11 @@ from . import features as F
 from . import labeling, trainer
 from .augmentation import AugmentationConfig, augment
 from .errors import InsufficientDataError, SchemaError, ValidationError
-from .evaluation import evaluate_horizons, split_students
+from .evaluation import check_deltas, evaluate_horizons, split_students
 from .events import Cohort, ColumnSchema, StudentRecord
 from .features import FeatureConfig, PCAModel, TeacherHistoryIndex
 from .gbdt import GBDTConfig, GBDTModel
-from .labeling import TrainingPair
+from .labeling import PairSet
 from .trainer import SamplerConfig
 
 
@@ -72,11 +72,12 @@ class TrainedPipeline:
     model: GBDTModel
     scorer: PipelineScorer  # one scorer, and so one timeline index, per trained pipeline
     config: PipelineConfig
-    pairs: list[TrainingPair]  # original positives, pseudo positives, negatives
+    pairs: dict[str, PairSet]  # original_positive, pseudo_positive, original_negative
+    n_drawn: int  # positive draws over-sampling added to the negatives
 
     @property
     def n_pseudo_pairs(self) -> int:
-        return sum(p.provenance == "pseudo_positive" for p in self.pairs)
+        return len(self.pairs["pseudo_positive"])
 
 
 def _inclass_rows(cohort: Cohort) -> np.ndarray:
@@ -98,17 +99,16 @@ def train(cohort: Cohort, config: PipelineConfig) -> TrainedPipeline:
     positives, negatives = labeling.build_original_pairs(cohort)
     pseudo = augment(cohort, config.augmentation)
     data = trainer.oversample(positives, pseudo, negatives, config.sampler)
-    X = F.assemble(
-        [(cohort.students[p.student_id], p.day) for p in data],
-        pca, hist, config.feature, cohort.schema,
-    )
+    X = F.assemble(data.points, pca, hist, config.feature, cohort.schema)
     names = F.feature_names(cohort.schema, pca, config.feature)
     model = trainer.fit_gbdt(X, data, names, config.gbdt)
     return TrainedPipeline(
         model=model,
         scorer=PipelineScorer(model, pca, hist, config.feature, cohort.schema),
         config=config,
-        pairs=positives + pseudo + negatives,
+        pairs={"original_positive": positives, "pseudo_positive": pseudo,
+               "original_negative": negatives},
+        n_drawn=len(data) - len(negatives),
     )
 
 
@@ -134,6 +134,7 @@ def run_sweep(
     """
     if not seeds:
         raise ValidationError("at least one seed required")
+    check_deltas(deltas)  # before any training
     aucs: dict[str, dict[str, list]] = {key: {str(d): [] for d in deltas} for key in arms}
     for seed in seeds:
         train_cohort, test_cohort = split_students(cohort, train_fraction, seed)

@@ -3,19 +3,20 @@
 Positives (original plus pseudo) are resampled with replacement, selection
 probability proportional to their confidence weights, until they make up the
 configured fraction of the training set. Negatives pass through untouched.
-The learner is the from-scratch GBDT in `gbdt`.
+Every set is a `labeling.PairSet`, so a draw is a point index, not a copied
+pair. The learner is the from-scratch GBDT in `gbdt`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gbdt
 from .errors import EmptyInputError, ModelError, ValidationError
 from .gbdt import GBDTConfig, GBDTModel
-from .labeling import TrainingPair
+from .labeling import PairSet
 
 
 @dataclass(frozen=True)
@@ -30,41 +31,32 @@ class SamplerConfig:
             raise ValidationError("seed must be non-negative")
 
 
-def oversample(
-    positives: list[TrainingPair],
-    pseudo: list[TrainingPair],
-    negatives: list[TrainingPair],
-    cfg: SamplerConfig,
-) -> list[TrainingPair]:
-    """Return negatives unchanged plus resampled positive draws.
+def oversample(positives: PairSet, pseudo: PairSet, negatives: PairSet, cfg: SamplerConfig) -> PairSet:
+    """Return negatives unchanged, followed by resampled positive draws.
 
     The draw count makes positives `target_positive_fraction` of the output.
-    Each drawn copy enters the learner with weight 1: its confidence weight
-    has already been spent on selection frequency.
+    Each draw enters the learner with weight 1: its confidence weight has
+    already been spent on selection frequency.
     """
-    pool = list(positives) + list(pseudo)
+    pool = positives.points + pseudo.points
     if not pool:
         raise EmptyInputError("no positive pairs to oversample")
     f = cfg.target_positive_fraction
     n_pos = max(int(round(f * len(negatives) / (1.0 - f))), 1)
-    weights = np.array([p.weight for p in pool])
+    weights = np.concatenate([positives.weights, pseudo.weights])
     rng = np.random.default_rng(cfg.seed)
     draws = rng.choice(len(pool), size=n_pos, replace=True, p=weights / weights.sum())
-    return list(negatives) + [replace(pool[i], weight=1.0) for i in draws]
+    return PairSet(negatives.points + [pool[i] for i in draws.tolist()],
+                   np.concatenate([negatives.labels, np.ones(n_pos, dtype=np.int64)]),
+                   np.concatenate([negatives.weights, np.ones(n_pos)]))
 
 
-def fit_gbdt(
-    X: np.ndarray, data: list[TrainingPair], names: tuple[str, ...], cfg: GBDTConfig
-) -> GBDTModel:
+def fit_gbdt(X: np.ndarray, data: PairSet, names: tuple[str, ...], cfg: GBDTConfig) -> GBDTModel:
     """Train the boosted-tree model on weighted training pairs and their rows of X.
 
     Repeated draws stay separate rows: `gbdt.fit` merges identical rows into
-    summed weights itself.
+    summed weights itself, and refuses an X without one row per pair.
     """
-    if not data:
+    if not len(data):
         raise EmptyInputError("no training pairs")
-    if np.ndim(X) != 2 or np.shape(X)[0] != len(data):
-        raise ModelError(f"feature matrix of shape {np.shape(X)} for {len(data)} training pairs")
-    y = np.array([p.label for p in data], dtype=np.float64)
-    w = np.array([p.weight for p in data], dtype=np.float64)
-    return gbdt.fit(X, y, w, cfg, feature_names=names)
+    return gbdt.fit(X, data.labels, data.weights, cfg, feature_names=names)

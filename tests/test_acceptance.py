@@ -26,9 +26,9 @@ from atrisk.gbdt import GBDTConfig, GBDTModel, fit as gbdt_fit
 from atrisk.pipeline import PipelineConfig, train
 from atrisk.synthgen import SimConfig, generate_cohort
 from atrisk.trainer import SamplerConfig, oversample
-from atrisk.labeling import TrainingPair
+from atrisk.labeling import PairSet
 
-from conftest import BatchScorer
+from conftest import BatchScorer, obs, student
 
 
 def verdict(capsys, criterion, ok, detail=""):
@@ -66,9 +66,9 @@ def test_criterion_1_augmentation_exactness(capsys):
             )
             counts_ok &= len(pairs) == expected
             last_day = {s.student_id: s.days[-1] for s in dropouts}
-            for p in pairs:
-                u = (last_day[p.student_id] - p.day) / lam
-                max_weight_err = max(max_weight_err, abs(p.weight - g(u)))
+            for (s, d), weight in zip(pairs.points, pairs.weights.tolist()):
+                u = (last_day[s.student_id] - d) / lam
+                max_weight_err = max(max_weight_err, abs(weight - g(u)))
     elapsed = time.perf_counter() - t0
     ok = counts_ok and max_weight_err <= 1e-12 and elapsed < 1.0
     verdict(
@@ -162,19 +162,18 @@ def test_criterion_3_gbdt_correctness(capsys):
 
 def test_criterion_4_oversampler_statistics(capsys):
     t0 = time.perf_counter()
-    heavy = TrainingPair("a", 10, 1, 1.0, "original_positive")
-    light = TrainingPair("b", 5, 1, 0.25, "pseudo_positive")
-    negatives = [
-        TrainingPair(f"n{d}", d, 0, 1.0, "original_negative")
-        for d in range(1, 23_335)
-    ]
-    out = oversample([heavy], [light], negatives, SamplerConfig(seed=4))
-    drawn = [p for p in out if p.label == 1]
+    heavy = PairSet.of([(student("a", [obs(10)], status="dropout"), 10)], 1, [1.0])
+    light = PairSet.of([(student("b", [obs(5)], status="dropout"), 5)], 1, [0.25])
+    negatives = PairSet.of(
+        [(student(f"n{d}", [obs(d)]), d) for d in range(1, 23_335)], 0
+    )
+    out = oversample(heavy, light, negatives, SamplerConfig(seed=4))
+    drawn = [p for p, label in zip(out.points, out.labels.tolist()) if label == 1]
     n = len(drawn)
     frac = n / len(out)
     frac_ok = abs(frac - 0.3) <= 1.0 / len(out)
     p_a = 1.0 / 1.25  # weight 1.0 vs 0.25 -> 4:1 draw odds
-    share_a = sum(1 for p in drawn if p.student_id == "a") / n
+    share_a = sum(1 for s, _ in drawn if s.student_id == "a") / n
     se = float(np.sqrt(p_a * (1 - p_a) / n))
     ratio_ok = abs(share_a - p_a) <= 3 * se
     elapsed = time.perf_counter() - t0

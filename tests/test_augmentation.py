@@ -22,7 +22,7 @@ def closed_form_count(t_prev, t_n, lam):
 
 def pseudo_days(s, lookback):
     """Days of the pseudo-positives `augment` makes for one student."""
-    return [p.day for p in augment(cohort_of(s), AugmentationConfig(lookback_days=lookback))]
+    return [d for _, d in augment(cohort_of(s), AugmentationConfig(lookback_days=lookback)).points]
 
 
 def test_pseudo_days_open_interval():
@@ -75,9 +75,9 @@ def test_weight_formulas_exact():
     }
     for tag, formula in formulas.items():
         pairs = augment(cohort, AugmentationConfig(lookback_days=lam, weighting=tag))
-        assert [p.day for p in pairs] == [94, 95, 96, 97, 98, 99]
-        for p in pairs:
-            assert abs(p.weight - formula((t_n - p.day) / lam)) < 1e-12
+        assert [d for _, d in pairs.points] == [94, 95, 96, 97, 98, 99]
+        for (_, d), weight in zip(pairs.points, pairs.weights.tolist()):
+            assert abs(weight - formula((t_n - d) / lam)) < 1e-12
 
 
 def test_weight_endpoint_values():
@@ -118,17 +118,18 @@ def test_augment_counts_and_weights():
     cohort = cohort_of(s1, s2, comp)
     pairs = augment(cohort, AugmentationConfig(lookback_days=7, weighting="convex"))
     assert len(pairs) == 8
-    assert all(p.provenance == "pseudo_positive" and p.label == 1 for p in pairs)
+    assert pairs.labels.tolist() == [1] * 8
     by_student = {}
-    for p in pairs:
-        by_student.setdefault(p.student_id, []).append(p)
+    for (s, d), weight in zip(pairs.points, pairs.weights.tolist()):
+        by_student.setdefault(s.student_id, []).append((d, weight))
+    assert sorted(by_student) == ["a", "b"]
     for sid in ("a", "b"):
-        for p in by_student[sid]:
-            u = (100 - p.day) / 7
-            assert p.weight == pytest.approx((1 - u) ** 2, abs=1e-12)
+        for d, weight in by_student[sid]:
+            u = (100 - d) / 7
+            assert weight == pytest.approx((1 - u) ** 2, abs=1e-12)
 
 
 def test_augment_disabled_config_yields_no_pairs():
     cohort = cohort_of(dropout_with([90, 100]))
-    assert augment(cohort, AugmentationConfig(lookback_days=None)) == []
+    assert len(augment(cohort, AugmentationConfig(lookback_days=None))) == 0
 

@@ -1,14 +1,19 @@
 """The benchmark's tracer still finds every atrisk name it traces.
 
 `perfbench/tracing.py` resolves each traced function and method by name when
-it installs, so renaming or deleting one of them breaks the benchmark. This
-test makes that break show in the unit suite as well.
+it installs, so renaming or deleting one of them breaks the benchmark; its
+pair counters read the shapes the pair builders return. These tests make
+either break show in the unit suite as well.
 """
 
 import importlib.util
 from pathlib import Path
 
 import atrisk.cli  # noqa: F401  (the benchmark runs the CLI, so it is loaded there too)
+from atrisk.augmentation import AugmentationConfig, augment
+from atrisk.labeling import build_original_pairs
+from atrisk.synthgen import SimConfig, generate_cohort
+from atrisk.trainer import SamplerConfig, oversample
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -33,3 +38,31 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original
+
+
+def test_tracer_pair_counts_match_the_pair_sets():
+    """The benchmark's pair counters read the shapes that `build_original_pairs`,
+    `augment` and `oversample` return; each must still count the true pairs."""
+    tracing = load_tracing()
+    cohort, _, _ = generate_cohort(SimConfig(n_students=60, seed=1))
+    resolved = cohort.resolved()
+    dropouts = [s for s in resolved if s.final_status == "dropout"]
+    n_pos = len(dropouts)
+    n_neg = sum(len(s.days) for s in resolved) - n_pos
+    n_pseudo = sum(max(0, s.days[-1] - max(s.days[-2] if len(s.days) > 1 else 0,
+                                           s.days[-1] - 7) - 1) for s in dropouts)
+    n_drawn = round(0.3 * n_neg / 0.7)
+    assert n_pos and n_pseudo
+
+    originals = build_original_pairs(cohort)
+    assert tracing._pair_counts((cohort,), {}, originals) == (n_pos, n_neg)
+    config = AugmentationConfig(lookback_days=7)
+    pseudo = augment(cohort, config)
+    assert tracing._len_out((cohort, config), {}, pseudo) == n_pseudo
+    positives, negatives = originals
+    args = (positives, pseudo, negatives, SamplerConfig())
+    sampled = oversample(*args)
+    assert int(sampled.labels.sum()) == n_drawn
+    assert tracing._sample_counts(args, {}, sampled) == (n_neg + n_drawn, n_drawn)
+    assert tracing._sample_counts(args[:2], {"negatives": negatives, "cfg": args[3]},
+                                  sampled) == (n_neg + n_drawn, n_drawn)

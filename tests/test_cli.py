@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,34 @@ def test_train_writes_model_pairs_manifest(sim_dir, tmp_path):
     assert {r["provenance"] for r in rows} >= {
         "original_positive", "original_negative", "pseudo_positive"
     }
+    by_provenance = manifest["pairs_by_provenance"]
+    assert by_provenance == {**Counter(r["provenance"] for r in rows),
+                             "drawn": by_provenance["drawn"]}
+    assert by_provenance["pseudo_positive"] == manifest["n_pseudo_pairs"]
+    # over-sampling draws positives up to 30% of the training rows
+    assert by_provenance["drawn"] == round(0.3 * by_provenance["original_negative"] / 0.7)
+    curve = manifest["train_loss_curve"]
+    assert len(curve) == 11  # before the first tree and after each of the 10
+    assert curve == sorted(curve, reverse=True)
+    assert "train_loss_curve" not in model
+
+
+@pytest.mark.parametrize("lookback, model_sha256, pairs_sha256, pseudo", [
+    ("7", "bd9410520ba4de42f10bb818419e5abf6da1cc41f20b7dc120c28913ee0351c4",
+     "ad9d35b718c943fce70e6ef602a9e9b8aec6a08755e1ef5969f8266e36f15e5f", 56),
+    ("none", "df9288f463e1e7690a2e879dbc895e619652b3f7cd1bca5c3b597295207c0ede",
+     "87c3bfd875716fa2943b99dca2c1e258c9624b7827a2332c3e0bf879282100d3", 0),
+])
+def test_train_outputs_are_pinned(sim_dir, tmp_path, capsys, lookback, model_sha256,
+                                  pairs_sha256, pseudo):
+    """The sha256 values were computed while every training pair was still a
+    TrainingPair object, at the commit before pairs became columns."""
+    assert main(["train", *io_args(sim_dir, tmp_path), *FAST, "--lookback", lookback]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        f"trained gbdt on 13 positives, {pseudo} pseudo positives, 3335 negatives\n"
+    )
+    assert sha256(tmp_path / "model.json") == model_sha256
+    assert sha256(tmp_path / "pairs.csv") == pairs_sha256
 
 
 def test_train_is_byte_deterministic(sim_dir, tmp_path):
@@ -249,6 +278,9 @@ def test_usage_error_exit_code(sim_dir, tmp_path):
     ("sweep", "--lookbacks", "5"),
     ("sweep", "--weightings", "sigmoid"),
     ("sweep", "--feature-sets", "in+bogus"),
+    ("evaluate", "--deltas", "5..1"),
+    ("sweep", "--deltas", "5..1"),
+    ("sweep", "--seeds", "3..1"),
 ])
 def test_malformed_list_flag_exits_2(sim_dir, tmp_path, capsys, subcommand, flag, value):
     with pytest.raises(SystemExit) as exc:
@@ -263,9 +295,11 @@ def test_malformed_list_flag_exits_2(sim_dir, tmp_path, capsys, subcommand, flag
     ["predict", "--top-fraction", "2"],
     ["evaluate", "--train-fraction", "1.5"],
     ["evaluate", "--top-fraction", "2"],
+    ["evaluate", "--deltas", "0"],
+    ["sweep", "--deltas", "0,7"],
 ])
 def test_out_of_range_fraction_exits_3(sim_dir, tmp_path, capsys, monkeypatch, argv):
-    def no_training(*args, **kwargs):  # a bad fraction is refused before any training
+    def no_training(*args, **kwargs):  # a bad fraction or horizon is refused before training
         raise AssertionError("pipeline.train ran")
 
     monkeypatch.setattr(pipeline, "train", no_training)

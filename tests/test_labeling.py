@@ -4,13 +4,10 @@ import csv
 
 import pytest
 
+from atrisk.augmentation import WEIGHTINGS, AugmentationConfig, augment
 from atrisk.errors import EmptyInputError, ValidationError
-from atrisk.labeling import (
-    TrainingPair,
-    build_original_pairs,
-    horizon_label,
-    write_pairs_csv,
-)
+from atrisk.labeling import build_original_pairs, horizon_label, write_pairs_csv
+from atrisk.synthgen import SimConfig, generate_cohort
 
 from conftest import cohort_of, obs, student
 
@@ -18,16 +15,16 @@ from conftest import cohort_of, obs, student
 def test_partition_counts(small_cohort):
     positives, negatives = build_original_pairs(small_cohort)
     # each dropout contributes exactly one positive: its final pair
-    assert [(p.student_id, p.day) for p in positives] == [("s1", 20), ("s3", 8)]
+    assert [(s.student_id, d) for s, d in positives.points] == [("s1", 20), ("s3", 8)]
     # everything else from resolved students is negative
     assert len(negatives) == 4 + 4 + 2  # s1 pre-final, all of s2, s3 pre-final
-    assert all(p.label == 1 and p.weight == 1.0 for p in positives)
-    assert all(n.label == 0 and n.weight == 1.0 for n in negatives)
+    assert positives.labels.tolist() == [1, 1] and positives.weights.tolist() == [1.0, 1.0]
+    assert set(negatives.labels.tolist()) == {0} and set(negatives.weights.tolist()) == {1.0}
 
 
 def test_ongoing_students_are_excluded(small_cohort):
     positives, negatives = build_original_pairs(small_cohort)
-    ids = {p.student_id for p in positives} | {n.student_id for n in negatives}
+    ids = {s.student_id for s, _ in positives.points + negatives.points}
     assert "s4" not in ids
 
 
@@ -37,15 +34,24 @@ def test_empty_cohort_raises():
         build_original_pairs(cohort_of(ongoing))
 
 
-def test_pair_validation():
-    with pytest.raises(ValidationError):
-        TrainingPair("s", 1, 1, 0.5, "original_positive")  # original weight != 1
-    with pytest.raises(ValidationError):
-        TrainingPair("s", 1, 0, 0.5, "pseudo_positive")  # pseudo must be positive
-    with pytest.raises(ValidationError):
-        TrainingPair("s", 1, 1, 0.0, "pseudo_positive")  # weight outside (0, 1]
-    with pytest.raises(ValidationError):
-        TrainingPair("s", 1, 1, 1.0, "bogus")
+def test_pair_weights_on_a_synthetic_cohort():
+    """Original pairs weigh exactly 1; every pseudo pair, for every weighting
+    and lookback, is a positive weighted inside (0, 1]."""
+    cohort, _, _ = generate_cohort(SimConfig(n_students=60, seed=1))
+    positives, negatives = build_original_pairs(cohort)
+    assert len(positives) and len(negatives)
+    for pairs, label in ((positives, 1), (negatives, 0)):
+        assert set(pairs.labels.tolist()) == {label}
+        assert set(pairs.weights.tolist()) == {1.0}
+    n_pseudo = 0
+    for weighting in WEIGHTINGS:
+        for lookback in range(1, 15):
+            pseudo = augment(cohort, AugmentationConfig(lookback, weighting))
+            assert len(pseudo.labels) == len(pseudo.weights) == len(pseudo)
+            assert pseudo.labels.tolist() == [1] * len(pseudo)
+            assert all(0.0 < w <= 1.0 for w in pseudo.weights.tolist())
+            n_pseudo += len(pseudo)
+    assert n_pseudo > 0
 
 
 def test_horizon_label_window_boundaries():
@@ -76,7 +82,7 @@ def test_horizon_label_rejects_ongoing_and_bad_delta():
 def test_write_pairs_csv(tmp_path, small_cohort):
     positives, negatives = build_original_pairs(small_cohort)
     path = tmp_path / "pairs.csv"
-    write_pairs_csv(positives + negatives, path)
+    write_pairs_csv({"original_positive": positives, "original_negative": negatives}, path)
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(positives) + len(negatives)
@@ -87,3 +93,5 @@ def test_write_pairs_csv(tmp_path, small_cohort):
         "weight": "1.0",
         "provenance": "original_positive",
     }
+    assert rows[-1]["provenance"] == "original_negative"
+    assert rows[-1]["label"] == "0"

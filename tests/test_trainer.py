@@ -5,66 +5,76 @@ import pytest
 
 from atrisk.errors import EmptyInputError, ModelError, SchemaError
 from atrisk.gbdt import GBDTConfig
-from atrisk.labeling import TrainingPair
+from atrisk.labeling import PairSet
 from atrisk.trainer import SamplerConfig, fit_gbdt, oversample
 
+from conftest import obs, student
+
 NAMES = ("f0", "f1")
+NONE = PairSet.of([], 1)
 
 
-def pos(sid, day, weight=1.0, provenance="original_positive"):
-    return TrainingPair(sid, day, 1, weight, provenance)
+def pos(sid, day, weight=1.0):
+    return PairSet.of([(student(sid, [obs(day)], status="dropout"), day)], 1, [weight])
 
 
-def neg(sid, day):
-    return TrainingPair(sid, day, 0, 1.0, "original_negative")
+def negs(n):
+    """n negative pairs, one per day 1..n of student "n"."""
+    s = student("n", [obs(d) for d in range(1, n + 1)])
+    return PairSet.of([(s, d) for d in s.days], 0)
+
+
+def drawn_ids(out, negatives):
+    """Student id of every draw `oversample` appended to `negatives`."""
+    assert out.labels[len(negatives):].tolist() == [1] * (len(out) - len(negatives))
+    return [s.student_id for s, _ in out.points[len(negatives):]]
 
 
 def test_oversample_hits_target_fraction_within_one_pair():
-    negatives = [neg("n", d) for d in range(1, 71)]
-    out = oversample([pos("p", 99)], [], negatives, SamplerConfig(seed=0))
-    n_pos = sum(1 for p in out if p.label == 1)
+    negatives = negs(70)
+    out = oversample(pos("p", 99), NONE, negatives, SamplerConfig(seed=0))
+    n_pos = int(out.labels.sum())
     target = 0.3
     achieved = n_pos / len(out)
     step = 1 / len(out)
     assert abs(achieved - target) <= step
-    assert [p for p in out if p.label == 0] == negatives  # negatives untouched
+    # negatives untouched, and first
+    assert out.points[:len(negatives)] == negatives.points
+    assert out.labels[:len(negatives)].tolist() == negatives.labels.tolist()
+    assert out.weights[:len(negatives)].tolist() == negatives.weights.tolist()
 
 
 def test_oversample_draw_ratio_tracks_weights():
     """Two positives with weights 1.0 and 0.25: draws should approach 4:1."""
-    pool_a = pos("a", 10)
-    pool_b = pos("b", 5, weight=0.25, provenance="pseudo_positive")
-    negatives = [neg("n", d) for d in range(1, 23_334)]  # ~10k draws at 0.3
-    out = oversample([pool_a], [pool_b], negatives, SamplerConfig(seed=7))
-    drawn = [p for p in out if p.label == 1]
+    negatives = negs(23_333)  # ~10k draws at 0.3
+    out = oversample(pos("a", 10), pos("b", 5, weight=0.25), negatives, SamplerConfig(seed=7))
+    drawn = drawn_ids(out, negatives)
     n = len(drawn)
     assert n >= 9_000
-    count_a = sum(1 for p in drawn if p.student_id == "a")
+    count_a = drawn.count("a")
     p_a = 0.8  # 1.0 / (1.0 + 0.25)
     se = np.sqrt(p_a * (1 - p_a) / n)
     assert abs(count_a / n - p_a) <= 3 * se
 
 
 def test_oversample_drawn_copies_carry_weight_one():
-    negatives = [neg("n", d) for d in range(1, 40)]
-    out = oversample(
-        [], [pos("p", 9, weight=0.3, provenance="pseudo_positive")], negatives,
-        SamplerConfig(seed=1),
-    )
-    assert all(p.weight == 1.0 for p in out if p.label == 1)
+    negatives = negs(39)
+    out = oversample(NONE, pos("p", 9, weight=0.3), negatives, SamplerConfig(seed=1))
+    assert drawn_ids(out, negatives) == ["p"] * (len(out) - len(negatives))
+    assert out.weights.dtype == np.float64
+    assert out.weights.tolist() == [1.0] * len(out)
 
 
 def test_oversample_is_seeded():
-    negatives = [neg("n", d) for d in range(1, 50)]
-    pool = [pos("a", 1), pos("b", 2, weight=0.5, provenance="pseudo_positive")]
-    a = oversample(pool[:1], pool[1:], negatives, SamplerConfig(seed=3))
-    b = oversample(pool[:1], pool[1:], negatives, SamplerConfig(seed=3))
-    assert [(p.student_id, p.day) for p in a] == [(p.student_id, p.day) for p in b]
+    negatives = negs(49)
+    a = oversample(pos("a", 1), pos("b", 2, weight=0.5), negatives, SamplerConfig(seed=3))
+    b = oversample(pos("a", 1), pos("b", 2, weight=0.5), negatives, SamplerConfig(seed=3))
+    assert [(s.student_id, d) for s, d in a.points] == [(s.student_id, d) for s, d in b.points]
 
 
 def test_oversample_empty_pool_raises():
     with pytest.raises(EmptyInputError):
-        oversample([], [], [neg("n", 1)], SamplerConfig())
+        oversample(NONE, NONE, negs(1), SamplerConfig())
 
 
 def test_sampler_config_validation():
@@ -75,15 +85,15 @@ def test_sampler_config_validation():
 
 
 def labeled_fixture(seed=0, n=60):
-    """(X, pairs): row i of X is the feature row of pairs[i]."""
+    """(X, pairs): row i of X is the feature row of pair i."""
     rng = np.random.default_rng(seed)
-    rows, pairs = [], []
+    rows, labels = [], []
     for i in range(n):
         x = rng.normal(size=2)
-        label = int(x[0] + 0.3 * rng.normal() > 0)
         rows.append(x)
-        pairs.append(pos(f"s{i}", i + 1) if label else neg(f"s{i}", i + 1))
-    return np.array(rows), pairs
+        labels.append(int(x[0] + 0.3 * rng.normal() > 0))
+    s = student("s", [obs(d) for d in range(1, n + 1)])
+    return np.array(rows), PairSet(list(zip([s] * n, s.days)), np.array(labels), np.ones(n))
 
 
 def test_fit_gbdt_and_predict_round_trip():
@@ -96,20 +106,25 @@ def test_fit_gbdt_and_predict_round_trip():
 
 
 def test_fit_gbdt_requires_features():
-    pairs = [pos("p", 1), neg("n", 2)]
+    _, pairs = labeled_fixture(n=2)
     with pytest.raises(ModelError):
         fit_gbdt(np.zeros((3, 2)), pairs, NAMES, GBDTConfig(n_trees=1))
     with pytest.raises(ModelError):
         fit_gbdt(np.zeros(2), pairs, NAMES, GBDTConfig(n_trees=1))
     with pytest.raises(EmptyInputError):
-        fit_gbdt(np.zeros((0, 2)), [], NAMES, GBDTConfig(n_trees=1))
+        fit_gbdt(np.zeros((0, 2)), NONE, NAMES, GBDTConfig(n_trees=1))
 
 
 def test_duplicate_pairs_merge_into_weights():
     """Oversampled literal copies must train like one row with summed weight."""
     X, base = labeled_fixture(seed=2)
-    is_pos = np.array([p.label == 1 for p in base])
-    copies = base + [p for p in base if p.label == 1]
+    is_pos = base.labels == 1
+    n_copies = int(is_pos.sum())
+    copies = PairSet(
+        base.points + [p for p, keep in zip(base.points, is_pos) if keep],
+        np.concatenate([base.labels, np.ones(n_copies, dtype=np.int64)]),
+        np.ones(len(base) + n_copies),
+    )
     cfg = GBDTConfig(n_trees=10, max_depth=2)
     merged = fit_gbdt(np.vstack([X, X[is_pos]]), copies, NAMES, cfg)
 
