@@ -22,11 +22,11 @@ from pathlib import Path
 
 from . import features, labeling, pipeline, synthgen
 from .augmentation import AugmentationConfig
-from .errors import DataError, ModelError
+from .errors import DataError, ModelError, UndefinedMetricError
 from .events import cohort_stats, ingest
 from .evaluation import (
-    check_deltas, check_top_fraction, daily_flagging, evaluate_horizons, flag_top,
-    split_students,
+    TOP_FRACTION, check_deltas, check_top_fraction, daily_flagging, evaluate_horizons,
+    rank_top, split_students,
 )
 from .features import FeatureConfig
 from .gbdt import GBDTConfig
@@ -136,8 +136,7 @@ def cmd_simulate(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], d
 def cmd_featurize(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], dict]:
     cohort = ingest(args.events, args.schema)
     fconfig = FeatureConfig(blocks=_parse_blocks(args.features))
-    pca = features.fit_pca(pipeline._inclass_rows(cohort))
-    hist = features.build_teacher_history(cohort)
+    pca, hist = pipeline.fit_feature_space(cohort)
     points = [(cohort.students[sid], d) for sid in sorted(cohort.students)
               for d in cohort.students[sid].days]
     X = features.assemble(points, pca, hist, fconfig, cohort.schema)
@@ -179,15 +178,14 @@ def cmd_predict(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], di
               for sid in sorted(cohort.students) if cohort.students[sid].first_day <= at_day]
     values = trained.scorer.many(points)
     scores = {s.student_id: float(v) for (s, _), v in zip(points, values)}
-    flagged = flag_top(scores, args.top_fraction)
-    ranked = sorted(scores, key=lambda sid: (-scores[sid], sid))
+    ranked, n_flag = rank_top(scores, args.top_fraction)
     out_path = out_dir / "predictions.csv"
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["student_id", "probability", "flagged"])
-        for sid in ranked:
-            writer.writerow([sid, f"{scores[sid]:.6f}", int(sid in flagged)])
-    print(f"scored {len(ranked)} students at day {at_day}; flagged {len(flagged)}")
+        for rank, sid in enumerate(ranked):
+            writer.writerow([sid, f"{scores[sid]:.6f}", int(rank < n_flag)])
+    print(f"scored {len(ranked)} students at day {at_day}; flagged {n_flag}")
     return [out_path], {}
 
 
@@ -205,7 +203,7 @@ def cmd_evaluate(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], d
             f"pooled@{args.top_fraction}": flagging.pooled_recall,
             f"daily_mean@{args.top_fraction}": flagging.daily_mean_recall,
         }
-    except ModelError:
+    except UndefinedMetricError:
         pass  # no evaluable dropout days in the test split
     report_path = out_dir / "report.json"
     report.save(report_path)
@@ -225,11 +223,12 @@ def cmd_sweep(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], dict
     report = pipeline.run_sweep(cohort, arms, args.deltas, args.seeds, args.train_fraction)
     json_path = out_dir / "report.json"
     json_path.write_text(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
+    recall_key = f"pooled@{TOP_FRACTION}"
     for key in sorted(report["cells"]):
-        summary = report["cells"][key]
-        means = " ".join(f"d{d}={summary[str(d)]['mean']:.3f}" for d in args.deltas
-                         if summary[str(d)]["mean"] is not None)
-        print(f"{key}: {means}")
+        means = {f"d{d}": report["cells"][key][str(d)]["mean"] for d in args.deltas}
+        means[recall_key] = report["recall_at_fraction"][recall_key][key]["mean"]
+        print(f"{key}: " + " ".join(f"{name}={m:.3f}" for name, m in means.items()
+                                    if m is not None))
     return [json_path], {}
 
 
@@ -278,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(p)
     _add_train_args(p)
     p.add_argument("--at-day", type=int, default=None)
-    p.add_argument("--top-fraction", type=float, default=0.3)
+    p.add_argument("--top-fraction", type=float, default=TOP_FRACTION)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="split, train, and report AUC per horizon")
@@ -286,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_args(p)
     p.add_argument("--deltas", type=int_list, default="1..14")
     p.add_argument("--train-fraction", type=float, default=0.8)
-    p.add_argument("--top-fraction", type=float, default=0.3)
+    p.add_argument("--top-fraction", type=float, default=TOP_FRACTION)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep", help="grid over lookback/weighting/feature sets")

@@ -18,6 +18,8 @@ import numpy as np
 from .errors import UndefinedMetricError, ValidationError
 from .events import Cohort, StudentRecord
 
+TOP_FRACTION = 0.3  # the share of students that flagging takes by default
+
 
 def average_ranks(scores) -> np.ndarray:
     """1-based ranks of `scores`; a run of tied scores shares its mean rank."""
@@ -144,12 +146,12 @@ def check_top_fraction(fraction: float) -> None:
         raise ValidationError(f"fraction {fraction} outside (0, 1]")
 
 
-def flag_top(scores_by_student: dict[str, float], fraction: float) -> set[str]:
-    """The top ceil(fraction * n) students by score, ties broken by id."""
+def rank_top(scores_by_student: dict[str, float], fraction: float) -> tuple[list[str], int]:
+    """Student ids by descending score, ties broken by id, and how many at the
+    head of that ranking a top-`fraction` flag takes: ceil(fraction * n)."""
     check_top_fraction(fraction)
-    n_flag = int(np.ceil(fraction * len(scores_by_student)))
     ranked = sorted(scores_by_student, key=lambda sid: (-scores_by_student[sid], sid))
-    return set(ranked[:n_flag])
+    return ranked, int(np.ceil(fraction * len(ranked)))
 
 
 @dataclass
@@ -162,7 +164,7 @@ class FlaggingReport:
     n_dropouts: int
 
 
-def daily_flagging(scorer, cohort: Cohort, fraction: float = 0.3) -> FlaggingReport:
+def daily_flagging(scorer, cohort: Cohort, fraction: float = TOP_FRACTION) -> FlaggingReport:
     """Replay daily top-fraction flagging against next-day dropouts.
 
     For each day d with at least one dropout on day d+1, score every student
@@ -188,8 +190,8 @@ def daily_flagging(scorer, cohort: Cohort, fraction: float = 0.3) -> FlaggingRep
             continue
         sids = sorted(active)
         values = scorer.many([(active[sid], eval_day) for sid in sids])
-        scores = dict(zip(sids, (float(v) for v in values)))
-        hits = len(flag_top(scores, fraction) & todays)
+        ranked, n_flag = rank_top(dict(zip(sids, (float(v) for v in values))), fraction)
+        hits = len(todays.intersection(ranked[:n_flag]))
         daily.append(hits / len(todays))
         detected += hits
         total += len(todays)

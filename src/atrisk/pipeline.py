@@ -18,8 +18,10 @@ import numpy as np
 from . import features as F
 from . import labeling, trainer
 from .augmentation import AugmentationConfig, augment
-from .errors import InsufficientDataError, SchemaError, ValidationError
-from .evaluation import check_deltas, evaluate_horizons, split_students
+from .errors import InsufficientDataError, SchemaError, UndefinedMetricError, ValidationError
+from .evaluation import (
+    TOP_FRACTION, check_deltas, daily_flagging, evaluate_horizons, split_students,
+)
 from .events import Cohort, ColumnSchema, StudentRecord
 from .features import FeatureConfig, PCAModel, TeacherHistoryIndex
 from .gbdt import GBDTConfig, GBDTModel
@@ -80,7 +82,9 @@ class TrainedPipeline:
         return len(self.pairs["pseudo_positive"])
 
 
-def _inclass_rows(cohort: Cohort) -> np.ndarray:
+def fit_feature_space(cohort: Cohort) -> tuple[PCAModel, TeacherHistoryIndex]:
+    """The feature space a cohort defines: a PCA of its class sessions'
+    in-class vectors, in student-id order, and its teacher dropout history."""
     rows = [
         o.inclass_values
         for sid in sorted(cohort.students)
@@ -89,13 +93,12 @@ def _inclass_rows(cohort: Cohort) -> np.ndarray:
     ]
     if len(rows) < 2:
         raise InsufficientDataError("cohort has fewer than 2 class sessions; cannot fit PCA")
-    return np.vstack(rows)
+    return F.fit_pca(np.vstack(rows)), F.build_teacher_history(cohort)
 
 
 def train(cohort: Cohort, config: PipelineConfig) -> TrainedPipeline:
     """Run the full learning procedure on a (training) cohort."""
-    pca = F.fit_pca(_inclass_rows(cohort))
-    hist = F.build_teacher_history(cohort)
+    pca, hist = fit_feature_space(cohort)
     positives, negatives = labeling.build_original_pairs(cohort)
     pseudo = augment(cohort, config.augmentation)
     data = trainer.oversample(positives, pseudo, negatives, config.sampler)
@@ -113,11 +116,18 @@ def train(cohort: Cohort, config: PipelineConfig) -> TrainedPipeline:
 
 
 def _summary(per_seed: list[float | None]) -> dict:
-    """Every seed's AUC, and the mean and std of the defined ones (None if none is)."""
+    """Every seed's value, and the mean and std of the defined ones (None if none is)."""
     defined = [v for v in per_seed if v is not None]
     if not defined:
         return {"mean": None, "std": None, "per_seed": per_seed}
     return {"mean": float(np.mean(defined)), "std": float(np.std(defined)), "per_seed": per_seed}
+
+
+def _pooled_recall(scorer: PipelineScorer, cohort: Cohort) -> float | None:
+    try:
+        return daily_flagging(scorer, cohort, TOP_FRACTION).pooled_recall
+    except UndefinedMetricError:
+        return None  # no evaluable dropout day in this split
 
 
 def run_sweep(
@@ -130,12 +140,16 @@ def run_sweep(
     """Train and evaluate every arm on shared per-seed splits: the sweep report.
 
     Each split's seed is also the arm's sampler seed, so arms differ only in
-    what they configure. The report summarises each arm's AUC per horizon.
+    what they configure. The report summarises each arm's AUC per horizon
+    (`cells`) and its pooled recall of daily top-`TOP_FRACTION` flagging
+    (`recall_at_fraction`): every seed's value, None where undefined, and the
+    mean and std of the defined ones. Acceptance criteria 6 and 7 read it.
     """
     if not seeds:
         raise ValidationError("at least one seed required")
     check_deltas(deltas)  # before any training
     aucs: dict[str, dict[str, list]] = {key: {str(d): [] for d in deltas} for key in arms}
+    recalls: dict[str, list] = {key: [] for key in arms}
     for seed in seeds:
         train_cohort, test_cohort = split_students(cohort, train_fraction, seed)
         for key, config in arms.items():
@@ -143,5 +157,8 @@ def run_sweep(
             scorer = train(train_cohort, config).scorer
             for d, value in evaluate_horizons(scorer, test_cohort, deltas).auc_by_horizon.items():
                 aucs[key][str(d)].append(value)
+            recalls[key].append(_pooled_recall(scorer, test_cohort))
     cells = {key: {d: _summary(v) for d, v in by_delta.items()} for key, by_delta in aucs.items()}
-    return {"deltas": list(deltas), "seeds": list(seeds), "cells": cells}
+    return {"deltas": list(deltas), "seeds": list(seeds), "cells": cells,
+            "recall_at_fraction": {
+                f"pooled@{TOP_FRACTION}": {key: _summary(v) for key, v in recalls.items()}}}

@@ -13,17 +13,11 @@ import pytest
 from atrisk import pipeline
 from atrisk.augmentation import AugmentationConfig, augment
 from atrisk.cli import EXIT_OK, main as cli_main
-from atrisk.evaluation import (
-    auc,
-    auc_bruteforce,
-    daily_flagging,
-    evaluate_horizons,
-    split_students,
-)
+from atrisk.evaluation import auc, auc_bruteforce, daily_flagging
 from atrisk.events import StudentRecord
-from atrisk.features import FeatureConfig, assemble, build_teacher_history, fit_pca
+from atrisk.features import FeatureConfig, assemble
 from atrisk.gbdt import GBDTConfig, GBDTModel, fit as gbdt_fit
-from atrisk.pipeline import PipelineConfig, train
+from atrisk.pipeline import PipelineConfig
 from atrisk.synthgen import SimConfig, generate_cohort
 from atrisk.trainer import SamplerConfig, oversample
 from atrisk.labeling import PairSet
@@ -194,8 +188,7 @@ def test_criterion_5_causality_no_leakage(capsys):
     t0 = time.perf_counter()
     cohort, _, _ = generate_cohort(SimConfig(n_students=80, seed=5))
     config = FeatureConfig()
-    pca = fit_pca(pipeline._inclass_rows(cohort))
-    hist = build_teacher_history(cohort)
+    pca, hist = pipeline.fit_feature_space(cohort)
     rng = np.random.default_rng(55)
     students = sorted(cohort.students)
     checked = 0
@@ -218,7 +211,7 @@ def test_criterion_5_causality_no_leakage(capsys):
     verdict(capsys, 5, ok, f"100 queries byte-identical after truncation, {elapsed:.2f}s < 5s")
 
 
-# --- 6 + 7. trend reproduction and flagging (shared sweep) ---------------------
+# --- 6 + 7. trend reproduction and flagging (one pipeline.run_sweep) -----------
 
 SWEEP_GBDT = GBDTConfig(n_trees=80, max_depth=2)
 DELTAS = list(range(1, 15))
@@ -244,64 +237,45 @@ def trend_sweep():
         "out": PipelineConfig(gbdt=SWEEP_GBDT, feature=FeatureConfig(blocks=("out",))),
         "time": PipelineConfig(gbdt=SWEEP_GBDT, feature=FeatureConfig(blocks=("time",))),
     }
-    aucs = {k: {d: [] for d in DELTAS} for k in arms}
-    recalls = []
-    for seed in range(N_SEEDS):
-        train_cohort, test_cohort = split_students(cohort, 0.8, seed)
-        for key, config in arms.items():
-            trained = train(train_cohort, config)
-            report = evaluate_horizons(trained.scorer, test_cohort, DELTAS)
-            for d in DELTAS:
-                aucs[key][d].append(report.auc_by_horizon[d])
-            if key == "conv":
-                recalls.append(
-                    daily_flagging(trained.scorer, test_cohort, 0.3).pooled_recall
-                )
-    return {
-        "cohort": cohort,
-        "aucs": aucs,
-        "recalls": recalls,
-        "elapsed": time.perf_counter() - t0,
-    }
+    report = pipeline.run_sweep(cohort, arms, DELTAS, list(range(N_SEEDS)), 0.8)
+    return {"cohort": cohort, "report": report, "elapsed": time.perf_counter() - t0}
 
 
-def mean_auc(aucs, key, delta):
-    defined = [v for v in aucs[key][delta] if v is not None]
-    return float(np.mean(defined))
+def mean_auc(sweep, key, delta):
+    return sweep["report"]["cells"][key][str(delta)]["mean"]
 
 
-def overall_mean(aucs, key):
-    return float(np.mean([mean_auc(aucs, key, d) for d in DELTAS]))
+def overall_mean(sweep, key):
+    return float(np.mean([mean_auc(sweep, key, d) for d in DELTAS]))
 
 
-def per_seed_means(aucs, key):
+def per_seed_means(sweep, key):
+    cells = sweep["report"]["cells"][key]
     return np.array(
-        [np.mean([aucs[key][d][s] for d in DELTAS]) for s in range(N_SEEDS)]
+        [np.mean([cells[str(d)]["per_seed"][s] for d in DELTAS]) for s in range(N_SEEDS)]
     )
 
 
 @pytest.mark.slow
 def test_criterion_6a_horizon_ordering(trend_sweep, capsys):
-    near = mean_auc(trend_sweep["aucs"], "conv", 1)
-    far = mean_auc(trend_sweep["aucs"], "conv", 14)
+    near = mean_auc(trend_sweep, "conv", 1)
+    far = mean_auc(trend_sweep, "conv", 14)
     verdict(capsys, "6a", near > far, f"mean AUC delta=1 {near:.4f} > delta=14 {far:.4f}")
 
 
 @pytest.mark.slow
 def test_criterion_6b_augmentation_helps(trend_sweep, capsys):
-    gain = mean_auc(trend_sweep["aucs"], "conv", 1) - mean_auc(
-        trend_sweep["aucs"], "none", 1
-    )
+    gain = mean_auc(trend_sweep, "conv", 1) - mean_auc(trend_sweep, "none", 1)
     verdict(capsys, "6b", gain >= 0.02, f"convex-vs-none delta=1 gain {gain:+.4f} >= 0.02")
 
 
 @pytest.mark.slow
 def test_criterion_6c_weighting_ordering(trend_sweep, capsys):
-    aucs = trend_sweep["aucs"]
-    conv = overall_mean(aucs, "conv")
-    lin = overall_mean(aucs, "lin")
-    ccv = overall_mean(aucs, "ccv")
-    seed_wins = int(np.sum(per_seed_means(aucs, "conv") >= per_seed_means(aucs, "ccv")))
+    conv = overall_mean(trend_sweep, "conv")
+    lin = overall_mean(trend_sweep, "lin")
+    ccv = overall_mean(trend_sweep, "ccv")
+    seed_wins = int(np.sum(
+        per_seed_means(trend_sweep, "conv") >= per_seed_means(trend_sweep, "ccv")))
     ok = conv >= lin >= ccv and seed_wins >= 8
     verdict(
         capsys,
@@ -313,9 +287,8 @@ def test_criterion_6c_weighting_ordering(trend_sweep, capsys):
 
 @pytest.mark.slow
 def test_criterion_6d_feature_blocks(trend_sweep, capsys):
-    aucs = trend_sweep["aucs"]
-    full = mean_auc(aucs, "conv", 7)
-    singles = {k: mean_auc(aucs, k, 7) for k in ("in", "out", "time")}
+    full = mean_auc(trend_sweep, "conv", 7)
+    singles = {k: mean_auc(trend_sweep, k, 7) for k in ("in", "out", "time")}
     ok = all(full >= v for v in singles.values())
     verdict(
         capsys,
@@ -342,14 +315,14 @@ def test_criterion_7_flagging(trend_sweep, capsys):
     # the synthetic cohort stay far below ceil(0.3 * active), so recall must be 1
     oracle_report = daily_flagging(BatchScorer(oracle), cohort, 0.3)
     oracle_ok = oracle_report.pooled_recall == 1.0
-    recalls = trend_sweep["recalls"]
-    mean_recall = float(np.mean(recalls))
+    recall = trend_sweep["report"]["recall_at_fraction"]["pooled@0.3"]["conv"]
+    mean_recall = recall["mean"]
     ok = oracle_ok and mean_recall >= 0.6
     verdict(
         capsys,
         7, ok,
         f"oracle pooled recall {oracle_report.pooled_recall:.2f} == 1.0; trained "
-        f"mean pooled recall@0.3 {mean_recall:.4f} >= 0.6 over {len(recalls)} seeds",
+        f"mean pooled recall@0.3 {mean_recall:.4f} >= 0.6 over {len(recall['per_seed'])} seeds",
     )
 
 

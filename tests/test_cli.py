@@ -172,8 +172,10 @@ def test_sweep_writes_reports(sim_dir, tmp_path):
 
 
 def test_sweep_report_json_is_pinned(sim_dir, tmp_path):
-    """The sha256 was computed with the sweep engine this one replaced (SweepCell
-    and SweepReport in atrisk.evaluation), at the commit before the change."""
+    """Without `recall_at_fraction`, the report hashes as it did under the sweep
+    engine this one replaced (SweepCell and SweepReport in atrisk.evaluation),
+    at the commit before that change; the full file's hash dates from the
+    commit that added the recall."""
     code = main(
         ["sweep", *io_args(sim_dir, tmp_path), "--lookbacks", "none,7",
          "--weightings", "convex,linear", "--feature-sets", "in,in+out+time",
@@ -181,6 +183,12 @@ def test_sweep_report_json_is_pinned(sim_dir, tmp_path):
     )
     assert code == EXIT_OK
     assert sha256(tmp_path / "report.json") == (
+        "cdede10373eae5ba23007852e1a10349f6fdf6cb2ca8a2d4a453196f9e749377"
+    )
+    report = json.loads((tmp_path / "report.json").read_text())
+    del report["recall_at_fraction"]
+    aucs_only = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    assert hashlib.sha256(aucs_only.encode()).hexdigest() == (
         "9ba28b56eea9005900b76fd079037584a2dd5c11db1ef9e89783f81338e60a3f"
     )
 

@@ -12,9 +12,9 @@ from atrisk.evaluation import (
     auc_bruteforce,
     daily_flagging,
     evaluate_horizons,
-    flag_top,
     horizon_labels,
     query_points,
+    rank_top,
     split_students,
 )
 
@@ -147,12 +147,13 @@ def test_eval_report_save_round_trips(tmp_path, small_cohort):
 
 def recall_at_fraction(scores, dropouts, fraction):
     """Share of `dropouts` among the top fraction, as daily_flagging counts it."""
-    return len(flag_top(scores, fraction) & dropouts) / len(dropouts)
+    ranked, n_flag = rank_top(scores, fraction)
+    return len(dropouts.intersection(ranked[:n_flag])) / len(dropouts)
 
 
 def test_recall_at_fraction_hand_case():
     scores = {"a": 0.9, "b": 0.8, "c": 0.3, "d": 0.2, "e": 0.1}
-    assert flag_top(scores, 0.4) == {"a", "b"}
+    assert rank_top(scores, 0.4) == (["a", "b", "c", "d", "e"], 2)
     assert recall_at_fraction(scores, {"a", "b"}, 0.4) == 1.0
     assert recall_at_fraction(scores, {"a", "e"}, 0.4) == 0.5
     assert recall_at_fraction(scores, {"e"}, 0.4) == 0.0
@@ -167,7 +168,7 @@ def test_recall_ties_break_by_student_id():
 def test_recall_validation():
     for fraction in (0.0, -0.1, 1.5):
         with pytest.raises(ValidationError):
-            flag_top({"a": 1.0}, fraction)
+            rank_top({"a": 1.0}, fraction)
 
 
 def flagging_cohort(n_per_day=10, n_days=4):

@@ -18,7 +18,7 @@ from atrisk.features import (
     feature_names,
     fit_pca,
 )
-from atrisk.pipeline import _inclass_rows
+from atrisk.pipeline import fit_feature_space
 from atrisk.synthgen import SimConfig, generate_cohort
 
 from conftest import IN_COLS, OUT_COLS, cohort_of, obs, session, student
@@ -584,8 +584,7 @@ def test_index_refuses_days_past_max_day(small_cohort):
 def test_assemble_matches_oracle_on_simulated_cohort():
     cohort, _, _ = generate_cohort(SimConfig(n_students=40, seed=3))
     config = FeatureConfig()
-    pca = fit_pca(_inclass_rows(cohort))
-    hist = build_teacher_history(cohort)
+    pca, hist = fit_feature_space(cohort)
     points = [(s, d) for s in cohort for d in s.days]
     X = assemble(points, pca, hist, config, cohort.schema)
     for row, (s, day) in zip(X, points):

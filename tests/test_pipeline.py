@@ -10,7 +10,7 @@ import pytest
 
 from atrisk.augmentation import AugmentationConfig
 from atrisk.errors import InsufficientDataError, SchemaError, ValidationError
-from atrisk.evaluation import evaluate_horizons, query_points, split_students
+from atrisk.evaluation import daily_flagging, evaluate_horizons, query_points, split_students
 from atrisk.features import FeatureConfig
 from atrisk.gbdt import GBDTConfig, GBDTModel
 from atrisk.pipeline import PipelineConfig, PipelineScorer, run_sweep, train
@@ -166,18 +166,19 @@ def test_train_requires_class_sessions():
 
 def test_run_sweep_arm_equals_direct_train_and_evaluate(cohort):
     """An arm trains with the split's seed as its sampler seed, whatever the
-    arm's own sampler seed, and reports that run's AUCs bit for bit."""
+    arm's own sampler seed, and reports that run's AUCs and recall bit for bit."""
     report = run_sweep(cohort, {"fast": FAST}, [1, 7], [3], train_fraction=0.7)
     train_cohort, test_cohort = split_students(cohort, 0.7, seed=3)
     config = dataclasses.replace(FAST, sampler=SamplerConfig(seed=3))
-    direct = evaluate_horizons(train(train_cohort, config).scorer, test_cohort, [1, 7])
+    scorer = train(train_cohort, config).scorer
+    direct = evaluate_horizons(scorer, test_cohort, [1, 7]).auc_by_horizon
+    recall = daily_flagging(scorer, test_cohort, 0.3).pooled_recall
     assert report["deltas"] == [1, 7] and report["seeds"] == [3]
-    for d in (1, 7):
-        expected = direct.auc_by_horizon[d]
-        assert expected is not None
-        assert report["cells"]["fast"][str(d)] == {
-            "mean": expected, "std": 0.0, "per_seed": [expected]
-        }
+    expected = {**{str(d): direct[d] for d in (1, 7)}, "recall": recall}
+    got = {**report["cells"]["fast"], "recall": report["recall_at_fraction"]["pooled@0.3"]["fast"]}
+    for key, value in expected.items():
+        assert value is not None
+        assert got[key] == {"mean": value, "std": 0.0, "per_seed": [value]}
 
 
 def gap_cohort():
@@ -201,6 +202,16 @@ def test_run_sweep_arm_without_defined_auc_reports_null(recwarn):
     assert cell["1"] == {"mean": None, "std": None, "per_seed": [None, None]}
     assert cell["40"]["mean"] is not None
     assert None not in cell["40"]["per_seed"]
+    assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
+
+
+def test_run_sweep_split_without_test_dropout_reports_null_recall(cohort, recwarn):
+    _, test_cohort = split_students(cohort, 0.98, seed=0)
+    assert {s.final_status for s in test_cohort} == {"completion"}
+    report = run_sweep(cohort, {"fast": FAST}, [1], [0], train_fraction=0.98)
+    null = {"mean": None, "std": None, "per_seed": [None]}
+    assert report["recall_at_fraction"] == {"pooled@0.3": {"fast": null}}
+    assert report["cells"]["fast"]["1"] == null
     assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
 
 
