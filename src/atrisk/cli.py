@@ -1,14 +1,15 @@
 """Command-line entry point: simulate / featurize / train / predict / evaluate / sweep.
 
-`main` creates each run's output directory and writes its manifest.json,
-recording the resolved configuration, seed, and sha256 hashes of inputs and
-outputs, so any run can be replayed bit-exactly. Each subcommand returns the
-paths it wrote and any extra manifest keys.
+`train` writes the model directory that `predict --model` scores with. `main`
+creates each run's output directory and writes its manifest.json, recording
+the resolved configuration, seed, and sha256 hashes of inputs and outputs, so
+any run can be replayed bit-exactly. Each subcommand returns the paths it
+wrote and any extra manifest keys.
 
 Exit codes: 0 ok, 2 usage (an unknown flag, or a flag value that does not
 parse, such as an empty range), 3 data error (malformed input, an
-out-of-range fraction or horizon, a negative seed, or an input or output path
-that cannot be read or written), 4 model error.
+out-of-range fraction or horizon, a negative seed, a model that does not fit
+the schema, or a path that cannot be read or written), 4 model error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 
 from . import features, labeling, pipeline, synthgen
 from .augmentation import AugmentationConfig
-from .errors import DataError, ModelError, UndefinedMetricError
+from .errors import DataError, EmptyInputError, ModelError, UndefinedMetricError
 from .events import cohort_stats, ingest
 from .evaluation import (
     TOP_FRACTION, check_deltas, check_top_fraction, daily_flagging, evaluate_horizons,
@@ -110,7 +111,7 @@ def _arm_config(args: argparse.Namespace, lookback: int | None, weighting: str,
 
 
 def _pipeline_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
-    """The training config of a train, predict or evaluate run."""
+    """The training config of a train or evaluate run."""
     return _arm_config(args, _parse_lookback(args.lookback), args.weighting, args.features,
                        args.seed)
 
@@ -154,29 +155,27 @@ def cmd_train(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], dict
     cohort = ingest(args.events, args.schema)
     config = _pipeline_config(args)
     trained = pipeline.train(cohort, config)
-    model_path = out_dir / "model.json"
-    trained.model.save(model_path)
     pairs_path = out_dir / "pairs.csv"
     labeling.write_pairs_csv(trained.pairs, pairs_path)
     counts = {provenance: len(pairs) for provenance, pairs in trained.pairs.items()}
     print(f"trained gbdt on {counts['original_positive']} positives, "
           f"{counts['pseudo_positive']} pseudo positives, {counts['original_negative']} negatives")
-    return [model_path, pairs_path], {
+    return [*trained.scorer.save(out_dir), pairs_path], {
         "n_pseudo_pairs": trained.n_pseudo_pairs, "config_fingerprint": config.fingerprint(),
         "pairs_by_provenance": {**counts, "drawn": trained.n_drawn},
         "train_loss_curve": trained.model.train_loss_curve}
 
 
 def cmd_predict(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], dict]:
-    check_top_fraction(args.top_fraction)  # refuse a bad fraction before training
+    check_top_fraction(args.top_fraction)  # refuse a bad fraction before reading input
     cohort = ingest(args.events, args.schema)
-    # Scoring needs the feature-space state (PCA, teacher history) alongside the
-    # model; retraining from the events file with the same seed reproduces both.
-    trained = pipeline.train(cohort, _pipeline_config(args))
+    if not cohort.students:
+        raise EmptyInputError("the events file holds no student to score")
+    scorer = pipeline.PipelineScorer.load(Path(args.model), cohort)
     at_day = args.at_day if args.at_day is not None else max(s.last_day for s in cohort)
     points = [(cohort.students[sid], min(at_day, cohort.students[sid].last_day))
               for sid in sorted(cohort.students) if cohort.students[sid].first_day <= at_day]
-    values = trained.scorer.many(points)
+    values = scorer.many(points)
     scores = {s.student_id: float(v) for (s, _), v in zip(points, values)}
     ranked, n_flag = rank_top(scores, args.top_fraction)
     out_path = out_dir / "predictions.csv"
@@ -273,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_args(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="rank students by dropout probability")
+    p = sub.add_parser("predict", help="rank students by a trained model's dropout probability")
     _add_io_args(p)
-    _add_train_args(p)
+    p.add_argument("--model", required=True, help="model directory that train wrote")
     p.add_argument("--at-day", type=int, default=None)
     p.add_argument("--top-fraction", type=float, default=TOP_FRACTION)
     p.set_defaults(func=cmd_predict)
@@ -309,6 +308,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = Path(args.out_dir)
     inputs = [Path(args.events), Path(args.schema)] if "events" in args else []
+    if "model" in args:
+        inputs += [Path(args.model, name) for name in pipeline.MODEL_FILES]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         outputs, extra = args.func(args, out_dir)

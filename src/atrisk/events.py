@@ -36,7 +36,7 @@ class ColumnSchema:
         try:
             with open(path) as fh:
                 raw = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise SchemaError(f"schema file is not JSON ({exc})") from exc
         if not isinstance(raw, dict):
             raise SchemaError("schema file is not a JSON object")
@@ -183,6 +183,8 @@ def ingest(events_path: str | Path, schema_path: str | Path) -> Cohort:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON ({exc.msg})", line_no) from exc
+            except RecursionError as exc:
+                raise ParseError("JSON nests too deeply", line_no) from exc
             if not isinstance(rec, dict):
                 raise ParseError("record is not an object", line_no)
             try:

@@ -365,10 +365,10 @@ class GBDTModel:
         Path(path).write_text(self.to_json() + "\n")
 
     @classmethod
-    def from_json(cls, text: str) -> "GBDTModel":
+    def from_json(cls, text: str | bytes) -> "GBDTModel":
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bytes that do not decode, too
             raise ModelError(f"model is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict) or raw.get("format_version") != MODEL_FORMAT_VERSION:
             version = raw.get("format_version") if isinstance(raw, dict) else None
@@ -396,7 +396,7 @@ class GBDTModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "GBDTModel":
-        return cls.from_json(Path(path).read_text())
+        return cls.from_json(Path(path).read_bytes())
 
 
 def _canonicalize(X: np.ndarray, y: np.ndarray, w: np.ndarray):

@@ -12,13 +12,15 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
 from . import features as F
 from . import labeling, trainer
 from .augmentation import AugmentationConfig, augment
-from .errors import InsufficientDataError, SchemaError, UndefinedMetricError, ValidationError
+from .errors import (InsufficientDataError, ModelError, SchemaError, UndefinedMetricError,
+                     ValidationError)
 from .evaluation import (
     TOP_FRACTION, check_deltas, daily_flagging, evaluate_horizons, split_students,
 )
@@ -27,6 +29,10 @@ from .features import FeatureConfig, PCAModel, TeacherHistoryIndex
 from .gbdt import GBDTConfig, GBDTModel
 from .labeling import PairSet
 from .trainer import SamplerConfig
+
+MODEL_FILES = ("model.json", "feature_space.json")  # what `save` writes to a model directory
+FEATURE_SPACE_VERSION = 1
+_PCA_FIELDS = ("mean", "components", "explained_variance")
 
 
 @dataclass(frozen=True)
@@ -67,6 +73,36 @@ class PipelineScorer:
     def many(self, points: list[tuple[StudentRecord, int]]) -> np.ndarray:
         X = F.assemble(points, self.pca, self.hist, self.feature, self.schema, self._index)
         return self.model.predict_proba(X)
+
+    def save(self, out_dir: Path) -> list[Path]:
+        """Write model.json and feature_space.json (blocks and PCA) to `out_dir`."""
+        paths = [out_dir / name for name in MODEL_FILES]
+        self.model.save(paths[0])
+        space = {"format_version": FEATURE_SPACE_VERSION, "blocks": list(self.feature.blocks),
+                 "pca": {k: getattr(self.pca, k).tolist() for k in _PCA_FIELDS}}
+        paths[1].write_text(json.dumps(space, sort_keys=True, separators=(",", ":")) + "\n")
+        return paths
+
+    @classmethod
+    def load(cls, model_dir: Path, cohort: Cohort) -> "PipelineScorer":
+        """The scorer `save` wrote to `model_dir`, with teacher history rebuilt from
+        `cohort`: causal, since a history query counts only days before its own."""
+        model_path, space_path = (model_dir / name for name in MODEL_FILES)
+        model = GBDTModel.load(model_path)
+        try:
+            raw = json.loads(space_path.read_bytes())
+            if raw["format_version"] != FEATURE_SPACE_VERSION:
+                raise ValueError(f"format version {raw['format_version']!r}")
+            feature = FeatureConfig(tuple(raw["blocks"]))
+            pca = PCAModel(*(np.array(raw["pca"][k], dtype=np.float64) for k in _PCA_FIELDS))
+            k, d = pca.components.shape  # a ValueError unless 2-D
+            if pca.mean.shape != (d,) or pca.explained_variance.shape != (k,):
+                raise ValueError("PCA arrays of mismatched shapes")
+        except (ValueError, TypeError, KeyError, RecursionError) as exc:
+            raise ModelError(f"malformed feature_space.json ({exc})") from exc
+        if d != len(cohort.schema.inclass_columns):
+            raise SchemaError(f"the model's in-class width {d} differs from the schema's")
+        return cls(model, pca, F.build_teacher_history(cohort), feature, cohort.schema)
 
 
 @dataclass

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -34,6 +35,14 @@ def sim_dir(tmp_path_factory):
         ["simulate", "--n-students", "80", "--seed", "3", "--out-dir", str(out)]
     )
     assert code == EXIT_OK
+    return out
+
+
+@pytest.fixture(scope="module")
+def model_dir(sim_dir, tmp_path_factory):
+    """A model directory `train` wrote for the simulated cohort."""
+    out = tmp_path_factory.mktemp("model")
+    assert main(["train", *io_args(sim_dir, out), *FAST]) == EXIT_OK
     return out
 
 
@@ -142,9 +151,14 @@ def test_featurize_writes_csv(sim_dir, tmp_path):
         float(value)  # every feature cell parses as a number
 
 
-def test_predict_ranks_and_flags(sim_dir, tmp_path):
+def test_predict_ranks_and_flags(sim_dir, model_dir, tmp_path, monkeypatch):
+    def no_training(*args, **kwargs):  # predict scores with the model train wrote
+        raise AssertionError("pipeline.train ran")
+
+    monkeypatch.setattr(pipeline, "train", no_training)
     code = main(
-        ["predict", *io_args(sim_dir, tmp_path), *FAST, "--top-fraction", "0.25"]
+        ["predict", *io_args(sim_dir, tmp_path), "--model", str(model_dir),
+         "--top-fraction", "0.25"]
     )
     assert code == EXIT_OK
     with open(tmp_path / "predictions.csv") as fh:
@@ -154,6 +168,74 @@ def test_predict_ranks_and_flags(sim_dir, tmp_path):
     n_flagged = sum(int(r["flagged"]) for r in rows)
     assert n_flagged == -(-len(rows) // 4)  # ceil(0.25 * n)
     assert all(int(r["flagged"]) for r in rows[:n_flagged])
+
+
+@pytest.mark.parametrize("at_day, predictions_sha256", [
+    ([], "2c1cfbc084be7f9a91fb5b30ef68532473435c765f15f70612a4eebc707f4280"),
+    (["--at-day", "60"], "e47a4df71a2ac7c494c3f94b2a7622e3446a30e902abc09ff6719d573f05851d"),
+])
+def test_predict_outputs_are_pinned(sim_dir, tmp_path, at_day, predictions_sha256):
+    """`train` then `predict --model` writes the predictions that `predict`
+    wrote when it trained its own model with the same flags; the sha256 values
+    are those of `predict <FAST flags>` at the commit before it read a model."""
+    assert main(["train", *io_args(sim_dir, tmp_path / "model"), *FAST]) == EXIT_OK
+    assert main(["predict", *io_args(sim_dir, tmp_path / "run"),
+                 "--model", str(tmp_path / "model"), *at_day]) == EXIT_OK
+    assert sha256(tmp_path / "run" / "predictions.csv") == predictions_sha256
+
+
+def test_predict_on_empty_events_exits_3(sim_dir, model_dir, tmp_path, capsys):
+    events = tmp_path / "events.jsonl"
+    events.write_text("")
+    code = main(["predict", "--events", str(events), "--schema", str(sim_dir / "schema.json"),
+                 "--out-dir", str(tmp_path / "out"), "--model", str(model_dir)])
+    stderr = capsys.readouterr().err.splitlines()
+    assert code == EXIT_DATA
+    assert len(stderr) == 1
+    assert json.loads(stderr[0])["error"] == "EmptyInputError"
+
+
+def edit_feature_space(edit):
+    def apply(model):
+        space = json.loads((model / "feature_space.json").read_text())
+        edit(space)
+        (model / "feature_space.json").write_text(json.dumps(space))
+    return apply
+
+
+def widen_pca(space):
+    """A PCA of five in-class columns, one more than the schema declares."""
+    space["pca"]["mean"].append(0.0)
+    for row in space["pca"]["components"]:
+        row.append(0.0)
+
+
+@pytest.mark.parametrize("breakage, exit_code", [
+    (shutil.rmtree, EXIT_DATA),
+    (lambda model: (model / "model.json").write_text("{not json"), EXIT_MODEL),
+    (lambda model: (model / "model.json").write_text("[" * 100_000), EXIT_MODEL),
+    (lambda model: (model / "model.json").write_bytes(b'{"format_version": "\xff"}'), EXIT_MODEL),
+    (edit_feature_space(lambda space: space.update(format_version=2)), EXIT_MODEL),
+    (edit_feature_space(lambda space: space["pca"].pop("mean")), EXIT_MODEL),
+    (edit_feature_space(lambda space: space["pca"]["components"][0].pop()), EXIT_MODEL),
+    (edit_feature_space(lambda space: space.update(blocks=["in", "time"])), EXIT_DATA),
+    (edit_feature_space(widen_pca), EXIT_DATA),
+], ids=["missing-dir", "model-not-json", "model-deeply-nested", "model-not-utf8",
+        "space-wrong-version", "space-missing-key", "space-ragged-components",
+        "space-blocks-disagree", "inclass-width-differs"])
+def test_malformed_model_dir_exits_cleanly(sim_dir, model_dir, tmp_path, capsys, breakage,
+                                           exit_code):
+    model = tmp_path / "model"
+    shutil.copytree(model_dir, model)
+    breakage(model)
+    out = tmp_path / "out"
+    code = main(["predict", *io_args(sim_dir, out), "--model", str(model)])
+    stderr = capsys.readouterr().err.splitlines()
+    assert code == exit_code
+    assert len(stderr) == 1
+    assert set(json.loads(stderr[0])) == {"error", "message"}
+    assert not (out / "predictions.csv").exists()
+    assert not (out / "manifest.json").exists()
 
 
 def test_sweep_writes_reports(sim_dir, tmp_path):
@@ -210,19 +292,21 @@ SUBCOMMAND_ARGV = {
     "simulate": ["--n-students", "30", "--seed", "1"],
     "featurize": [],
     "train": FAST,
-    "predict": FAST,
+    "predict": [],  # plus --model, a directory `train` wrote
     "evaluate": [*FAST, "--deltas", "1,7"],
     "sweep": ["--lookbacks", "7", "--deltas", "7", "--n-trees", "5", "--max-depth", "2"],
 }
 
 
 @pytest.mark.parametrize("subcommand", sorted(SUBCOMMAND_ARGV))
-def test_manifest_records_every_output(sim_dir, tmp_path, subcommand):
+def test_manifest_records_every_output(sim_dir, model_dir, tmp_path, subcommand):
     argv = [subcommand, *SUBCOMMAND_ARGV[subcommand]]
     if subcommand == "simulate":
         argv += ["--out-dir", str(tmp_path)]
     else:
         argv += io_args(sim_dir, tmp_path)
+    if subcommand == "predict":
+        argv += ["--model", str(model_dir)]
     assert main(argv) == EXIT_OK
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["subcommand"] == subcommand
@@ -231,6 +315,10 @@ def test_manifest_records_every_output(sim_dir, tmp_path, subcommand):
     for path, digest in manifest["outputs"].items():
         assert sha256(Path(path)) == digest
     inputs = [] if subcommand == "simulate" else [sim_dir / "events.jsonl", sim_dir / "schema.json"]
+    if subcommand == "predict":
+        inputs += [model_dir / "model.json", model_dir / "feature_space.json"]
+    if subcommand == "train":
+        assert (tmp_path / "feature_space.json").exists()
     assert manifest["inputs"] == {str(p): sha256(p) for p in inputs}
 
 
@@ -306,12 +394,14 @@ def test_malformed_list_flag_exits_2(sim_dir, tmp_path, capsys, subcommand, flag
     ["evaluate", "--deltas", "0"],
     ["sweep", "--deltas", "0,7"],
 ])
-def test_out_of_range_fraction_exits_3(sim_dir, tmp_path, capsys, monkeypatch, argv):
+def test_out_of_range_fraction_exits_3(sim_dir, model_dir, tmp_path, capsys, monkeypatch,
+                                       argv):
     def no_training(*args, **kwargs):  # a bad fraction or horizon is refused before training
         raise AssertionError("pipeline.train ran")
 
     monkeypatch.setattr(pipeline, "train", no_training)
-    code = main([argv[0], *io_args(sim_dir, tmp_path), *FAST, *argv[1:]])
+    model_args = ["--model", str(model_dir)] if argv[0] == "predict" else FAST
+    code = main([argv[0], *io_args(sim_dir, tmp_path), *model_args, *argv[1:]])
     stderr = capsys.readouterr().err.splitlines()
     assert code == EXIT_DATA
     assert json.loads(stderr[-1])["error"] == "ValidationError"
@@ -341,7 +431,6 @@ def test_simulate_bad_config_exits_3(tmp_path, capsys, flag, value):
 
 @pytest.mark.parametrize("argv", [
     ["train", "--seed", "-1"],
-    ["predict", "--seed", "-1"],
     ["evaluate", "--seed", "-1"],
     ["sweep", "--seeds=-1"],
 ], ids=lambda argv: argv[0])
@@ -351,6 +440,14 @@ def test_negative_seed_exits_3(sim_dir, tmp_path, capsys, argv):
     assert code == EXIT_DATA
     assert len(stderr) == 1
     assert json.loads(stderr[0])["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "0"), ("--n-trees", "10")])
+def test_predict_refuses_training_flags(sim_dir, model_dir, tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", *io_args(sim_dir, tmp_path), "--model", str(model_dir), flag, value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):
@@ -452,6 +549,14 @@ def test_non_utf8_event_line_exits_3_with_line_number():
     assert "line 2:" in json.loads(stderr[0])["message"]
 
 
+def test_deeply_nested_event_line_exits_3_with_line_number():
+    code, stderr = featurize(b'{"student": "a", "day": 1, "kind": "follow_up"}\n'
+                             + b'{"student": ' + b"[" * 100_000 + b"\n", SCHEMA)
+    assert code == EXIT_DATA
+    assert_clean_exit(code, stderr)
+    assert "line 2:" in json.loads(stderr[0])["message"]
+
+
 @pytest.mark.parametrize("field, value", [
     ("inclass", [1e308, 2.0, 0.0, -0.5]), ("outclass", [1e308, 2.0]),
 ])
@@ -469,6 +574,7 @@ def test_vectors_near_float_limit_exit_3(field, value):
 @pytest.mark.parametrize("schema", [
     "{not json", json.dumps([SCHEMA]), json.dumps({**SCHEMA, "inclass_columns": "abcd"}),
     json.dumps({**SCHEMA, "outclass_columns": {"x": 1}}), json.dumps({**SCHEMA, "outclass_columns": [1, 2]}),
+    pytest.param('{"inclass_columns": ' + "[" * 100_000, id="deeply-nested"),
 ])
 def test_malformed_schema_exits_3(schema):
     code, stderr = featurize(valid_events(), schema)

@@ -586,6 +586,23 @@ def test_from_json_rejects_truncated_text():
         GBDTModel.from_json(text[:-7])
 
 
+def test_from_json_rejects_deeply_nested_trees():
+    depth = 100_000
+    node = '{"feature":0,"threshold":0.0,"right":{"value":0.0},"left":'
+    tree = node * depth + '{"value":0.0}' + "}" * depth
+    text = ('{"base_score":0.0,"config":{},"feature_names":["a"],"format_version":1,'
+            f'"trees":[{tree}]}}')
+    with pytest.raises(ModelError):
+        GBDTModel.from_json(text)
+
+
+def test_load_rejects_non_utf8_file(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(b'{"format_version": 1, "base_score": "\xff"}')
+    with pytest.raises(ModelError, match="can't decode"):
+        GBDTModel.load(path)
+
+
 # --- full-table split oracle -------------------------------------------------------
 # The split search this package shipped before it pruned: it scores every cell of
 # the bin table and masks the cells that leave less than MIN_CHILD_WEIGHT on a

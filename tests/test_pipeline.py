@@ -10,6 +10,7 @@ import pytest
 
 from atrisk.augmentation import AugmentationConfig
 from atrisk.errors import InsufficientDataError, SchemaError, ValidationError
+from atrisk.events import Cohort, StudentRecord
 from atrisk.evaluation import daily_flagging, evaluate_horizons, query_points, split_students
 from atrisk.features import FeatureConfig
 from atrisk.gbdt import GBDTConfig, GBDTModel
@@ -56,6 +57,50 @@ def test_scorer_rejects_model_with_other_columns(trained):
     s = trained.scorer
     with pytest.raises(SchemaError):
         PipelineScorer(trained.model, s.pca, s.hist, FeatureConfig(blocks=("time",)), s.schema)
+
+
+def test_saved_scorer_scores_as_the_trained_one(trained, cohort, tmp_path):
+    paths = trained.scorer.save(tmp_path)
+    assert [p.name for p in paths] == ["model.json", "feature_space.json"]
+    loaded = PipelineScorer.load(tmp_path, cohort)
+    assert loaded.model.to_json() == trained.model.to_json()
+    assert loaded.feature == trained.scorer.feature
+    points = query_points(cohort)[:300]
+    assert loaded.many(points).tobytes() == trained.scorer.many(points).tobytes()
+
+
+def cohort_known_at(cohort, day):
+    """The cohort as known at `day`: students who start later are absent; the
+    others keep their observations up to `day`, and are ongoing if they
+    resolve after it."""
+    known = [
+        StudentRecord(
+            student_id=s.student_id,
+            observations=tuple(o for o in s.observations if o.day <= day),
+            final_status=s.final_status if s.last_day <= day else "ongoing",
+            teacher_id=s.teacher_id,
+        )
+        for s in cohort if s.first_day <= day
+    ]
+    return Cohort(students={s.student_id: s for s in known}, schema=cohort.schema)
+
+
+def test_loaded_scorer_history_is_causal(trained, cohort, tmp_path):
+    """A loaded scorer rebuilds teacher history from the cohort it scores;
+    what the cohort learns after a point's day does not change the point's score."""
+    trained.scorer.save(tmp_path)
+    full = PipelineScorer.load(tmp_path, cohort)
+    rng = np.random.default_rng(16)
+    ids = sorted(cohort.students)
+    n_ongoing = 0
+    for _ in range(50):
+        s = cohort.students[ids[int(rng.integers(len(ids)))]]
+        day = int(s.days[int(rng.integers(len(s.days)))])
+        known = cohort_known_at(cohort, day)
+        n_ongoing += sum(k.final_status == "ongoing" for k in known)
+        score = PipelineScorer.load(tmp_path, known).many([(known.students[s.student_id], day)])
+        assert score.tobytes() == full.many([(s, day)]).tobytes()
+    assert n_ongoing > 0
 
 
 def test_scorer_is_built_once_per_pipeline(cohort):
