@@ -8,8 +8,9 @@ wrote and any extra manifest keys.
 
 Exit codes: 0 ok, 2 usage (an unknown flag, or a flag value that does not
 parse, such as an empty range), 3 data error (malformed input, an
-out-of-range fraction or horizon, a negative seed, a model that does not fit
-the schema, or a path that cannot be read or written), 4 model error.
+out-of-range fraction or horizon, a negative seed, a `predict --at-day`
+before every student's first day, a model that does not fit the schema, or a
+path that cannot be read or written), 4 model error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 
 from . import features, labeling, pipeline, synthgen
 from .augmentation import AugmentationConfig
-from .errors import DataError, EmptyInputError, ModelError, UndefinedMetricError
+from .errors import DataError, EmptyInputError, ModelError, ValidationError
 from .events import cohort_stats, ingest
 from .evaluation import (
     TOP_FRACTION, check_deltas, check_top_fraction, daily_flagging, evaluate_horizons,
@@ -175,6 +176,8 @@ def cmd_predict(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], di
     at_day = args.at_day if args.at_day is not None else max(s.last_day for s in cohort)
     points = [(cohort.students[sid], min(at_day, cohort.students[sid].last_day))
               for sid in sorted(cohort.students) if cohort.students[sid].first_day <= at_day]
+    if not points:  # ingest refuses days below 1, so this covers them too
+        raise ValidationError(f"no student has started by day {at_day}")
     values = scorer.many(points)
     scores = {s.student_id: float(v) for (s, _), v in zip(points, values)}
     ranked, n_flag = rank_top(scores, args.top_fraction)
@@ -196,14 +199,7 @@ def cmd_evaluate(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], d
     train_cohort, test_cohort = split_students(cohort, args.train_fraction, args.seed)
     scorer = pipeline.train(train_cohort, config).scorer  # one index for both reports
     report = evaluate_horizons(scorer, test_cohort, args.deltas, config.fingerprint())
-    try:
-        flagging = daily_flagging(scorer, test_cohort, args.top_fraction)
-        report.recall_at_fraction = {
-            f"pooled@{args.top_fraction}": flagging.pooled_recall,
-            f"daily_mean@{args.top_fraction}": flagging.daily_mean_recall,
-        }
-    except UndefinedMetricError:
-        pass  # no evaluable dropout days in the test split
+    report.recall_at_fraction = daily_flagging(scorer, test_cohort, args.top_fraction)
     report_path = out_dir / "report.json"
     report.save(report_path)
     for d in args.deltas:

@@ -2,9 +2,10 @@
 
 Query points are every observation day of a test student that still has at
 least one future day before resolution. Horizons with single-class ground
-truth are reported as undefined rather than fabricated. A scorer is any
-object with a batch `many(points) -> scores` method, such as PipelineScorer;
-each report scores its points in batches.
+truth are reported as undefined (None) rather than fabricated, and flagging
+recall, when no day has a next-day dropout, is left out of the report. A
+scorer is any object with a batch `many(points) -> scores` method, such as
+PipelineScorer; each report scores its points in batches.
 """
 
 from __future__ import annotations
@@ -154,22 +155,13 @@ def rank_top(scores_by_student: dict[str, float], fraction: float) -> tuple[list
     return ranked, int(np.ceil(fraction * len(ranked)))
 
 
-@dataclass
-class FlaggingReport:
-    """Daily next-day flagging recall over the span of a cohort."""
-
-    pooled_recall: float
-    daily_mean_recall: float
-    n_days: int
-    n_dropouts: int
-
-
-def daily_flagging(scorer, cohort: Cohort, fraction: float = TOP_FRACTION) -> FlaggingReport:
+def daily_flagging(scorer, cohort: Cohort, fraction: float = TOP_FRACTION) -> dict[str, float]:
     """Replay daily top-fraction flagging against next-day dropouts.
 
     For each day d with at least one dropout on day d+1, score every student
     active at d, flag the top fraction, and compare against the students who
-    actually drop the next day.
+    actually drop the next day. Returns the report's recall entries, pooled
+    over all such dropouts and averaged over days; none when no day has one.
     """
     dropout_days: dict[int, set[str]] = {}
     for student in cohort:
@@ -196,13 +188,8 @@ def daily_flagging(scorer, cohort: Cohort, fraction: float = TOP_FRACTION) -> Fl
         detected += hits
         total += len(todays)
     if total == 0:
-        raise UndefinedMetricError("cohort has no evaluable dropout days")
-    return FlaggingReport(
-        pooled_recall=detected / total,
-        daily_mean_recall=float(np.mean(daily)),
-        n_days=len(daily),
-        n_dropouts=total,
-    )
+        return {}  # no evaluable dropout day: recall is undefined
+    return {f"pooled@{fraction}": detected / total, f"daily_mean@{fraction}": float(np.mean(daily))}
 
 
 def split_students(cohort: Cohort, train_fraction: float, seed: int):

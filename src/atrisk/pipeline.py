@@ -19,8 +19,7 @@ import numpy as np
 from . import features as F
 from . import labeling, trainer
 from .augmentation import AugmentationConfig, augment
-from .errors import (InsufficientDataError, ModelError, SchemaError, UndefinedMetricError,
-                     ValidationError)
+from .errors import InsufficientDataError, ModelError, SchemaError, ValidationError
 from .evaluation import (
     TOP_FRACTION, check_deltas, daily_flagging, evaluate_horizons, split_students,
 )
@@ -159,13 +158,6 @@ def _summary(per_seed: list[float | None]) -> dict:
     return {"mean": float(np.mean(defined)), "std": float(np.std(defined)), "per_seed": per_seed}
 
 
-def _pooled_recall(scorer: PipelineScorer, cohort: Cohort) -> float | None:
-    try:
-        return daily_flagging(scorer, cohort, TOP_FRACTION).pooled_recall
-    except UndefinedMetricError:
-        return None  # no evaluable dropout day in this split
-
-
 def run_sweep(
     cohort: Cohort,
     arms: dict[str, PipelineConfig],
@@ -186,6 +178,7 @@ def run_sweep(
     check_deltas(deltas)  # before any training
     aucs: dict[str, dict[str, list]] = {key: {str(d): [] for d in deltas} for key in arms}
     recalls: dict[str, list] = {key: [] for key in arms}
+    recall_key = f"pooled@{TOP_FRACTION}"
     for seed in seeds:
         train_cohort, test_cohort = split_students(cohort, train_fraction, seed)
         for key, config in arms.items():
@@ -193,8 +186,7 @@ def run_sweep(
             scorer = train(train_cohort, config).scorer
             for d, value in evaluate_horizons(scorer, test_cohort, deltas).auc_by_horizon.items():
                 aucs[key][str(d)].append(value)
-            recalls[key].append(_pooled_recall(scorer, test_cohort))
+            recalls[key].append(daily_flagging(scorer, test_cohort).get(recall_key))
     cells = {key: {d: _summary(v) for d, v in by_delta.items()} for key, by_delta in aucs.items()}
     return {"deltas": list(deltas), "seeds": list(seeds), "cells": cells,
-            "recall_at_fraction": {
-                f"pooled@{TOP_FRACTION}": {key: _summary(v) for key, v in recalls.items()}}}
+            "recall_at_fraction": {recall_key: {key: _summary(v) for key, v in recalls.items()}}}

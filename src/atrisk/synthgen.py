@@ -84,9 +84,6 @@ class _Trajectory:
     teacher_id: str
     engagement: float
     teacher_quality: float
-    start_day: int
-    end_day: int
-    session_days: list[int]
     events: dict[int, ObservationPair]  # keyed by day, pre-truncation
     hazard_z: dict[int, float]  # day -> hazard logit minus the intercept
     uniform: float
@@ -182,9 +179,6 @@ def _plan_student(idx: int, cfg: SimConfig, teacher_quality: np.ndarray) -> _Tra
         teacher_id=tid,
         engagement=engagement,
         teacher_quality=tq,
-        start_day=start,
-        end_day=end,
-        session_days=session_days,
         events=events,
         hazard_z=hazard_z,
         uniform=float(rng.uniform()),

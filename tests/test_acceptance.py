@@ -313,15 +313,15 @@ def test_criterion_7_flagging(trend_sweep, capsys):
 
     # every dropout scores above every non-dropout, and daily dropout counts on
     # the synthetic cohort stay far below ceil(0.3 * active), so recall must be 1
-    oracle_report = daily_flagging(BatchScorer(oracle), cohort, 0.3)
-    oracle_ok = oracle_report.pooled_recall == 1.0
+    oracle_recall = daily_flagging(BatchScorer(oracle), cohort, 0.3)["pooled@0.3"]
+    oracle_ok = oracle_recall == 1.0
     recall = trend_sweep["report"]["recall_at_fraction"]["pooled@0.3"]["conv"]
     mean_recall = recall["mean"]
     ok = oracle_ok and mean_recall >= 0.6
     verdict(
         capsys,
         7, ok,
-        f"oracle pooled recall {oracle_report.pooled_recall:.2f} == 1.0; trained "
+        f"oracle pooled recall {oracle_recall:.2f} == 1.0; trained "
         f"mean pooled recall@0.3 {mean_recall:.4f} >= 0.6 over {len(recall['per_seed'])} seeds",
     )
 

@@ -2,14 +2,16 @@
 
 `perfbench/tracing.py` resolves each traced function and method by name when
 it installs, so renaming or deleting one of them breaks the benchmark; its
-pair counters read the shapes the pair builders return. These tests make
-either break show in the unit suite as well.
+pair counters read the shapes the pair builders return, and its cli_deploy
+workload times flagging through `atrisk.cli.daily_flagging`. These tests make
+any such break show in the unit suite as well.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
-import atrisk.cli  # noqa: F401  (the benchmark runs the CLI, so it is loaded there too)
+import atrisk.cli  # the benchmark runs the CLI, so it is loaded there too
 from atrisk.augmentation import AugmentationConfig, augment
 from atrisk.labeling import build_original_pairs
 from atrisk.synthgen import SimConfig, generate_cohort
@@ -66,3 +68,25 @@ def test_tracer_pair_counts_match_the_pair_sets():
     assert tracing._sample_counts(args, {}, sampled) == (n_neg + n_drawn, n_drawn)
     assert tracing._sample_counts(args[:2], {"negatives": negatives, "cfg": args[3]},
                                   sampled) == (n_neg + n_drawn, n_drawn)
+
+
+def test_evaluate_reports_what_the_hooked_daily_flagging_returns(tmp_path, monkeypatch):
+    """The cli_deploy workload times flagging by replacing `atrisk.cli.daily_flagging`;
+    `evaluate` must call that name once and store what it returns as the recall."""
+    calls = []
+    sentinel = {"pooled@0.25": 0.125}
+
+    def recorder(scorer, cohort, fraction=0.3):
+        calls.append(fraction)
+        return sentinel
+
+    monkeypatch.setattr(atrisk.cli, "daily_flagging", recorder)
+    sim, out = tmp_path / "sim", tmp_path / "evaluate"
+    assert atrisk.cli.main(["simulate", "--n-students", "80", "--seed", "3",
+                            "--out-dir", str(sim)]) == 0
+    assert atrisk.cli.main(["evaluate", "--events", str(sim / "events.jsonl"),
+                            "--schema", str(sim / "schema.json"), "--out-dir", str(out),
+                            "--n-trees", "10", "--max-depth", "2", "--deltas", "1",
+                            "--top-fraction", "0.25"]) == 0
+    assert calls == [0.25]
+    assert json.loads((out / "report.json").read_text())["recall_at_fraction"] == sentinel

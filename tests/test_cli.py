@@ -184,6 +184,20 @@ def test_predict_outputs_are_pinned(sim_dir, tmp_path, at_day, predictions_sha25
     assert sha256(tmp_path / "run" / "predictions.csv") == predictions_sha256
 
 
+@pytest.mark.parametrize("at_day", ["0", "-5"])
+def test_predict_before_any_start_exits_3(sim_dir, model_dir, tmp_path, capsys, at_day):
+    out = tmp_path / "out"
+    code = main(["predict", *io_args(sim_dir, out), "--model", str(model_dir),
+                 "--at-day", at_day])
+    stderr = capsys.readouterr().err.splitlines()
+    assert code == EXIT_DATA
+    assert len(stderr) == 1
+    assert json.loads(stderr[0]) == {"error": "ValidationError",
+                                     "message": f"no student has started by day {at_day}"}
+    assert not (out / "predictions.csv").exists()
+    assert not (out / "manifest.json").exists()
+
+
 def test_predict_on_empty_events_exits_3(sim_dir, model_dir, tmp_path, capsys):
     events = tmp_path / "events.jsonl"
     events.write_text("")
@@ -273,6 +287,21 @@ def test_sweep_report_json_is_pinned(sim_dir, tmp_path):
     assert hashlib.sha256(aucs_only.encode()).hexdigest() == (
         "9ba28b56eea9005900b76fd079037584a2dd5c11db1ef9e89783f81338e60a3f"
     )
+
+
+@pytest.mark.parametrize("split, report_sha256, recall_keys", [
+    ([], "8c9349cdeab28ab99e99f0ef0df3774938cbda674db1dad1c11d85109b2dd1e0",
+     {"pooled@0.3", "daily_mean@0.3"}),
+    (["--train-fraction", "0.97"],  # no dropout among the test students
+     "6f58aa3a6d102cc9141d13d39ff30a07b2016a272af9e82fe47c70e75f6aefb5", set()),
+], ids=["recall-defined", "recall-undefined"])
+def test_evaluate_report_json_is_pinned(sim_dir, tmp_path, split, report_sha256, recall_keys):
+    """The sha256 values date from the commit before `daily_flagging` returned
+    the report's recall entries; undefined recall leaves `recall_at_fraction` empty."""
+    assert main(["evaluate", *io_args(sim_dir, tmp_path), *FAST, *split]) == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert set(report["recall_at_fraction"]) == recall_keys
+    assert sha256(tmp_path / "report.json") == report_sha256
 
 
 def test_sweep_repeated_value_trains_once_per_seed(sim_dir, tmp_path):

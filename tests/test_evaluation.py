@@ -199,9 +199,7 @@ def test_daily_flagging_oracle_reaches_full_recall():
         return 1.0 if student_record.last_day == day + 1 else 0.5
 
     report = daily_flagging(BatchScorer(oracle), cohort, fraction=0.3)
-    assert report.pooled_recall == 1.0
-    assert report.daily_mean_recall == 1.0
-    assert report.n_dropouts == 4
+    assert report == {"pooled@0.3": 1.0, "daily_mean@0.3": 1.0}
 
 
 def test_daily_flagging_antioracle_misses():
@@ -209,13 +207,22 @@ def test_daily_flagging_antioracle_misses():
     report = daily_flagging(
         BatchScorer(lambda s, d: 0.0 if s.final_status == "dropout" else 1.0), cohort, 0.3
     )
-    assert report.pooled_recall == 0.0
+    assert report["pooled@0.3"] == 0.0
+
+
+def test_daily_flagging_counts_four_dropouts_on_four_days():
+    """Only d000 ranks above the tied rest, whose flags go to the completers
+    by id: one of four dropouts is caught, on one of four days."""
+    cohort = flagging_cohort()
+    report = daily_flagging(
+        BatchScorer(lambda s, d: 1.0 if s.student_id == "d000" else 0.0), cohort, 0.3
+    )
+    assert report == {"pooled@0.3": 0.25, "daily_mean@0.3": 0.25}
 
 
 def test_daily_flagging_needs_dropouts():
     completers = cohort_of(student("c", [obs(1), obs(9)], status="completion"))
-    with pytest.raises(UndefinedMetricError):
-        daily_flagging(BatchScorer(lambda s, d: 0.0), completers, 0.3)
+    assert daily_flagging(BatchScorer(lambda s, d: 0.0), completers, 0.3) == {}
 
 
 def test_split_students_partition(small_cohort):

@@ -217,7 +217,7 @@ def test_run_sweep_arm_equals_direct_train_and_evaluate(cohort):
     config = dataclasses.replace(FAST, sampler=SamplerConfig(seed=3))
     scorer = train(train_cohort, config).scorer
     direct = evaluate_horizons(scorer, test_cohort, [1, 7]).auc_by_horizon
-    recall = daily_flagging(scorer, test_cohort, 0.3).pooled_recall
+    recall = daily_flagging(scorer, test_cohort, 0.3)["pooled@0.3"]
     assert report["deltas"] == [1, 7] and report["seeds"] == [3]
     expected = {**{str(d): direct[d] for d in (1, 7)}, "recall": recall}
     got = {**report["cells"]["fast"], "recall": report["recall_at_fraction"]["pooled@0.3"]["fast"]}

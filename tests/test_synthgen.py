@@ -180,8 +180,8 @@ def test_vectorised_dropout_count_equals_scalar_count(seed):
     cfg = SimConfig(n_students=80, seed=seed)
     planned = _plan_cohort(cfg)
     alpha = _calibrate_alpha(planned, cfg)
-    # No sessions means no hazard days: never a dropout, even with uniform 0.
-    silent = replace(planned[5], session_days=[], hazard_z={}, uniform=0.0)
+    # No hazard days: never a dropout, even with uniform 0.
+    silent = replace(planned[5], hazard_z={}, uniform=0.0)
     # A uniform exactly at the final cumulative dropout probability: margin 0,
     # so the scalar fallback decides it (a dropout, since the test is >=).
     at_risk = next(t for t in planned if 0.0 < final_survival(t, alpha) < 1.0)
