@@ -2,7 +2,7 @@
 
 from .augmentation import WEIGHTINGS, AugmentationConfig, augment
 from .events import Cohort, CohortSummary, ColumnSchema, ObservationPair, StudentRecord, cohort_stats, ingest, write_events
-from .features import FeatureConfig, PCAModel, TeacherHistoryIndex, TimelineIndex, assemble, build_teacher_history, fit_pca
+from .features import FeatureSpace, PCAModel, TeacherHistoryIndex, TimelineIndex, assemble, build_teacher_history, fit_pca
 from .gbdt import GBDTConfig, GBDTModel
 from .labeling import PairSet, build_original_pairs, horizon_label
 from .pipeline import PipelineConfig, TrainedPipeline, run_sweep, train

@@ -46,8 +46,7 @@ def augment(cohort: Cohort, config: AugmentationConfig) -> PairSet:
     g = WEIGHTINGS[config.weighting]
     points: list[tuple[StudentRecord, int]] = []
     weights: list[float] = []
-    for sid in sorted(cohort.students):
-        student = cohort.students[sid]
+    for student in cohort:
         if student.final_status != "dropout":
             continue
         days = student.days

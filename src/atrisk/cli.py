@@ -23,21 +23,20 @@ import sys
 from pathlib import Path
 
 from . import features, labeling, pipeline, synthgen
-from .augmentation import AugmentationConfig
+from .augmentation import WEIGHTINGS, AugmentationConfig
 from .errors import DataError, EmptyInputError, ModelError, ValidationError
 from .events import cohort_stats, ingest
 from .evaluation import (
     TOP_FRACTION, check_deltas, check_top_fraction, daily_flagging, evaluate_horizons,
     rank_top, split_students,
 )
-from .features import FeatureConfig
 from .gbdt import GBDTConfig
 from .trainer import SamplerConfig
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_MODEL = 0, 2, 3, 4
 
 LOOKBACK_CHOICES = ("none", "3", "7", "14")
-WEIGHTING_CHOICES = ("linear", "convex", "concave")
+WEIGHTING_CHOICES = tuple(WEIGHTINGS)
 FEATURE_CHOICES = ("in", "out", "time", "in+time", "out+time", "in+out", "in+out+time")
 
 
@@ -102,7 +101,7 @@ def _arm_config(args: argparse.Namespace, lookback: int | None, weighting: str,
     augmentation and feature blocks that a sweep varies (a sweep replaces the
     sampler seed with each split's)."""
     return pipeline.PipelineConfig(
-        feature=FeatureConfig(blocks=_parse_blocks(features)),
+        blocks=_parse_blocks(features),
         augmentation=AugmentationConfig(lookback_days=lookback, weighting=weighting),
         sampler=SamplerConfig(target_positive_fraction=args.positive_fraction, seed=seed),
         gbdt=GBDTConfig(
@@ -137,15 +136,13 @@ def cmd_simulate(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], d
 
 def cmd_featurize(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], dict]:
     cohort = ingest(args.events, args.schema)
-    fconfig = FeatureConfig(blocks=_parse_blocks(args.features))
-    pca, hist = pipeline.fit_feature_space(cohort)
-    points = [(cohort.students[sid], d) for sid in sorted(cohort.students)
-              for d in cohort.students[sid].days]
-    X = features.assemble(points, pca, hist, fconfig, cohort.schema)
+    space = pipeline.fit_feature_space(cohort, _parse_blocks(args.features))
+    points = [(s, d) for s in cohort for d in s.days]
+    X = features.assemble(points, space)
     out_path = out_dir / "features.csv"
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["student_id", "day", *features.feature_names(cohort.schema, pca, fconfig)])
+        writer.writerow(["student_id", "day", *space.names])
         for (student, day), row in zip(points, X):
             writer.writerow([student.student_id, day, *map(repr, row.tolist())])
     print(f"wrote {out_path}")
@@ -174,8 +171,7 @@ def cmd_predict(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], di
         raise EmptyInputError("the events file holds no student to score")
     scorer = pipeline.PipelineScorer.load(Path(args.model), cohort)
     at_day = args.at_day if args.at_day is not None else max(s.last_day for s in cohort)
-    points = [(cohort.students[sid], min(at_day, cohort.students[sid].last_day))
-              for sid in sorted(cohort.students) if cohort.students[sid].first_day <= at_day]
+    points = [(s, min(at_day, s.last_day)) for s in cohort if s.first_day <= at_day]
     if not points:  # ingest refuses days below 1, so this covers them too
         raise ValidationError(f"no student has started by day {at_day}")
     values = scorer.many(points)

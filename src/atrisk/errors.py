@@ -50,7 +50,3 @@ class ModelError(AtRiskError):
 
 class DegenerateDataError(ModelError):
     """Training data contains a single class or is otherwise unlearnable."""
-
-
-class UndefinedMetricError(ModelError):
-    """A metric is undefined for the given inputs (e.g. single-class AUC)."""

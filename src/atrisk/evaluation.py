@@ -1,11 +1,11 @@
 """Multi-step-ahead evaluation: AUC per horizon, top-k% flagging, student splits.
 
 Query points are every observation day of a test student that still has at
-least one future day before resolution. Horizons with single-class ground
-truth are reported as undefined (None) rather than fabricated, and flagging
-recall, when no day has a next-day dropout, is left out of the report. A
-scorer is any object with a batch `many(points) -> scores` method, such as
-PipelineScorer; each report scores its points in batches.
+least one future day before resolution. AUC with single-class ground truth is
+undefined (None) rather than fabricated, and flagging recall, when no day has
+a next-day dropout, is left out of the report. A scorer is any object with a
+batch `many(points) -> scores` method, such as PipelineScorer; each report
+scores its points in batches.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import UndefinedMetricError, ValidationError
+from .errors import ValidationError
 from .events import Cohort, StudentRecord
 
 TOP_FRACTION = 0.3  # the share of students that flagging takes by default
@@ -35,8 +35,9 @@ def average_ranks(scores) -> np.ndarray:
     return ranks
 
 
-def auc(scores, labels, ranks: np.ndarray | None = None) -> float:
-    """Rank-based (Mann-Whitney) AUC with average-rank tie handling.
+def auc(scores, labels, ranks: np.ndarray | None = None) -> float | None:
+    """Rank-based (Mann-Whitney) AUC with average-rank tie handling; None
+    (undefined) when the labels hold a single class.
 
     `ranks`, when given, must be `average_ranks(scores)`: a caller that
     scores one vector against many label sets ranks it once.
@@ -48,21 +49,22 @@ def auc(scores, labels, ranks: np.ndarray | None = None) -> float:
     n_pos = int(np.sum(labels == 1))
     n_neg = labels.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise UndefinedMetricError("AUC undefined with a single class")
+        return None
     if ranks is None:
         ranks = average_ranks(scores)
     rank_sum_pos = float(np.sum(ranks[labels == 1]))
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def auc_bruteforce(scores, labels) -> float:
-    """O(pos*neg) pair-counting oracle: (concordant + 0.5 * tied) / (pos * neg)."""
+def auc_bruteforce(scores, labels) -> float | None:
+    """O(pos*neg) pair-counting oracle: (concordant + 0.5 * tied) / (pos * neg);
+    None when the labels hold a single class."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     pos = scores[labels == 1]
     neg = scores[labels == 0]
     if len(pos) == 0 or len(neg) == 0:
-        raise UndefinedMetricError("AUC undefined with a single class")
+        return None
     concordant = float(np.sum(pos[:, None] > neg[None, :]))
     tied = float(np.sum(pos[:, None] == neg[None, :]))
     return (concordant + 0.5 * tied) / (len(pos) * len(neg))
@@ -94,8 +96,7 @@ class EvalReport:
 def query_points(cohort: Cohort) -> list[tuple[StudentRecord, int]]:
     """Every <student, day> of resolved students with day strictly before t_n."""
     points = []
-    for sid in sorted(cohort.students):
-        student = cohort.students[sid]
+    for student in cohort:
         if student.final_status == "ongoing":
             continue
         points.extend((student, d) for d in student.days if d < student.last_day)
@@ -126,10 +127,7 @@ def evaluate_horizons(
     n_map: dict[int, int] = {}
     for delta, labels in zip(deltas, horizon_labels(points, deltas)):
         n_map[delta] = len(labels)
-        try:
-            auc_map[delta] = auc(scores, labels, ranks)
-        except UndefinedMetricError:
-            auc_map[delta] = None  # single-class ground truth at this horizon
+        auc_map[delta] = auc(scores, labels, ranks)
     return EvalReport(
         auc_by_horizon=auc_map,
         n_queries_by_horizon=n_map,
@@ -172,17 +170,13 @@ def daily_flagging(scorer, cohort: Cohort, fraction: float = TOP_FRACTION) -> di
     daily: list[float] = []
     for day in sorted(dropout_days):
         eval_day = day - 1
-        active = {
-            s.student_id: s
-            for s in cohort
-            if s.first_day <= eval_day and s.last_day > eval_day
-        }
-        todays = dropout_days[day] & set(active)
+        active = [s for s in cohort if s.first_day <= eval_day < s.last_day]
+        todays = dropout_days[day].intersection(s.student_id for s in active)
         if not todays:
             continue
-        sids = sorted(active)
-        values = scorer.many([(active[sid], eval_day) for sid in sids])
-        ranked, n_flag = rank_top(dict(zip(sids, (float(v) for v in values))), fraction)
+        values = scorer.many([(s, eval_day) for s in active])
+        scores = {s.student_id: float(v) for s, v in zip(active, values)}
+        ranked, n_flag = rank_top(scores, fraction)
         hits = len(todays.intersection(ranked[:n_flag]))
         daily.append(hits / len(todays))
         detected += hits
@@ -198,7 +192,7 @@ def split_students(cohort: Cohort, train_fraction: float, seed: int):
         raise ValidationError(f"train fraction {train_fraction} outside (0, 1)")
     if seed < 0:
         raise ValidationError("seed must be non-negative")
-    ids = sorted(cohort.students)
+    ids = list(cohort.students)
     rng = np.random.default_rng(seed)
     rng.shuffle(ids)
     n_train = int(round(train_fraction * len(ids)))

@@ -3,7 +3,8 @@
 Input is a JSON-lines event file plus a column schema declaring the widths
 and names of the in-class and out-of-class numeric vectors. Ingestion sorts,
 validates, and freezes everything into an immutable Cohort that downstream
-modules only ever read.
+modules only ever read; a Cohort keeps its students in id order, so every
+reader walks them in that order.
 """
 
 from __future__ import annotations
@@ -107,10 +108,14 @@ class StudentRecord:
 
 @dataclass(frozen=True)
 class Cohort:
-    """All students of one dataset, keyed by id, plus the column schema."""
+    """All students of one dataset, keyed by id in id order (whatever order
+    they are given in), plus the column schema."""
 
     students: dict[str, StudentRecord]
     schema: ColumnSchema
+
+    def __post_init__(self):
+        object.__setattr__(self, "students", dict(sorted(self.students.items())))
 
     def __iter__(self) -> Iterable[StudentRecord]:
         return iter(self.students.values())
@@ -123,8 +128,7 @@ class Cohort:
         return [s for s in self.students.values() if s.final_status != "ongoing"]
 
     def subset(self, student_ids: Iterable[str]) -> "Cohort":
-        keep = {sid: self.students[sid] for sid in sorted(student_ids)}
-        return Cohort(students=keep, schema=self.schema)
+        return Cohort({sid: self.students[sid] for sid in student_ids}, self.schema)
 
 
 @dataclass(frozen=True)
@@ -308,8 +312,7 @@ def write_events(cohort: Cohort, events_path: str | Path) -> None:
     """Serialize a cohort back to the JSON-lines event format (round-trips)."""
     encode = json.JSONEncoder(sort_keys=True).encode
     with open(events_path, "w") as fh:
-        for sid in sorted(cohort.students):
-            student = cohort.students[sid]
+        for sid, student in cohort.students.items():
             for obs in student.observations:
                 fh.write(encode(_obs_to_record(sid, student, obs)))
                 fh.write("\n")

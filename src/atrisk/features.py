@@ -1,7 +1,10 @@
 """Feature assembly for batches of <student, timestamp> points.
 
+A FeatureSpace defines a feature row: its blocks, the PCA of the in-class
+vectors, the teacher history and the column schema, and from them the column
+`names`; `save` and `load` keep its blocks and PCA in feature_space.json.
 `assemble` turns a list of points, in any order and for any mix of students,
-into one matrix with a row per point and the columns of `feature_names`.
+into one matrix with a row per point and the columns of a space's `names`.
 Three blocks, concatenated in fixed order: the mean, last row and count of
 the in-class vectors (mean and last reduced to at most PCA_COMPONENTS
 principal components), the same of the out-of-class vectors, and time-variant
@@ -16,12 +19,13 @@ record is indexed once), with one binary search per event kind for the batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+import json
+from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientDataError, ValidationError
+from .errors import InsufficientDataError, ModelError, SchemaError, ValidationError
 from .events import MAX_DAY, Cohort, ColumnSchema, StudentRecord
 
 ALL_BLOCKS = ("in", "out", "time")
@@ -29,15 +33,13 @@ PCA_COMPONENTS = 4  # at most; fewer when the in-class rows have lower rank
 LOOKBACK_DAYS = (7, 14, 21, 30)  # time-block window lengths
 _RANK_TOL = 1e-10
 _STRIDE = 2**32  # > MAX_DAY + 1: keys of one slot or teacher stay below the next one's
+SPACE_VERSION = 1  # format version of feature_space.json
+_PCA_FIELDS = ("mean", "components", "explained_variance")
 
 
-@dataclass(frozen=True)
-class FeatureConfig:
-    blocks: tuple[str, ...] = ALL_BLOCKS
-
-    def __post_init__(self):
-        if not set(self.blocks) <= set(ALL_BLOCKS):
-            raise ValidationError(f"unknown feature blocks: {self.blocks}")
+def check_blocks(blocks) -> None:
+    if not set(blocks) <= set(ALL_BLOCKS):
+        raise ValidationError(f"unknown feature blocks: {blocks}")
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,10 @@ class PCAModel:
         return self.components.shape[0]
 
     def project(self, rows: np.ndarray) -> np.ndarray:
-        return (np.atleast_2d(rows) - self.mean) @ self.components.T
+        # One (1, d) @ (d, k) product per row, so a row projects alike alone
+        # and in a batch; a plain (n, d) @ (d, k) product may round differently.
+        centered = np.atleast_2d(rows) - self.mean
+        return (centered[:, None, :] @ self.components.T)[:, 0, :]
 
 
 def fit_pca(rows: np.ndarray) -> PCAModel:
@@ -174,49 +179,66 @@ def build_teacher_history(cohort: Cohort) -> TeacherHistoryIndex:
     )
 
 
-# event kinds counted per lookback window, in the column order of feature_names
+# event kinds counted per lookback window, in the column order of FeatureSpace.names
 _KINDS = ("class", "followup", "reschedule", "pos_followup", "neg_followup")
+_WINDOW_COLUMNS = ("classes", "followups", "reschedules", "pos_followups", "neg_followups",
+                   "gap_mean", "gap_count")  # per lookback window: the _KINDS, then class gaps
 
 
-def feature_names(
-    schema: ColumnSchema, pca: PCAModel, config: FeatureConfig
-) -> tuple[str, ...]:
-    return _feature_names(schema, pca.n_components, config)
+@dataclass(frozen=True, eq=False)
+class FeatureSpace:
+    """What a feature row is made of: the blocks it holds, the PCA of the
+    in-class vectors, the teacher history and the column schema. `names`, its
+    columns, are fixed on construction."""
 
+    blocks: tuple[str, ...]
+    pca: PCAModel
+    hist: TeacherHistoryIndex
+    schema: ColumnSchema
+    names: tuple[str, ...] = field(init=False, repr=False)
 
-@lru_cache(maxsize=256)
-def _feature_names(
-    schema: ColumnSchema, n_components: int, config: FeatureConfig
-) -> tuple[str, ...]:
-    names: list[str] = []
-    if "in" in config.blocks:
-        for agg in ("mean", "last"):
-            names += [f"in_{agg}_pc{i + 1}" for i in range(n_components)]
-        names.append("in_count")
-    if "out" in config.blocks:
-        for agg in ("mean", "last"):
-            names += [f"out_{agg}_{c}" for c in schema.outclass_columns]
-        names.append("out_count")
-    if "time" in config.blocks:
-        for L in LOOKBACK_DAYS:
-            names += [
-                f"time_w{L}_classes",
-                f"time_w{L}_followups",
-                f"time_w{L}_reschedules",
-                f"time_w{L}_pos_followups",
-                f"time_w{L}_neg_followups",
-                f"time_w{L}_gap_mean",
-                f"time_w{L}_gap_count",
-            ]
-        names += [
-            "time_days_since_last_class",
-            "time_has_class",
-            "time_days_since_first_obs",
-            "time_teacher_courses",
-            "time_teacher_students",
-            "time_teacher_dropout_rate",
-        ]
-    return tuple(names)
+    def __post_init__(self):
+        check_blocks(self.blocks)
+        names: list[str] = []
+        if "in" in self.blocks:
+            for agg in ("mean", "last"):
+                names += [f"in_{agg}_pc{i + 1}" for i in range(self.pca.n_components)]
+            names.append("in_count")
+        if "out" in self.blocks:
+            for agg in ("mean", "last"):
+                names += [f"out_{agg}_{c}" for c in self.schema.outclass_columns]
+            names.append("out_count")
+        if "time" in self.blocks:
+            names += [f"time_w{L}_{c}" for L in LOOKBACK_DAYS for c in _WINDOW_COLUMNS]
+            names += ["time_days_since_last_class", "time_has_class", "time_days_since_first_obs",
+                      "time_teacher_courses", "time_teacher_students", "time_teacher_dropout_rate"]
+        object.__setattr__(self, "names", tuple(names))
+
+    def save(self, path: Path) -> None:
+        """Write the blocks and the PCA (JSON floats, which round-trip exactly)."""
+        raw = {"format_version": SPACE_VERSION, "blocks": list(self.blocks),
+               "pca": {k: getattr(self.pca, k).tolist() for k in _PCA_FIELDS}}
+        path.write_text(json.dumps(raw, sort_keys=True, separators=(",", ":")) + "\n")
+
+    @classmethod
+    def load(cls, path: Path, cohort: Cohort) -> FeatureSpace:
+        """The space `save` wrote to `path`, with teacher history rebuilt from
+        `cohort`: causal, since a history query counts only days before its own."""
+        try:
+            raw = json.loads(path.read_bytes())
+            if raw["format_version"] != SPACE_VERSION:
+                raise ValueError(f"format version {raw['format_version']!r}")
+            blocks = tuple(raw["blocks"])
+            check_blocks(blocks)  # unknown blocks are a ValidationError, before the PCA is read
+            pca = PCAModel(*(np.array(raw["pca"][k], dtype=np.float64) for k in _PCA_FIELDS))
+            k, d = pca.components.shape  # a ValueError unless 2-D
+            if pca.mean.shape != (d,) or pca.explained_variance.shape != (k,):
+                raise ValueError("PCA arrays of mismatched shapes")
+        except (ValueError, TypeError, KeyError, RecursionError) as exc:
+            raise ModelError(f"malformed feature_space.json ({exc})") from exc
+        if d != len(cohort.schema.inclass_columns):
+            raise SchemaError(f"the model's in-class width {d} differs from the schema's")
+        return cls(blocks, pca, build_teacher_history(cohort), cohort.schema)
 
 
 _VECTORS = ("inclass", "outclass")
@@ -313,12 +335,6 @@ def _stack(parts: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty((0, 0))
 
 
-def _project(v: np.ndarray, components: np.ndarray) -> np.ndarray:
-    # One (1, d) @ (d, k) product per row, the same arithmetic as projecting a
-    # single vector; a plain (n, d) @ (d, k) product may round differently.
-    return (v[:, None, :] @ components.T)[:, 0, :]
-
-
 def _vector_block(out, col, index, slots, days, kind, width, pca=None) -> int:
     """Write the mean and the last row of one vector kind, then its count.
 
@@ -338,7 +354,7 @@ def _vector_block(out, col, index, slots, days, kind, width, pca=None) -> int:
     mean = index.cumsum[kind][g] / n[have][:, None].astype(np.float64)
     for v in (mean, index.rows[kind][g]):
         if pca is not None:
-            v = _project(v - pca.mean, pca.components)
+            v = pca.project(v)
         out[have, col : col + width] = v
         col += width
     return end + 1
@@ -377,13 +393,11 @@ def _time_block(out, col, index, slots, days, hist, teacher_ids) -> None:
 
 def assemble(
     points: list[tuple[StudentRecord, int]],
-    pca: PCAModel,
-    hist: TeacherHistoryIndex,
-    config: FeatureConfig,
-    schema: ColumnSchema,
+    space: FeatureSpace,
     index: TimelineIndex | None = None,
 ) -> np.ndarray:
-    """Feature matrix with one row per <student, at_day> point.
+    """Feature matrix with one row per <student, at_day> point and the columns
+    of `space.names`.
 
     Only observations with day <= at_day contribute to a row; teacher history
     is queried strictly before at_day. Missing blocks encode as zeros plus an
@@ -391,8 +405,7 @@ def assemble(
     company of their points, nor on what `index` (a fresh one by default)
     has indexed before.
     """
-    names = feature_names(schema, pca, config)
-    out = np.empty((len(points), len(names)))
+    out = np.empty((len(points), len(space.names)))
     if not points:
         return out
     index = TimelineIndex() if index is None else index
@@ -400,14 +413,16 @@ def assemble(
     with np.errstate(over="ignore", invalid="ignore"):
         slots, days = index.locate(points)
         col = 0
-        if "in" in config.blocks:
+        if "in" in space.blocks:
+            pca = space.pca
             col = _vector_block(out, col, index, slots, days, "inclass", pca.n_components, pca)
-        if "out" in config.blocks:
+        if "out" in space.blocks:
             col = _vector_block(
-                out, col, index, slots, days, "outclass", len(schema.outclass_columns)
+                out, col, index, slots, days, "outclass", len(space.schema.outclass_columns)
             )
-        if "time" in config.blocks:
-            _time_block(out, col, index, slots, days, hist, [s.teacher_id for s, _ in points])
+        if "time" in space.blocks:
+            _time_block(out, col, index, slots, days, space.hist,
+                        [s.teacher_id for s, _ in points])
     if not np.all(np.isfinite(out)):
         raise ValidationError("feature matrix contains non-finite values")
     return out

@@ -1,10 +1,10 @@
 """End-to-end training: features -> pairs -> augmentation -> sampling -> GBDT.
 
 This is the glue the CLI subcommands share. A TrainedPipeline bundles the
-fitted model, one PipelineScorer holding the feature space (PCA, teacher
-history, feature blocks, schema) needed to score <student, day> points
-causally, the config, and the pair sets it was built from. `run_sweep`
-trains and evaluates a grid of configs.
+fitted model, one PipelineScorer holding the model and the FeatureSpace it
+was trained in (needed to score <student, day> points causally), the config,
+and the pair sets it was built from. `run_sweep` trains and evaluates a grid
+of configs.
 """
 
 from __future__ import annotations
@@ -19,32 +19,33 @@ import numpy as np
 from . import features as F
 from . import labeling, trainer
 from .augmentation import AugmentationConfig, augment
-from .errors import InsufficientDataError, ModelError, SchemaError, ValidationError
+from .errors import InsufficientDataError, SchemaError, ValidationError
 from .evaluation import (
     TOP_FRACTION, check_deltas, daily_flagging, evaluate_horizons, split_students,
 )
-from .events import Cohort, ColumnSchema, StudentRecord
-from .features import FeatureConfig, PCAModel, TeacherHistoryIndex
+from .events import Cohort, StudentRecord
+from .features import FeatureSpace
 from .gbdt import GBDTConfig, GBDTModel
 from .labeling import PairSet
 from .trainer import SamplerConfig
 
 MODEL_FILES = ("model.json", "feature_space.json")  # what `save` writes to a model directory
-FEATURE_SPACE_VERSION = 1
-_PCA_FIELDS = ("mean", "components", "explained_variance")
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    feature: FeatureConfig = FeatureConfig()
+    blocks: tuple[str, ...] = F.ALL_BLOCKS  # the feature blocks a row holds
     augmentation: AugmentationConfig = AugmentationConfig()
     sampler: SamplerConfig = SamplerConfig()
     gbdt: GBDTConfig = GBDTConfig()
 
+    def __post_init__(self):
+        F.check_blocks(self.blocks)
+
     def fingerprint(self) -> str:
         raw = json.dumps(
             {
-                "blocks": list(self.feature.blocks),
+                "blocks": list(self.blocks),
                 "aug_lookback": self.augmentation.lookback_days,
                 "weighting": self.augmentation.weighting,
                 "target_positive_fraction": self.sampler.target_positive_fraction,
@@ -61,47 +62,28 @@ class PipelineScorer:
     space it was trained in; each record is indexed once, into the
     TimelineIndex the scorer owns."""
 
-    def __init__(self, model: GBDTModel, pca: PCAModel, hist: TeacherHistoryIndex,
-                 feature: FeatureConfig, schema: ColumnSchema):
-        if F.feature_names(schema, pca, feature) != tuple(model.feature_names):
+    def __init__(self, model: GBDTModel, space: FeatureSpace):
+        if space.names != tuple(model.feature_names):
             raise SchemaError("the model's feature columns differ from the featurizer's")
-        self.model, self.pca, self.hist = model, pca, hist
-        self.feature, self.schema = feature, schema
+        self.model, self.space = model, space
         self._index = F.TimelineIndex()
 
     def many(self, points: list[tuple[StudentRecord, int]]) -> np.ndarray:
-        X = F.assemble(points, self.pca, self.hist, self.feature, self.schema, self._index)
-        return self.model.predict_proba(X)
+        return self.model.predict_proba(F.assemble(points, self.space, self._index))
 
     def save(self, out_dir: Path) -> list[Path]:
         """Write model.json and feature_space.json (blocks and PCA) to `out_dir`."""
         paths = [out_dir / name for name in MODEL_FILES]
         self.model.save(paths[0])
-        space = {"format_version": FEATURE_SPACE_VERSION, "blocks": list(self.feature.blocks),
-                 "pca": {k: getattr(self.pca, k).tolist() for k in _PCA_FIELDS}}
-        paths[1].write_text(json.dumps(space, sort_keys=True, separators=(",", ":")) + "\n")
+        self.space.save(paths[1])
         return paths
 
     @classmethod
     def load(cls, model_dir: Path, cohort: Cohort) -> "PipelineScorer":
-        """The scorer `save` wrote to `model_dir`, with teacher history rebuilt from
-        `cohort`: causal, since a history query counts only days before its own."""
+        """The scorer `save` wrote to `model_dir`, in the feature space of `cohort`."""
         model_path, space_path = (model_dir / name for name in MODEL_FILES)
         model = GBDTModel.load(model_path)
-        try:
-            raw = json.loads(space_path.read_bytes())
-            if raw["format_version"] != FEATURE_SPACE_VERSION:
-                raise ValueError(f"format version {raw['format_version']!r}")
-            feature = FeatureConfig(tuple(raw["blocks"]))
-            pca = PCAModel(*(np.array(raw["pca"][k], dtype=np.float64) for k in _PCA_FIELDS))
-            k, d = pca.components.shape  # a ValueError unless 2-D
-            if pca.mean.shape != (d,) or pca.explained_variance.shape != (k,):
-                raise ValueError("PCA arrays of mismatched shapes")
-        except (ValueError, TypeError, KeyError, RecursionError) as exc:
-            raise ModelError(f"malformed feature_space.json ({exc})") from exc
-        if d != len(cohort.schema.inclass_columns):
-            raise SchemaError(f"the model's in-class width {d} differs from the schema's")
-        return cls(model, pca, F.build_teacher_history(cohort), feature, cohort.schema)
+        return cls(model, FeatureSpace.load(space_path, cohort))
 
 
 @dataclass
@@ -117,32 +99,27 @@ class TrainedPipeline:
         return len(self.pairs["pseudo_positive"])
 
 
-def fit_feature_space(cohort: Cohort) -> tuple[PCAModel, TeacherHistoryIndex]:
-    """The feature space a cohort defines: a PCA of its class sessions'
-    in-class vectors, in student-id order, and its teacher dropout history."""
-    rows = [
-        o.inclass_values
-        for sid in sorted(cohort.students)
-        for o in cohort.students[sid].observations
-        if o.inclass_values is not None
-    ]
+def fit_feature_space(cohort: Cohort, blocks: tuple[str, ...]) -> FeatureSpace:
+    """The feature space of `blocks` that a cohort defines: a PCA of its class
+    sessions' in-class vectors, in student-id order, and its teacher dropout history."""
+    rows = [o.inclass_values for s in cohort for o in s.observations
+            if o.inclass_values is not None]
     if len(rows) < 2:
         raise InsufficientDataError("cohort has fewer than 2 class sessions; cannot fit PCA")
-    return F.fit_pca(np.vstack(rows)), F.build_teacher_history(cohort)
+    return FeatureSpace(blocks, F.fit_pca(np.vstack(rows)), F.build_teacher_history(cohort),
+                        cohort.schema)
 
 
 def train(cohort: Cohort, config: PipelineConfig) -> TrainedPipeline:
     """Run the full learning procedure on a (training) cohort."""
-    pca, hist = fit_feature_space(cohort)
+    space = fit_feature_space(cohort, config.blocks)
     positives, negatives = labeling.build_original_pairs(cohort)
     pseudo = augment(cohort, config.augmentation)
     data = trainer.oversample(positives, pseudo, negatives, config.sampler)
-    X = F.assemble(data.points, pca, hist, config.feature, cohort.schema)
-    names = F.feature_names(cohort.schema, pca, config.feature)
-    model = trainer.fit_gbdt(X, data, names, config.gbdt)
+    model = trainer.fit_gbdt(F.assemble(data.points, space), data, space.names, config.gbdt)
     return TrainedPipeline(
         model=model,
-        scorer=PipelineScorer(model, pca, hist, config.feature, cohort.schema),
+        scorer=PipelineScorer(model, space),
         config=config,
         pairs={"original_positive": positives, "pseudo_positive": pseudo,
                "original_negative": negatives},

@@ -15,7 +15,7 @@ from atrisk.augmentation import AugmentationConfig, augment
 from atrisk.cli import EXIT_OK, main as cli_main
 from atrisk.evaluation import auc, auc_bruteforce, daily_flagging
 from atrisk.events import StudentRecord
-from atrisk.features import FeatureConfig, assemble
+from atrisk.features import ALL_BLOCKS, assemble
 from atrisk.gbdt import GBDTConfig, GBDTModel, fit as gbdt_fit
 from atrisk.pipeline import PipelineConfig
 from atrisk.synthgen import SimConfig, generate_cohort
@@ -187,8 +187,7 @@ def test_criterion_4_oversampler_statistics(capsys):
 def test_criterion_5_causality_no_leakage(capsys):
     t0 = time.perf_counter()
     cohort, _, _ = generate_cohort(SimConfig(n_students=80, seed=5))
-    config = FeatureConfig()
-    pca, hist = pipeline.fit_feature_space(cohort)
+    space = pipeline.fit_feature_space(cohort, ALL_BLOCKS)
     rng = np.random.default_rng(55)
     students = sorted(cohort.students)
     checked = 0
@@ -196,14 +195,14 @@ def test_criterion_5_causality_no_leakage(capsys):
     while checked < 100:
         s = cohort.students[students[int(rng.integers(len(students)))]]
         day = int(s.days[int(rng.integers(len(s.days)))])
-        full = assemble([(s, day)], pca, hist, config, cohort.schema)
+        full = assemble([(s, day)], space)
         truncated = StudentRecord(
             student_id=s.student_id,
             observations=tuple(o for o in s.observations if o.day <= day),
             final_status=s.final_status,
             teacher_id=s.teacher_id,
         )
-        trimmed = assemble([(truncated, day)], pca, hist, config, cohort.schema)
+        trimmed = assemble([(truncated, day)], space)
         all_identical &= full.tobytes() == trimmed.tobytes()
         checked += 1
     elapsed = time.perf_counter() - t0
@@ -233,9 +232,9 @@ def trend_sweep():
         "ccv": PipelineConfig(
             gbdt=SWEEP_GBDT, augmentation=AugmentationConfig(weighting="concave")
         ),
-        "in": PipelineConfig(gbdt=SWEEP_GBDT, feature=FeatureConfig(blocks=("in",))),
-        "out": PipelineConfig(gbdt=SWEEP_GBDT, feature=FeatureConfig(blocks=("out",))),
-        "time": PipelineConfig(gbdt=SWEEP_GBDT, feature=FeatureConfig(blocks=("time",))),
+        "in": PipelineConfig(gbdt=SWEEP_GBDT, blocks=("in",)),
+        "out": PipelineConfig(gbdt=SWEEP_GBDT, blocks=("out",)),
+        "time": PipelineConfig(gbdt=SWEEP_GBDT, blocks=("time",)),
     }
     report = pipeline.run_sweep(cohort, arms, DELTAS, list(range(N_SEEDS)), 0.8)
     return {"cohort": cohort, "report": report, "elapsed": time.perf_counter() - t0}

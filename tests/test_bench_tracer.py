@@ -11,10 +11,14 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+
 import atrisk.cli  # the benchmark runs the CLI, so it is loaded there too
+from atrisk import events, evaluation, gbdt, pipeline
 from atrisk.augmentation import AugmentationConfig, augment
+from atrisk.gbdt import GBDTConfig
 from atrisk.labeling import build_original_pairs
-from atrisk.synthgen import SimConfig, generate_cohort
+from atrisk.synthgen import SimConfig, generate, generate_cohort
 from atrisk.trainer import SamplerConfig, oversample
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -90,3 +94,47 @@ def test_evaluate_reports_what_the_hooked_daily_flagging_returns(tmp_path, monke
                             "--top-fraction", "0.25"]) == 0
     assert calls == [0.25]
     assert json.loads((out / "report.json").read_text())["recall_at_fraction"] == sentinel
+
+
+def n_nodes(tree: dict) -> int:
+    return 1 if "value" in tree else 1 + n_nodes(tree["left"]) + n_nodes(tree["right"])
+
+
+def test_tracer_counts_match_a_traced_run(tmp_path):
+    """The counts of ingest, gbdt.fit, evaluate_horizons and PipelineScorer.many,
+    taken from the arguments and results of a run under the installed tracer,
+    equal the events file's lines, the nodes of model.json, the report's query
+    points and the points scored, in positional and keyword calls alike."""
+    tracing = load_tracing()
+    sim = tmp_path / "sim"
+    generate(SimConfig(n_students=60, seed=1), sim)
+    cfg = GBDTConfig(n_trees=5, max_depth=3)
+    X = np.random.default_rng(0).normal(size=(40, 3))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        cohort = events.ingest(sim / "events.jsonl", sim / "schema.json")
+        train_split, test_split = evaluation.split_students(cohort, 0.7, 0)
+        trained = pipeline.train(train_split, pipeline.PipelineConfig(gbdt=cfg))
+        evaluation.evaluate_horizons(trained.scorer, test_split, [1, 7])
+        points = evaluation.query_points(test_split)[:25]
+        trained.scorer.many(points=points)
+        small = gbdt.fit(X=X, y=(X[:, 0] > 0).astype(np.int64), sample_weight=None, cfg=cfg)
+    finally:
+        tracer.uninstall()
+    counts: dict[str, list] = {}
+    for _, _, name, _, _, count in tracer.spans:
+        counts.setdefault(name, []).append(count)
+
+    with open(sim / "events.jsonl") as fh:
+        assert counts["events.ingest"] == [sum(1 for line in fh if line.strip())]
+    trained.scorer.save(tmp_path)
+    trees = json.loads((tmp_path / "model.json").read_text())["trees"]
+    n_rows = len(trained.pairs["original_negative"]) + trained.n_drawn
+    assert counts["gbdt.fit"] == [
+        (n_rows, sum(map(n_nodes, trees)), 5),
+        (40, sum(n_nodes(t) for t in json.loads(small.to_json())["trees"]), 5),
+    ]
+    n_queries = len(evaluation.query_points(test_split))
+    assert counts["evaluation.evaluate_horizons"] == [n_queries]
+    assert counts["pipeline.scorer_many"] == [n_queries, 25]

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atrisk.errors import UndefinedMetricError, ValidationError
+from atrisk.errors import ValidationError
 from atrisk.evaluation import (
     auc,
     auc_bruteforce,
+    average_ranks,
     daily_flagging,
     evaluate_horizons,
     horizon_labels,
@@ -39,11 +40,11 @@ def test_auc_all_tied_is_half():
     assert auc([0.5] * 6, [0, 1, 0, 1, 0, 1]) == pytest.approx(0.5)
 
 
-def test_auc_single_class_raises():
-    with pytest.raises(UndefinedMetricError):
-        auc([0.1, 0.2], [1, 1])
-    with pytest.raises(UndefinedMetricError):
-        auc_bruteforce([0.1, 0.2], [0, 0])
+def test_auc_single_class_is_none():
+    assert auc([0.1, 0.2], [1, 1]) is None
+    assert auc([0.1, 0.2], [0, 0], average_ranks([0.1, 0.2])) is None
+    assert auc_bruteforce([0.1, 0.2], [0, 0]) is None
+    assert auc_bruteforce([0.1, 0.2], [1, 1]) is None
 
 
 def test_auc_length_mismatch():

@@ -8,7 +8,7 @@ import pytest
 from atrisk.errors import ParseError, SchemaError, ValidationError
 from atrisk.events import ColumnSchema, cohort_stats, ingest, write_events
 
-from conftest import IN_COLS, OUT_COLS
+from conftest import IN_COLS, OUT_COLS, cohort_of, session, student
 
 
 def write_schema(path):
@@ -205,3 +205,10 @@ def test_subset_preserves_schema(small_cohort):
 
 def test_resolved_excludes_ongoing(small_cohort):
     assert {s.student_id for s in small_cohort.resolved()} == {"s1", "s2", "s3"}
+
+
+def test_cohort_keeps_students_in_id_order():
+    cohort = cohort_of(*(student(sid, [session(1)]) for sid in ("b", "c", "a")))
+    assert list(cohort.students) == ["a", "b", "c"]
+    assert [s.student_id for s in cohort] == ["a", "b", "c"]
+    assert list(cohort.subset(["c", "a"]).students) == ["a", "c"]

@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 from atrisk.errors import InsufficientDataError, ValidationError
 from atrisk.events import MAX_DAY, ColumnSchema
 from atrisk.features import (
+    ALL_BLOCKS,
     LOOKBACK_DAYS,
-    FeatureConfig,
+    FeatureSpace,
     TimelineIndex,
     assemble,
     build_teacher_history,
-    feature_names,
     fit_pca,
 )
 from atrisk.pipeline import fit_feature_space
@@ -226,7 +226,10 @@ def oracle_vector_aggregates(stack, width):
     return out
 
 
-def oracle_assemble(student, at_day, pca, history, config, schema):
+def oracle_assemble(student, at_day, space, history):
+    """The row of `student` at `at_day` in `space`; `history` is the cohort
+    its teacher history was built from."""
+    pca, schema = space.pca, space.schema
     if at_day < student.first_day:
         raise ValidationError("at_day precedes first observation")
     obs_ = student.observations
@@ -240,7 +243,7 @@ def oracle_assemble(student, at_day, pca, history, config, schema):
         return np.array([o.day for o in kept], dtype=np.int64), rows
 
     values = []
-    if "in" in config.blocks:
+    if "in" in space.blocks:
         in_days, in_rows = rows_of("inclass_values", len(schema.inclass_columns))
         n_in = int(np.searchsorted(in_days, at_day, side="right"))
         rows = in_rows[:n_in]
@@ -253,11 +256,11 @@ def oracle_assemble(student, at_day, pca, history, config, schema):
         for agg in _ORACLE_AGGS:
             values.extend(float(v) for v in agg_values[agg])
         values.append(float(n_in))
-    if "out" in config.blocks:
+    if "out" in space.blocks:
         out_days, out_rows = rows_of("outclass_values", len(schema.outclass_columns))
         n_out = int(np.searchsorted(out_days, at_day, side="right"))
         values += oracle_vector_aggregates(out_rows[:n_out], len(schema.outclass_columns))
-    if "time" in config.blocks:
+    if "time" in space.blocks:
         class_days = days_of(lambda o: o.kind == "class_session")
         per_kind = [
             class_days,
@@ -291,16 +294,14 @@ def oracle_assemble(student, at_day, pca, history, config, schema):
 Row = namedtuple("Row", "values names")
 
 
-def assemble_one(s, day, pca, hist, config, schema):
+def assemble_one(s, day, space):
     """One point through the batch featurizer, with its column names."""
-    X = assemble([(s, day)], pca, hist, config, schema)
-    names = feature_names(schema, pca, config)
-    assert X.shape == (1, len(names))
-    return Row(X[0], names)
+    X = assemble([(s, day)], space)
+    assert X.shape == (1, len(space.names))
+    return Row(X[0], space.names)
 
 
-def fitted(cohort, config=None):
-    config = config or FeatureConfig()
+def fitted(cohort, blocks=ALL_BLOCKS):
     rows = np.vstack(
         [
             o.inclass_values
@@ -309,9 +310,7 @@ def fitted(cohort, config=None):
             if o.inclass_values is not None
         ]
     )
-    pca = fit_pca(rows)
-    hist = build_teacher_history(cohort)
-    return pca, hist, config
+    return FeatureSpace(blocks, fit_pca(rows), build_teacher_history(cohort), cohort.schema)
 
 
 def get(fv, name):
@@ -319,19 +318,17 @@ def get(fv, name):
 
 
 def test_assemble_names_align_with_values(small_cohort):
-    pca, hist, config = fitted(small_cohort)
-    fv = assemble_one(
-        small_cohort.students["s1"], 12, pca, hist, config, small_cohort.schema
-    )
-    assert fv.names == feature_names(small_cohort.schema, pca, config)
+    space = fitted(small_cohort)
+    fv = assemble_one(small_cohort.students["s1"], 12, space)
+    assert fv.names == space.names
     assert len(fv.values) == len(fv.names)
     assert np.all(np.isfinite(fv.values))
 
 
 def test_assemble_window_counts_hand_checked(small_cohort):
-    pca, hist, config = fitted(small_cohort)
+    space = fitted(small_cohort)
     s1 = small_cohort.students["s1"]  # sessions at 3, 10; follow-up at 12
-    fv = assemble_one(s1, 12, pca, hist, config, small_cohort.schema)
+    fv = assemble_one(s1, 12, space)
     # (12-7, 12] = (5, 12] contains session day 10 only
     assert get(fv, "time_w7_classes") == 1.0
     # (12-14, 12] covers both sessions
@@ -347,19 +344,19 @@ def test_assemble_window_counts_hand_checked(small_cohort):
 
 
 def test_assemble_window_is_half_open(small_cohort):
-    pca, hist, config = fitted(small_cohort)
+    space = fitted(small_cohort)
     s1 = small_cohort.students["s1"]
     # at day 10 with L=7: window (3, 10] excludes the session on day 3
-    fv = assemble_one(s1, 10, pca, hist, config, small_cohort.schema)
+    fv = assemble_one(s1, 10, space)
     assert get(fv, "time_w7_classes") == 1.0
 
 
 def test_assemble_counts_additive_over_windows(small_cohort):
     """count(L2) - count(L1) equals the count in the band (d-L2, d-L1]."""
-    pca, hist, config = fitted(small_cohort)
+    space = fitted(small_cohort)
     assert LOOKBACK_DAYS == (7, 14, 21, 30)
     s1 = small_cohort.students["s1"]
-    fv = assemble_one(s1, 12, pca, hist, config, small_cohort.schema)
+    fv = assemble_one(s1, 12, space)
     band = get(fv, "time_w14_classes") - get(fv, "time_w7_classes")
     days_in_band = [d for d in (3, 10) if 12 - 14 < d <= 12 - 7]
     assert band == len(days_in_band)
@@ -367,26 +364,26 @@ def test_assemble_counts_additive_over_windows(small_cohort):
 
 def test_assemble_causality_ignores_future(small_cohort):
     """Deleting observations after the query day must not change the output."""
-    pca, hist, config = fitted(small_cohort)
+    space = fitted(small_cohort)
     s1 = small_cohort.students["s1"]
-    full = assemble_one(s1, 10, pca, hist, config, small_cohort.schema)
+    full = assemble_one(s1, 10, space)
     truncated = student(
         "s1", [o for o in s1.observations if o.day <= 10], status="dropout"
     )
-    trimmed = assemble_one(truncated, 10, pca, hist, config, small_cohort.schema)
+    trimmed = assemble_one(truncated, 10, space)
     assert full.values.tobytes() == trimmed.values.tobytes()
 
 
 def test_assemble_rejects_day_before_first_observation(small_cohort):
-    pca, hist, config = fitted(small_cohort)
+    space = fitted(small_cohort)
     with pytest.raises(ValidationError):
-        assemble_one(small_cohort.students["s1"], 0, pca, hist, config, small_cohort.schema)
+        assemble_one(small_cohort.students["s1"], 0, space)
 
 
 def test_assemble_zero_observations_encode_as_zero_count(small_cohort):
-    pca, hist, config = fitted(small_cohort)
+    space = fitted(small_cohort)
     s4 = small_cohort.students["s4"]  # one session, no out-of-class data
-    fv = assemble_one(s4, 7, pca, hist, config, small_cohort.schema)
+    fv = assemble_one(s4, 7, space)
     assert get(fv, "out_count") == 0.0
     assert get(fv, "in_count") == 1.0
     out_cols = [v for n, v in zip(fv.names, fv.values) if n.startswith("out_")]
@@ -394,33 +391,31 @@ def test_assemble_zero_observations_encode_as_zero_count(small_cohort):
 
 
 def test_assemble_block_selection(small_cohort):
-    pca, hist, _ = fitted(small_cohort)
     s1 = small_cohort.students["s1"]
     for blocks in (("in",), ("out",), ("time",), ("in", "time")):
-        config = FeatureConfig(blocks=blocks)
-        fv = assemble_one(s1, 12, pca, hist, config, small_cohort.schema)
+        fv = assemble_one(s1, 12, fitted(small_cohort, blocks))
         prefixes = {n.split("_")[0] for n in fv.names}
         assert prefixes == set(blocks)
 
 
 def test_assemble_in_block_matches_direct_projection(small_cohort):
     """Projected aggregates equal aggregates of projected rows."""
-    pca, hist, config = fitted(small_cohort)
+    space = fitted(small_cohort)
     s1 = small_cohort.students["s1"]
-    fv = assemble_one(s1, 12, pca, hist, config, small_cohort.schema)
+    fv = assemble_one(s1, 12, space)
     rows = np.vstack(
         [o.inclass_values for o in s1.observations if o.inclass_values is not None]
     )
-    proj = pca.project(rows)
-    k = pca.n_components
+    proj = space.pca.project(rows)
+    k = space.pca.n_components
     for i in range(k):
         assert get(fv, f"in_mean_pc{i + 1}") == pytest.approx(proj.mean(axis=0)[i])
         assert get(fv, f"in_last_pc{i + 1}") == pytest.approx(proj[-1, i])
 
 
-def test_feature_config_validation():
+def test_feature_space_refuses_unknown_blocks(small_cohort):
     with pytest.raises(ValidationError):
-        FeatureConfig(blocks=("in", "weather"))
+        fitted(small_cohort, ("in", "weather"))
 
 
 @settings(max_examples=25, deadline=None)
@@ -438,13 +433,10 @@ def test_assemble_causality_randomized(at_day, seed):
     cohort = cohort_of(s)
     if at_day < s.first_day:
         return
-    pca, hist, config = fitted(cohort)
-    full = assemble_one(s, at_day, pca, hist, config, cohort.schema)
+    space = fitted(cohort)
+    full = assemble_one(s, at_day, space)
     visible = [o for o in s.observations if o.day <= at_day]
-    trimmed = assemble_one(
-        student("r", visible, status="completion"), at_day, pca, hist, config,
-        cohort.schema,
-    )
+    trimmed = assemble_one(student("r", visible, status="completion"), at_day, space)
     np.testing.assert_array_equal(full.values, trimmed.values)
 
 
@@ -486,9 +478,7 @@ def batches(draw):
     cohort = cohort_of(*students)
     history = cohort_of(*students[: draw(st.integers(0, len(students)))])
     hist = build_teacher_history(history)
-    config = FeatureConfig(
-        blocks=tuple(draw(st.sets(st.sampled_from(["in", "out", "time"]), min_size=1))),
-    )
+    blocks = tuple(draw(st.sets(st.sampled_from(["in", "out", "time"]), min_size=1)))
     rank = draw(st.integers(1, len(IN_COLS)))
     mixing = rng.normal(size=(rank, len(IN_COLS)))
     pca = fit_pca(rng.normal(size=(12, rank)) @ mixing * 3.0 + 1.0)
@@ -497,24 +487,23 @@ def batches(draw):
         st.tuples(st.integers(0, len(students) - 1), st.integers(0, 70)), min_size=1, max_size=40,
     ))
     points = [(students[j], students[j].first_day + offset) for j, offset in picks]
-    return cohort, history, hist, config, pca, points, rng
+    return FeatureSpace(blocks, pca, hist, cohort.schema), history, points, rng
 
 
 @settings(max_examples=120, deadline=None)
 @given(case=batches(), data=st.data())
 def test_assemble_rows_equal_per_pair_oracle(case, data):
-    cohort, history, hist, config, pca, points, rng = case
-    X = assemble(points, pca, hist, config, cohort.schema)
-    assert X.shape == (len(points), len(feature_names(cohort.schema, pca, config)))
+    space, history, points, rng = case
+    X = assemble(points, space)
+    assert X.shape == (len(points), len(space.names))
     for row, (s, day) in zip(X, points):
-        expected = oracle_assemble(s, day, pca, history, config, cohort.schema)
-        assert row.tobytes() == expected.tobytes()
+        assert row.tobytes() == oracle_assemble(s, day, space, history).tobytes()
 
     perm = rng.permutation(len(points))
-    shuffled = assemble([points[i] for i in perm], pca, hist, config, cohort.schema)
+    shuffled = assemble([points[i] for i in perm], space)
     assert shuffled.tobytes() == X[perm].tobytes()
     k = data.draw(st.integers(0, len(points)))
-    halves = [assemble(part, pca, hist, config, cohort.schema) for part in (points[:k], points[k:])]
+    halves = [assemble(part, space) for part in (points[:k], points[k:])]
     assert np.vstack(halves).tobytes() == X.tobytes()
 
 
@@ -524,7 +513,7 @@ def batch_sequences(draw):
     scored with the first one's state: both cases' points plus points far past
     a record's last day (up to MAX_DAY), cut into a sequence of batches, so new
     records arrive mid-sequence and records repeat within and across batches."""
-    cohort, history, hist, config, pca, points, _ = draw(batches())
+    space, history, points, _ = draw(batches())
     other = draw(batches())[-2]
     records = [s for s, _ in points + other]
     far = draw(st.lists(st.tuples(
@@ -536,59 +525,55 @@ def batch_sequences(draw):
     ]
     cuts = sorted(draw(st.lists(st.integers(0, len(points)), max_size=6)))
     sequence = [points[a:b] for a, b in zip([0, *cuts], [*cuts, len(points)])]
-    return cohort.schema, history, hist, config, pca, sequence + [points]
+    return space, history, sequence + [points]
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=batch_sequences())
 def test_long_lived_index_rows_equal_fresh_assemble_and_oracle(case):
-    schema, history, hist, config, pca, sequence = case
+    space, history, sequence = case
     index = TimelineIndex()
     for batch in sequence:
-        X = assemble(batch, pca, hist, config, schema, index)
-        assert X.tobytes() == assemble(batch, pca, hist, config, schema).tobytes()
+        X = assemble(batch, space, index)
+        assert X.tobytes() == assemble(batch, space).tobytes()
         for row, (s, day) in zip(X, batch):
-            assert row.tobytes() == oracle_assemble(s, day, pca, history, config, schema).tobytes()
+            assert row.tobytes() == oracle_assemble(s, day, space, history).tobytes()
 
 
 def test_index_keeps_slots_apart_at_max_day(small_cohort):
     """A point at MAX_DAY on one record, a day-0 session on the next record."""
-    pca, hist, config = fitted(small_cohort)
+    space = fitted(small_cohort)
     a = small_cohort.students["s1"]
     b = student("b", [session(0, (1.0, 2.0, 3.0, 4.0)), obs(1, outclass=[1, 2, 3], polarity=-1)])
     points = [(a, MAX_DAY), (b, 0), (b, MAX_DAY), (a, a.first_day)]
     index = TimelineIndex()
     for batch in ([points[0]], points, points[::-1]):
-        X = assemble(batch, pca, hist, config, small_cohort.schema, index)
+        X = assemble(batch, space, index)
         for row, (s, day) in zip(X, batch):
-            expected = oracle_assemble(s, day, pca, small_cohort, config, small_cohort.schema)
-            assert row.tobytes() == expected.tobytes()
+            assert row.tobytes() == oracle_assemble(s, day, space, small_cohort).tobytes()
 
 
 def test_index_refuses_days_past_max_day(small_cohort):
-    pca, hist, config = fitted(small_cohort)
-    schema = small_cohort.schema
+    space = fitted(small_cohort)
     s1 = small_cohort.students["s1"]
     late = student("late", [session(1), obs(MAX_DAY + 1)])
     index = TimelineIndex()
     with pytest.raises(ValidationError, match="exceeds"):
-        assemble([(s1, 3), (late, 1)], pca, hist, config, schema, index)
+        assemble([(s1, 3), (late, 1)], space, index)
     with pytest.raises(ValidationError, match="exceeds"):
-        assemble([(s1, MAX_DAY + 1)], pca, hist, config, schema, index)
+        assemble([(s1, MAX_DAY + 1)], space, index)
     # a refused batch leaves the index answering as a fresh one
     points = [(s1, MAX_DAY), (s1, 3)]
-    assert (assemble(points, pca, hist, config, schema, index).tobytes()
-            == assemble(points, pca, hist, config, schema).tobytes())
+    assert assemble(points, space, index).tobytes() == assemble(points, space).tobytes()
 
 
 def test_assemble_matches_oracle_on_simulated_cohort():
     cohort, _, _ = generate_cohort(SimConfig(n_students=40, seed=3))
-    config = FeatureConfig()
-    pca, hist = fit_feature_space(cohort)
+    space = fit_feature_space(cohort, ALL_BLOCKS)
     points = [(s, d) for s in cohort for d in s.days]
-    X = assemble(points, pca, hist, config, cohort.schema)
+    X = assemble(points, space)
     for row, (s, day) in zip(X, points):
-        assert row.tobytes() == oracle_assemble(s, day, pca, cohort, config, cohort.schema).tobytes()
+        assert row.tobytes() == oracle_assemble(s, day, space, cohort).tobytes()
 
 
 def test_assemble_single_column_sums_within_rounding_of_oracle():
@@ -600,22 +585,20 @@ def test_assemble_single_column_sums_within_rounding_of_oracle():
         obs(d, kind="class_session", inclass=[v], outclass=[-v]) for d, v in
         zip(range(1, 41), rng.normal(size=40) * 10.0 ** rng.integers(-3, 3, size=40))
     ])
-    config = FeatureConfig()
-    pca = fit_pca(rng.normal(size=(10, 1)))
-    hist = build_teacher_history(cohort_of(s))
-    X = assemble([(s, d) for d in s.days], pca, hist, config, schema)
-    expected = np.vstack([oracle_assemble(s, d, pca, cohort_of(s), config, schema) for d in s.days])
+    space = FeatureSpace(ALL_BLOCKS, fit_pca(rng.normal(size=(10, 1))),
+                         build_teacher_history(cohort_of(s)), schema)
+    X = assemble([(s, d) for d in s.days], space)
+    expected = np.vstack([oracle_assemble(s, d, space, cohort_of(s)) for d in s.days])
     np.testing.assert_allclose(X, expected, rtol=1e-12, atol=1e-12)
 
 
 def test_assemble_empty_batch_has_full_width(small_cohort):
-    pca, hist, config = fitted(small_cohort)
-    X = assemble([], pca, hist, config, small_cohort.schema)
-    assert X.shape == (0, len(feature_names(small_cohort.schema, pca, config)))
+    space = fitted(small_cohort)
+    assert assemble([], space).shape == (0, len(space.names))
 
 
 def test_assemble_rejects_non_finite_features(small_cohort):
-    pca, hist, config = fitted(small_cohort)
+    space = fitted(small_cohort)
     bad = student("bad", [obs(3, outclass=[np.inf, 0.0, 0.0])])
     with pytest.raises(ValidationError):
-        assemble([(bad, 3)], pca, hist, config, small_cohort.schema)
+        assemble([(bad, 3)], space)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import json
 import tracemalloc
 import weakref
 
@@ -12,7 +13,7 @@ from atrisk.augmentation import AugmentationConfig
 from atrisk.errors import InsufficientDataError, SchemaError, ValidationError
 from atrisk.events import Cohort, StudentRecord
 from atrisk.evaluation import daily_flagging, evaluate_horizons, query_points, split_students
-from atrisk.features import FeatureConfig
+from atrisk.features import FeatureSpace
 from atrisk.gbdt import GBDTConfig, GBDTModel
 from atrisk.pipeline import PipelineConfig, PipelineScorer, run_sweep, train
 from atrisk.trainer import SamplerConfig
@@ -54,9 +55,9 @@ def test_scorer_many_invariant_to_order_and_split(trained, cohort):
 
 
 def test_scorer_rejects_model_with_other_columns(trained):
-    s = trained.scorer
+    s = trained.scorer.space
     with pytest.raises(SchemaError):
-        PipelineScorer(trained.model, s.pca, s.hist, FeatureConfig(blocks=("time",)), s.schema)
+        PipelineScorer(trained.model, FeatureSpace(("time",), s.pca, s.hist, s.schema))
 
 
 def test_saved_scorer_scores_as_the_trained_one(trained, cohort, tmp_path):
@@ -64,9 +65,18 @@ def test_saved_scorer_scores_as_the_trained_one(trained, cohort, tmp_path):
     assert [p.name for p in paths] == ["model.json", "feature_space.json"]
     loaded = PipelineScorer.load(tmp_path, cohort)
     assert loaded.model.to_json() == trained.model.to_json()
-    assert loaded.feature == trained.scorer.feature
+    assert loaded.space.blocks == trained.scorer.space.blocks
     points = query_points(cohort)[:300]
     assert loaded.many(points).tobytes() == trained.scorer.many(points).tobytes()
+
+
+def test_load_refuses_unknown_blocks(trained, cohort, tmp_path):
+    space_path = trained.scorer.save(tmp_path)[1]
+    space = json.loads(space_path.read_text())
+    space["blocks"] = ["in", "weather"]
+    space_path.write_text(json.dumps(space))
+    with pytest.raises(ValidationError, match="unknown feature blocks"):
+        PipelineScorer.load(tmp_path, cohort)
 
 
 def cohort_known_at(cohort, day):
@@ -137,8 +147,7 @@ def test_scorer_index_memory_stays_small(trained):
         by_day.setdefault(d, []).append((s, d))
     tracemalloc.start()
     try:
-        s = trained.scorer
-        scorer = PipelineScorer(s.model, s.pca, s.hist, s.feature, s.schema)
+        scorer = PipelineScorer(trained.model, trained.scorer.space)
         for day in sorted(by_day):
             scorer.many(by_day[day])
         peak = tracemalloc.get_traced_memory()[1]
@@ -163,7 +172,7 @@ def test_augmentation_disabled_produces_no_pseudo(cohort):
 def test_block_restriction_shrinks_features(cohort):
     full = train(cohort, FAST)
     only_time = train(
-        cohort, PipelineConfig(gbdt=FAST.gbdt, feature=FeatureConfig(blocks=("time",)))
+        cohort, PipelineConfig(gbdt=FAST.gbdt, blocks=("time",))
     )
     assert len(only_time.model.feature_names) < len(full.model.feature_names)
     assert all(n.startswith("time_") for n in only_time.model.feature_names)
@@ -188,6 +197,24 @@ def test_fingerprint_tracks_config():
     b = PipelineConfig(augmentation=AugmentationConfig(weighting="linear"))
     assert a.fingerprint() == PipelineConfig().fingerprint()
     assert a.fingerprint() != b.fingerprint()
+
+
+def test_fingerprint_is_pinned():
+    """The hashed JSON names the blocks "blocks"; reports carry these bytes."""
+    assert PipelineConfig().fingerprint() == "8ec84540543c921d"
+    assert PipelineConfig(blocks=("time",)).fingerprint() == "991c98fb8780395d"
+
+
+def test_config_refuses_unknown_blocks():
+    with pytest.raises(ValidationError):
+        PipelineConfig(blocks=("in", "weather"))
+
+
+def test_student_order_does_not_change_the_model():
+    """A cohort given its students in reversed id order trains the same model."""
+    cohort, _, _ = generate_cohort(SimConfig(n_students=120, seed=7))
+    backwards = Cohort(dict(reversed(cohort.students.items())), cohort.schema)
+    assert train(backwards, FAST).model.to_json() == train(cohort, FAST).model.to_json()
 
 
 def test_train_requires_class_sessions():
