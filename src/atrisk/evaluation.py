@@ -4,8 +4,8 @@ Query points are every observation day of a test student that still has at
 least one future day before resolution. AUC with single-class ground truth is
 undefined (None) rather than fabricated, and flagging recall, when no day has
 a next-day dropout, is left out of the report. A scorer is any object with a
-batch `many(points) -> scores` method, such as PipelineScorer; each report
-scores its points in batches.
+batch `many(points) -> scores` method, such as PipelineScorer, which scores
+a call's points in fixed-size batches.
 """
 
 from __future__ import annotations

@@ -65,9 +65,9 @@ class ColumnSchema:
             fh.write("\n")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObservationPair:
-    """One timestamped observation in a student's history."""
+    """One timestamped observation in a student's history (one per event, so slotted)."""
 
     day: int
     kind: str

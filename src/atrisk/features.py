@@ -40,6 +40,8 @@ _PCA_FIELDS = ("mean", "components", "explained_variance")
 def check_blocks(blocks) -> None:
     if not set(blocks) <= set(ALL_BLOCKS):
         raise ValidationError(f"unknown feature blocks: {blocks}")
+    if not blocks or len(set(blocks)) != len(blocks):
+        raise ValidationError(f"feature blocks must be one or more distinct blocks: {blocks}")
 
 
 @dataclass(frozen=True)

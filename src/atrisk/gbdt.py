@@ -404,12 +404,19 @@ def _canonicalize(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     and normalize weights to mean 1. A uniformly duplicated dataset thereby
     reduces to the exact same arrays and trains to the bit-identical model.
     """
-    keyed = np.column_stack([X, y])
-    _, unique_idx, inverse = np.unique(
-        keyed, axis=0, return_index=True, return_inverse=True
-    )
-    w = np.bincount(inverse.ravel(), weights=w, minlength=len(unique_idx))
-    return X[unique_idx], y[unique_idx], w / w.mean()
+    # A stable sort by X's columns, first to last, then y: np.unique(axis=0)'s
+    # order and first occurrences, without its structured copy of the rows.
+    order = np.lexsort([y, *X.T[::-1]])
+    new = np.zeros(len(y), dtype=bool)  # starts a group of identical (row, label) pairs
+    new[:1] = True
+    for column in (*X.T, y):
+        column = column[order]
+        new[1:] |= column[1:] != column[:-1]
+    inverse = np.empty(len(y), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    first = order[new]
+    w = np.bincount(inverse, weights=w, minlength=len(first))
+    return X[first], y[first], w / w.mean()
 
 
 def fit(

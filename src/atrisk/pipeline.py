@@ -30,6 +30,9 @@ from .labeling import PairSet
 from .trainer import SamplerConfig
 
 MODEL_FILES = ("model.json", "feature_space.json")  # what `save` writes to a model directory
+# A scorer assembles and predicts at most this many points at a time (about
+# 0.8 MB of features), so its working set stays flat at any number of points.
+_SCORE_BATCH = 2048
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,12 @@ class PipelineScorer:
         self._index = F.TimelineIndex()
 
     def many(self, points: list[tuple[StudentRecord, int]]) -> np.ndarray:
-        return self.model.predict_proba(F.assemble(points, self.space, self._index))
+        scores = np.empty(len(points))
+        for start in range(0, len(points), _SCORE_BATCH):
+            batch = points[start : start + _SCORE_BATCH]
+            scores[start : start + len(batch)] = self.model.predict_proba(
+                F.assemble(batch, self.space, self._index))
+        return scores
 
     def save(self, out_dir: Path) -> list[Path]:
         """Write model.json and feature_space.json (blocks and PCA) to `out_dir`."""

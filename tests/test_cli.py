@@ -151,6 +151,12 @@ def test_featurize_writes_csv(sim_dir, tmp_path):
         float(value)  # every feature cell parses as a number
 
 
+def test_featurize_csv_is_pinned(sim_dir, tmp_path):
+    assert main(["featurize", *io_args(sim_dir, tmp_path)]) == EXIT_OK
+    assert sha256(tmp_path / "features.csv") == (
+        "d3ded7cbea42494d6721dad53bcf1705d41535b945c46eb0ae862b1ba44b8388")
+
+
 def test_predict_ranks_and_flags(sim_dir, model_dir, tmp_path, monkeypatch):
     def no_training(*args, **kwargs):  # predict scores with the model train wrote
         raise AssertionError("pipeline.train ran")

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from atrisk import gbdt
 from atrisk.errors import DegenerateDataError, ModelError
@@ -483,6 +484,44 @@ def test_boosted_score_is_bit_identical_to_raw_scores(monkeypatch):
     assert len(seen) == 21
     assert seen[-1].tobytes() == raw.tobytes()
     assert model.train_loss_curve[-1] == log_loss(yc, raw, wc)
+
+
+def unique_canonicalize(X, y, w):
+    """_canonicalize as written with np.unique(axis=0): the oracle for its
+    order, first occurrences, inverse and weight sums."""
+    keyed = np.column_stack([X, y])
+    _, unique_idx, inverse = np.unique(keyed, axis=0, return_index=True, return_inverse=True)
+    w = np.bincount(inverse.ravel(), weights=w, minlength=len(unique_idx))
+    return X[unique_idx], y[unique_idx], w / w.mean()
+
+
+# Few distinct cells, so rows repeat and tie in their leading columns; the
+# zeros of both signs are equal but have different bytes.
+CELLS = st.sampled_from([-0.0, 0.0, -1.5, 0.25, 2.0, 5e-324, 1e300])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_canonicalize_matches_np_unique_oracle(data):
+    n = data.draw(st.integers(1, 40))
+    d = data.draw(st.integers(1, 4))
+    pool = data.draw(st.lists(st.lists(CELLS, min_size=d, max_size=d), min_size=1, max_size=6))
+    X = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    y = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+    weight = st.one_of(st.integers(1, 4).map(float),
+                       st.floats(1e-3, 10.0, allow_nan=False, allow_infinity=False))
+    w = np.array(data.draw(st.lists(weight, min_size=n, max_size=n)))
+    got, want = gbdt._canonicalize(X, y, w), unique_canonicalize(X, y, w)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_canonicalize_keeps_the_first_of_equal_zeros():
+    X = np.array([[1.0, -0.0], [0.0, 2.0], [1.0, 0.0], [-0.0, 2.0]])
+    Xc, yc, wc = gbdt._canonicalize(X, np.zeros(4), np.array([1.0, 2.0, 3.0, 4.0]))
+    assert Xc.tobytes() == np.array([[0.0, 2.0], [1.0, -0.0]]).tobytes()
+    assert wc.tolist() == [6 / 5, 4 / 5]
 
 
 def test_fit_leaves_no_reference_cycles():

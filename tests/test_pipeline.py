@@ -9,6 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
+from atrisk import features as F, pipeline
 from atrisk.augmentation import AugmentationConfig
 from atrisk.errors import InsufficientDataError, SchemaError, ValidationError
 from atrisk.events import Cohort, StudentRecord
@@ -54,6 +55,62 @@ def test_scorer_many_invariant_to_order_and_split(trained, cohort):
     assert trained.scorer.many([]).shape == (0,)
 
 
+@pytest.mark.parametrize("n", [0, 1, 6, 7, 8, 26])  # B = 7: 0, 1, B-1, B, B+1, 3B+5
+def test_scorer_many_scores_in_fixed_batches(trained, cohort, monkeypatch, n):
+    batch = 7
+    points = query_points(cohort)[:n]
+    space = trained.scorer.space
+    one_call = trained.model.predict_proba(F.assemble(points, space, F.TimelineIndex()))
+    calls = {"assemble": 0, "many": 0}
+    assemble, many = F.assemble, PipelineScorer.many
+
+    def counted_assemble(*args, **kwargs):
+        calls["assemble"] += 1
+        return assemble(*args, **kwargs)
+
+    def counted_many(self, points):
+        calls["many"] += 1
+        return many(self, points)
+
+    monkeypatch.setattr(pipeline, "_SCORE_BATCH", batch)
+    monkeypatch.setattr(F, "assemble", counted_assemble)
+    monkeypatch.setattr(PipelineScorer, "many", counted_many)
+    scores = PipelineScorer(trained.model, space).many(points)
+    assert scores.shape == (n,)
+    assert scores.tobytes() == one_call.tobytes()
+    assert calls == {"assemble": -(-n // batch), "many": 1}
+
+
+def test_scorer_memory_does_not_grow_with_points(trained, cohort):
+    """The traced peak of scoring 4 batches of points stays below 1.5x that of
+    scoring one: a scorer's working set is one batch, not the whole call."""
+    batch = pipeline._SCORE_BATCH
+    points = query_points(cohort)
+    points = (points * (4 * batch // len(points) + 1))[: 4 * batch]
+    scorer = PipelineScorer(trained.model, trained.scorer.space)
+    scorer.many(points)  # index every record before measuring
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n in (batch, 4 * batch):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            scorer.many(points[:n])
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
+
+
+@pytest.mark.parametrize("blocks", [(), ("in", "in"), ("time", "out", "time")])
+def test_empty_or_repeated_blocks_are_refused(trained, blocks):
+    s = trained.scorer.space
+    with pytest.raises(ValidationError, match="distinct"):
+        PipelineConfig(blocks=blocks)
+    with pytest.raises(ValidationError, match="distinct"):
+        FeatureSpace(blocks, s.pca, s.hist, s.schema)
+
+
 def test_scorer_rejects_model_with_other_columns(trained):
     s = trained.scorer.space
     with pytest.raises(SchemaError):
@@ -71,12 +128,15 @@ def test_saved_scorer_scores_as_the_trained_one(trained, cohort, tmp_path):
 
 
 def test_load_refuses_unknown_blocks(trained, cohort, tmp_path):
+    """Unknown, no and repeated blocks in feature_space.json are refused."""
     space_path = trained.scorer.save(tmp_path)[1]
     space = json.loads(space_path.read_text())
-    space["blocks"] = ["in", "weather"]
-    space_path.write_text(json.dumps(space))
-    with pytest.raises(ValidationError, match="unknown feature blocks"):
-        PipelineScorer.load(tmp_path, cohort)
+    for blocks, message in [(["in", "weather"], "unknown feature blocks"),
+                            ([], "distinct"), (["in", "in"], "distinct")]:
+        space["blocks"] = blocks
+        space_path.write_text(json.dumps(space))
+        with pytest.raises(ValidationError, match=message):
+            PipelineScorer.load(tmp_path, cohort)
 
 
 def cohort_known_at(cohort, day):
