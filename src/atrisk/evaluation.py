@@ -56,20 +56,6 @@ def auc(scores, labels, ranks: np.ndarray | None = None) -> float | None:
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def auc_bruteforce(scores, labels) -> float | None:
-    """O(pos*neg) pair-counting oracle: (concordant + 0.5 * tied) / (pos * neg);
-    None when the labels hold a single class."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    if len(pos) == 0 or len(neg) == 0:
-        return None
-    concordant = float(np.sum(pos[:, None] > neg[None, :]))
-    tied = float(np.sum(pos[:, None] == neg[None, :]))
-    return (concordant + 0.5 * tied) / (len(pos) * len(neg))
-
-
 @dataclass
 class EvalReport:
     auc_by_horizon: dict[int, float | None]

@@ -21,6 +21,8 @@ from .errors import EmptyInputError, ParseError, SchemaError, ValidationError
 EVENT_KINDS = frozenset(
     {"class_session", "follow_up", "reschedule", "purchase_event", "dropout_event"}
 )
+_KIND_STRINGS = {kind: kind for kind in EVENT_KINDS}  # ingested events share these
+_NUMBER_TYPES = frozenset({int, float})  # what json.loads decodes a JSON number to
 STATUSES = frozenset({"dropout", "completion", "ongoing"})
 MAX_DAY = 2**31 - 1  # keeps day arithmetic in int64 far from overflow
 
@@ -145,9 +147,9 @@ def _is_int(value) -> bool:
 
 
 def _parse_vector(raw, width: int, name: str, line_no: int) -> np.ndarray:
-    if not isinstance(raw, list) or not all(
-        _is_int(v) or isinstance(v, float) for v in raw
-    ):
+    """Check one JSON-decoded vector and freeze it as float64. The type check
+    is exact, and so refuses bool (a JSON `true`) without a second test."""
+    if type(raw) is not list or not set(map(type, raw)) <= _NUMBER_TYPES:
         raise SchemaError(f"line {line_no}: {name} vector must be a list of numbers")
     if len(raw) != width:
         raise SchemaError(
@@ -157,7 +159,7 @@ def _parse_vector(raw, width: int, name: str, line_no: int) -> np.ndarray:
         arr = np.array(raw, dtype=np.float64)
     except OverflowError as exc:
         raise SchemaError(f"line {line_no}: {name} vector value out of range") from exc
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise SchemaError(f"line {line_no}: {name} vector contains non-finite values")
     arr.flags.writeable = False
     return arr
@@ -172,8 +174,9 @@ def ingest(events_path: str | Path, schema_path: str | Path) -> Cohort:
     mismatch against the schema all abort ingestion.
     """
     schema = ColumnSchema.load(schema_path)
-    by_student: dict[str, list[tuple[int, ObservationPair]]] = {}
+    by_student: dict[str, list[ObservationPair]] = {}
     declared_status: dict[str, str] = {}
+    teachers: dict[str, str] = {}  # one string per teacher id, shared by its events
 
     with open(events_path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -205,9 +208,12 @@ def ingest(events_path: str | Path, schema_path: str | Path) -> Cohort:
                 raise ParseError(f"day {day} exceeds {MAX_DAY}", line_no)
             if not isinstance(kind, str) or kind not in EVENT_KINDS:
                 raise ParseError(f"unknown kind {kind!r}", line_no)
+            kind = _KIND_STRINGS[kind]
             teacher = rec.get("teacher")
-            if teacher is not None and not isinstance(teacher, str):
-                raise ParseError(f"teacher must be a string, got {teacher!r}", line_no)
+            if teacher is not None:
+                if not isinstance(teacher, str):
+                    raise ParseError(f"teacher must be a string, got {teacher!r}", line_no)
+                teacher = teachers.setdefault(teacher, teacher)
             polarity = rec.get("polarity")
             if polarity is not None and not _is_int(polarity):
                 raise ParseError(f"polarity must be an integer, got {polarity!r}", line_no)
@@ -248,13 +254,12 @@ def ingest(events_path: str | Path, schema_path: str | Path) -> Cohort:
                 teacher_id=teacher,
                 polarity=polarity,
             )
-            by_student.setdefault(sid, []).append((line_no, obs))
+            by_student.setdefault(sid, []).append(obs)
 
     students: dict[str, StudentRecord] = {}
     for sid in sorted(by_student):
-        entries = by_student[sid]
-        entries.sort(key=lambda e: e[1].day)  # stable: file order breaks day ties
-        obs_list = [o for _, o in entries]
+        obs_list = by_student[sid]
+        obs_list.sort(key=lambda o: o.day)  # stable: file order breaks day ties
         days = [o.day for o in obs_list]
         for j, d in enumerate(days):
             if d < 1:
@@ -298,9 +303,9 @@ def _obs_to_record(sid: str, student: StudentRecord, obs: ObservationPair) -> di
     if obs.teacher_id:
         rec["teacher"] = obs.teacher_id
     if obs.inclass_values is not None:
-        rec["inclass"] = [float(v) for v in obs.inclass_values]
+        rec["inclass"] = obs.inclass_values.tolist()
     if obs.outclass_values is not None:
-        rec["outclass"] = [float(v) for v in obs.outclass_values]
+        rec["outclass"] = obs.outclass_values.tolist()
     if obs.polarity is not None:
         rec["polarity"] = int(obs.polarity)
     if student.final_status != "dropout" and obs is student.observations[-1]:

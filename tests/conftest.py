@@ -38,6 +38,20 @@ def cohort_of(*students):
     return Cohort(students={s.student_id: s for s in students}, schema=schema)
 
 
+def auc_bruteforce(scores, labels) -> float | None:
+    """O(pos*neg) pair-counting oracle: (concordant + 0.5 * tied) / (pos * neg);
+    None when the labels hold a single class."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    pos = scores[labels == 1]
+    neg = scores[labels == 0]
+    if len(pos) == 0 or len(neg) == 0:
+        return None
+    concordant = float(np.sum(pos[:, None] > neg[None, :]))
+    tied = float(np.sum(pos[:, None] == neg[None, :]))
+    return (concordant + 0.5 * tied) / (len(pos) * len(neg))
+
+
 class BatchScorer:
     """Gives a per-point oracle `fn(student, day) -> score` the batch
     `many(points) -> scores` method the evaluation reports call."""

@@ -13,7 +13,7 @@ import pytest
 from atrisk import pipeline
 from atrisk.augmentation import AugmentationConfig, augment
 from atrisk.cli import EXIT_OK, main as cli_main
-from atrisk.evaluation import auc, auc_bruteforce, daily_flagging
+from atrisk.evaluation import auc, daily_flagging
 from atrisk.events import StudentRecord
 from atrisk.features import ALL_BLOCKS, assemble
 from atrisk.gbdt import GBDTConfig, GBDTModel, fit as gbdt_fit
@@ -22,7 +22,7 @@ from atrisk.synthgen import SimConfig, generate_cohort
 from atrisk.trainer import SamplerConfig, oversample
 from atrisk.labeling import PairSet
 
-from conftest import BatchScorer, obs, student
+from conftest import BatchScorer, auc_bruteforce, obs, student
 
 
 def verdict(capsys, criterion, ok, detail=""):

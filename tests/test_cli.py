@@ -549,6 +549,11 @@ def featurize(records, schema):
     return code, err.getvalue().splitlines()
 
 
+class RawJSON(str):
+    """JSON text written into an event line as it stands, for literals that
+    json.dumps never writes, such as 1e400."""
+
+
 def assert_clean_exit(code, stderr):
     assert code in (EXIT_OK, EXIT_DATA)
     if code == EXIT_DATA:
@@ -566,11 +571,18 @@ def test_valid_cohort_featurizes():
     ("kind", ["class_session"]), ("status", ["completion"]), ("teacher", 7),
     ("polarity", "1"), ("polarity", [1]), ("day", 10**20), ("day", 2**31),
     ("student", None), ("student", [1]),
+    ("inclass", [True, 2.0, 0.0, -0.5]), ("inclass", [float("nan"), 2.0, 0.0, -0.5]),
+    ("outclass", [0.5, float("inf")]), ("inclass", RawJSON("[1e400, 2.0, 0.0, -0.5]")),
+    ("outclass", [10**400, 1.0]), ("inclass", [[1.0], 2.0, 0.0, -0.5]), ("outclass", [None, 1.0]),
 ])
 def test_malformed_event_field_exits_3_with_line_number(field, value):
     records = valid_events()
     line = next(i for i, r in enumerate(records) if field in r)
-    records[line][field] = value
+    if isinstance(value, RawJSON):
+        records[line][field] = "<raw>"
+        records = "".join(json.dumps(r) + "\n" for r in records).replace('"<raw>"', value).encode()
+    else:
+        records[line][field] = value
     code, stderr = featurize(records, SCHEMA)
     assert code == EXIT_DATA
     assert_clean_exit(code, stderr)

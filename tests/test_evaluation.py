@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from atrisk.errors import ValidationError
 from atrisk.evaluation import (
     auc,
-    auc_bruteforce,
     average_ranks,
     daily_flagging,
     evaluate_horizons,
@@ -22,7 +21,7 @@ from atrisk.evaluation import (
 from atrisk.labeling import horizon_label
 from atrisk.synthgen import SimConfig, generate_cohort
 
-from conftest import BatchScorer, cohort_of, obs, student
+from conftest import BatchScorer, auc_bruteforce, cohort_of, obs, student
 
 
 def test_auc_hand_value():

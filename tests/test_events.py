@@ -1,12 +1,23 @@
 """Ingestion, validation, and round-trip serialization of event logs."""
 
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from atrisk.errors import ParseError, SchemaError, ValidationError
-from atrisk.events import ColumnSchema, cohort_stats, ingest, write_events
+from atrisk.events import (
+    EVENT_KINDS,
+    ColumnSchema,
+    _parse_vector,
+    cohort_stats,
+    ingest,
+    write_events,
+)
+from atrisk.synthgen import SimConfig, generate
 
 from conftest import IN_COLS, OUT_COLS, cohort_of, session, student
 
@@ -212,3 +223,96 @@ def test_cohort_keeps_students_in_id_order():
     assert list(cohort.students) == ["a", "b", "c"]
     assert [s.student_id for s in cohort] == ["a", "b", "c"]
     assert list(cohort.subset(["c", "a"]).students) == ["a", "c"]
+
+
+def reference_parse_vector(raw, width, name, line_no):
+    """The vector check as it was written first, one element at a time: the
+    reference for `_parse_vector`."""
+    if not isinstance(raw, list) or not all(
+        (isinstance(v, int) and not isinstance(v, bool)) or isinstance(v, float) for v in raw
+    ):
+        raise SchemaError(f"line {line_no}: {name} vector must be a list of numbers")
+    if len(raw) != width:
+        raise SchemaError(
+            f"line {line_no}: {name} vector has width {len(raw)}, schema declares {width}"
+        )
+    try:
+        arr = np.array(raw, dtype=np.float64)
+    except OverflowError as exc:
+        raise SchemaError(f"line {line_no}: {name} vector value out of range") from exc
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(f"line {line_no}: {name} vector contains non-finite values")
+    arr.flags.writeable = False
+    return arr
+
+
+# What json.loads can put in a vector's place: numbers of any size (10**400;
+# 1e400 decodes to inf), NaN and Infinity, true, strings, null, nested lists
+# and objects, mostly at the schema's width of 4 and sometimes around it.
+SPECIALS = st.sampled_from(
+    [10**400, -(10**400), 1e400, -1e400, float("nan"), 2**63, -0.0, True, None, "1", [1.0]]
+)
+JSON_ELEMENTS = st.one_of(
+    st.floats(),
+    st.integers(),
+    SPECIALS,
+    st.booleans(),
+    st.text(max_size=2),
+    st.lists(st.floats(allow_nan=False), max_size=2),
+    st.dictionaries(st.text(max_size=1), st.integers(), max_size=1),
+)
+NUMBERS = st.one_of(st.floats(), st.integers(min_value=-(2**70), max_value=2**70))
+JSON_VECTORS = st.one_of(
+    st.lists(NUMBERS, min_size=4, max_size=4),
+    st.lists(st.one_of(NUMBERS, SPECIALS), min_size=4, max_size=4),
+    st.lists(st.one_of(NUMBERS, JSON_ELEMENTS), max_size=6),
+    JSON_ELEMENTS,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=JSON_VECTORS)
+def test_parse_vector_matches_reference(raw):
+    try:
+        expected = reference_parse_vector(raw, 4, "inclass", 7)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as got:
+            _parse_vector(raw, 4, "inclass", 7)
+        assert str(got.value) == str(exc)
+        return
+    arr = _parse_vector(raw, 4, "inclass", 7)
+    assert arr.dtype == expected.dtype and arr.shape == expected.shape
+    assert arr.tobytes() == expected.tobytes()
+    assert not arr.flags.writeable
+
+
+def test_ingested_events_share_kind_and_teacher_strings(tmp_path):
+    """A cohort keeps its events compact: the retained and the peak bytes per
+    event are bounded, every kind is the EVENT_KINDS string, and equal
+    teacher ids are one string."""
+    generate(SimConfig(n_students=60, seed=0), tmp_path)
+    paths = tmp_path / "events.jsonl", tmp_path / "schema.json"
+    ingest(*paths)  # one-time allocations (imports, caches) are not the cohort's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cohort = ingest(*paths)
+        gc.collect()
+        retained, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    observations = [o for s in cohort for o in s.observations]
+    # Per-event copies of the kind and teacher strings cost ~115 B retained,
+    # and a (line_no, obs) tuple per event ~85 B at the peak: about 348 and
+    # 446 B with them, 233 and 251 B without.
+    assert retained / len(observations) < 280
+    assert peak / len(observations) < 300
+
+    kinds = {id(k) for k in EVENT_KINDS}
+    assert all(id(o.kind) in kinds for o in observations)
+    teachers = {}
+    for s in cohort:
+        for teacher in [s.teacher_id] + [o.teacher_id for o in s.observations if o.teacher_id]:
+            assert teachers.setdefault(teacher, teacher) is teacher
+    assert len(teachers) > 1
