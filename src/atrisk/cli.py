@@ -123,8 +123,8 @@ def cmd_simulate(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], d
         mean_span_days=args.mean_span,
         seed=args.seed,
     )
-    cohort, truth, alpha = synthgen.generate_cohort(cfg)
-    paths = synthgen.write_cohort(out_dir, cfg.seed, cohort, truth, alpha)
+    cohort = synthgen.generate_cohort(cfg)
+    paths = synthgen.write_cohort(out_dir, cohort)
     stats = cohort_stats(cohort)
     print(
         f"simulated {stats.n_students} students, dropout rate "

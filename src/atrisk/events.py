@@ -69,7 +69,8 @@ class ColumnSchema:
 
 @dataclass(frozen=True, slots=True)
 class ObservationPair:
-    """One timestamped observation in a student's history (one per event, so slotted)."""
+    """One timestamped observation in a student's history: plain data, which
+    `ingest` validates (one per event, so slotted)."""
 
     day: int
     kind: str
@@ -77,12 +78,6 @@ class ObservationPair:
     outclass_values: np.ndarray | None = None
     teacher_id: str | None = None
     polarity: int | None = None  # optional sentiment on follow_up events
-
-    def __post_init__(self):
-        if self.kind not in EVENT_KINDS:
-            raise ValidationError(f"unknown event kind {self.kind!r}")
-        if self.day < 0:
-            raise ValidationError(f"negative day {self.day}")
 
 
 @dataclass(frozen=True)
@@ -206,6 +201,8 @@ def ingest(events_path: str | Path, schema_path: str | Path) -> Cohort:
                 raise ParseError(f"day must be an integer, got {day!r}", line_no)
             if day > MAX_DAY:
                 raise ParseError(f"day {day} exceeds {MAX_DAY}", line_no)
+            if day < 1:
+                raise ValidationError(f"line {line_no}: day {day} is not positive")
             if not isinstance(kind, str) or kind not in EVENT_KINDS:
                 raise ParseError(f"unknown kind {kind!r}", line_no)
             kind = _KIND_STRINGS[kind]
@@ -261,11 +258,9 @@ def ingest(events_path: str | Path, schema_path: str | Path) -> Cohort:
         obs_list = by_student[sid]
         obs_list.sort(key=lambda o: o.day)  # stable: file order breaks day ties
         days = [o.day for o in obs_list]
-        for j, d in enumerate(days):
-            if d < 1:
-                raise ValidationError(f"student {sid}: day {d} is not positive")
-            if j > 0 and d == days[j - 1]:
-                raise ValidationError(f"student {sid}: duplicate day {d}")
+        for j in range(1, len(days)):
+            if days[j] == days[j - 1]:
+                raise ValidationError(f"student {sid}: duplicate day {days[j]}")
         dropout_idx = [j for j, o in enumerate(obs_list) if o.kind == "dropout_event"]
         if len(dropout_idx) > 1:
             raise ValidationError(f"student {sid}: multiple dropout events")

@@ -15,7 +15,6 @@ runs.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
@@ -78,12 +77,10 @@ def _sigmoid(z: float) -> float:
 
 @dataclass
 class _Trajectory:
-    """One student's pre-dropout plan plus latent variables."""
+    """One student's pre-dropout plan and the inputs of its dropout draw."""
 
     student_id: str
     teacher_id: str
-    engagement: float
-    teacher_quality: float
     events: dict[int, ObservationPair]  # keyed by day, pre-truncation
     hazard_z: dict[int, float]  # day -> hazard logit minus the intercept
     uniform: float
@@ -177,8 +174,6 @@ def _plan_student(idx: int, cfg: SimConfig, teacher_quality: np.ndarray) -> _Tra
     return _Trajectory(
         student_id=sid,
         teacher_id=tid,
-        engagement=engagement,
-        teacher_quality=tq,
         events=events,
         hazard_z=hazard_z,
         uniform=float(rng.uniform()),
@@ -342,13 +337,12 @@ def _plan_cohort(cfg: SimConfig) -> list[_Trajectory]:
     return [_plan_student(i, cfg, teacher_quality) for i in range(cfg.n_students)]
 
 
-def generate_cohort(cfg: SimConfig) -> tuple[Cohort, list[dict], float]:
-    """Simulate the cohort; returns (cohort, truth records, calibrated intercept)."""
+def generate_cohort(cfg: SimConfig) -> Cohort:
+    """Simulate the cohort."""
     trajectories = _plan_cohort(cfg)
     alpha = _calibrate_alpha(trajectories, cfg)
 
     students: dict[str, StudentRecord] = {}
-    truth: list[dict] = []
     for idx, traj in enumerate(trajectories):
         dd = _dropout_day(traj, alpha)
         if dd is not None:
@@ -369,47 +363,24 @@ def generate_cohort(cfg: SimConfig) -> tuple[Cohort, list[dict], float]:
             final_status=status,
             teacher_id=traj.teacher_id,
         )
-        truth.append(
-            {
-                "student": traj.student_id,
-                "teacher": traj.teacher_id,
-                "engagement": traj.engagement,
-                "teacher_quality": traj.teacher_quality,
-                "uniform": traj.uniform,
-                "dropout_day": dd,
-                "hazard": [
-                    [d, _sigmoid(alpha + z)] for d, z in sorted(traj.hazard_z.items())
-                ],
-            }
-        )
 
     schema = ColumnSchema(
         inclass_columns=INCLASS_COLUMNS, outclass_columns=OUTCLASS_COLUMNS
     )
-    return Cohort(students=students, schema=schema), truth, alpha
+    return Cohort(students=students, schema=schema)
 
 
 def generate(cfg: SimConfig, out_dir: str | Path) -> dict[str, Path]:
-    """Write events.jsonl, schema.json, and truth.jsonl under `out_dir`."""
-    return write_cohort(out_dir, cfg.seed, *generate_cohort(cfg))
+    """Write events.jsonl and schema.json under `out_dir`."""
+    return write_cohort(out_dir, generate_cohort(cfg))
 
 
-def write_cohort(
-    out_dir: str | Path, seed: int, cohort: Cohort, truth: list[dict], alpha: float
-) -> dict[str, Path]:
-    """Write what `generate_cohort(SimConfig(..., seed=seed))` returned."""
+def write_cohort(out_dir: str | Path, cohort: Cohort) -> dict[str, Path]:
+    """Write a cohort's events.jsonl and schema.json under `out_dir`."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     events_path = out / "events.jsonl"
     schema_path = out / "schema.json"
-    truth_path = out / "truth.jsonl"
     write_events(cohort, events_path)
     cohort.schema.dump(schema_path)
-    encode = json.JSONEncoder(sort_keys=True).encode
-    with open(truth_path, "w") as fh:
-        fh.write(encode({"alpha": alpha, "config_seed": seed}))
-        fh.write("\n")
-        for rec in truth:
-            fh.write(encode(rec))
-            fh.write("\n")
-    return {"events": events_path, "schema": schema_path, "truth": truth_path}
+    return {"events": events_path, "schema": schema_path}

@@ -43,7 +43,7 @@ G_REFERENCE = {
 
 def test_criterion_1_augmentation_exactness(capsys):
     t0 = time.perf_counter()
-    cohort, _, _ = generate_cohort(SimConfig(n_students=50, seed=1))
+    cohort = generate_cohort(SimConfig(n_students=50, seed=1))
     dropouts = [s for s in cohort if s.final_status == "dropout"]
     assert dropouts
     max_weight_err = 0.0
@@ -186,7 +186,7 @@ def test_criterion_4_oversampler_statistics(capsys):
 
 def test_criterion_5_causality_no_leakage(capsys):
     t0 = time.perf_counter()
-    cohort, _, _ = generate_cohort(SimConfig(n_students=80, seed=5))
+    cohort = generate_cohort(SimConfig(n_students=80, seed=5))
     space = pipeline.fit_feature_space(cohort, ALL_BLOCKS)
     rng = np.random.default_rng(55)
     students = sorted(cohort.students)
@@ -220,7 +220,7 @@ N_SEEDS = 10
 @pytest.fixture(scope="session")
 def trend_sweep():
     t0 = time.perf_counter()
-    cohort, _, _ = generate_cohort(SimConfig(n_students=500, seed=20260824))
+    cohort = generate_cohort(SimConfig(n_students=500, seed=20260824))
     arms = {
         "conv": PipelineConfig(gbdt=SWEEP_GBDT),
         "none": PipelineConfig(

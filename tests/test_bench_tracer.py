@@ -50,7 +50,7 @@ def test_tracer_pair_counts_match_the_pair_sets():
     """The benchmark's pair counters read the shapes that `build_original_pairs`,
     `augment` and `oversample` return; each must still count the true pairs."""
     tracing = load_tracing()
-    cohort, _, _ = generate_cohort(SimConfig(n_students=60, seed=1))
+    cohort = generate_cohort(SimConfig(n_students=60, seed=1))
     resolved = cohort.resolved()
     dropouts = [s for s in resolved if s.final_status == "dropout"]
     n_pos = len(dropouts)

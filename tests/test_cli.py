@@ -55,11 +55,13 @@ def io_args(sim_dir, out):
 
 
 def test_simulate_writes_files_and_manifest(sim_dir):
-    for name in ("events.jsonl", "schema.json", "truth.jsonl", "manifest.json"):
-        assert (sim_dir / name).exists()
+    assert sorted(p.name for p in sim_dir.iterdir()) == [
+        "events.jsonl", "manifest.json", "schema.json"]
     manifest = json.loads((sim_dir / "manifest.json").read_text())
     assert manifest["subcommand"] == "simulate"
     assert manifest["args"]["seed"] == 3
+    assert sorted(path.rsplit("/", 1)[-1] for path in manifest["outputs"]) == [
+        "events.jsonl", "schema.json"]
     for path, digest in manifest["outputs"].items():
         assert sha256(sim_dir / path.rsplit("/", 1)[-1]) == digest
 
@@ -574,6 +576,7 @@ def test_valid_cohort_featurizes():
     ("inclass", [True, 2.0, 0.0, -0.5]), ("inclass", [float("nan"), 2.0, 0.0, -0.5]),
     ("outclass", [0.5, float("inf")]), ("inclass", RawJSON("[1e400, 2.0, 0.0, -0.5]")),
     ("outclass", [10**400, 1.0]), ("inclass", [[1.0], 2.0, 0.0, -0.5]), ("outclass", [None, 1.0]),
+    ("day", 0), ("day", -1),
 ])
 def test_malformed_event_field_exits_3_with_line_number(field, value):
     records = valid_events()

@@ -98,7 +98,7 @@ def test_evaluate_horizons_with_oracle_scorer(small_cohort):
 
 
 def test_horizon_labels_equal_per_point_definition():
-    cohort, _, _ = generate_cohort(SimConfig(n_students=60, seed=5))
+    cohort = generate_cohort(SimConfig(n_students=60, seed=5))
     points = query_points(cohort)
     deltas = list(range(1, 15))
     labels = horizon_labels(points, deltas)
@@ -110,7 +110,7 @@ def test_horizon_labels_equal_per_point_definition():
 
 def test_evaluate_horizons_auc_equals_auc_of_each_label_set():
     """One shared ranking gives each delta the bits `auc` gives on its own."""
-    cohort, _, _ = generate_cohort(SimConfig(n_students=60, seed=5))
+    cohort = generate_cohort(SimConfig(n_students=60, seed=5))
     points = query_points(cohort)
     deltas = list(range(1, 15))
 

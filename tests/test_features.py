@@ -568,7 +568,7 @@ def test_index_refuses_days_past_max_day(small_cohort):
 
 
 def test_assemble_matches_oracle_on_simulated_cohort():
-    cohort, _, _ = generate_cohort(SimConfig(n_students=40, seed=3))
+    cohort = generate_cohort(SimConfig(n_students=40, seed=3))
     space = fit_feature_space(cohort, ALL_BLOCKS)
     points = [(s, d) for s in cohort for d in s.days]
     X = assemble(points, space)

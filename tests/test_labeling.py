@@ -37,7 +37,7 @@ def test_empty_cohort_raises():
 def test_pair_weights_on_a_synthetic_cohort():
     """Original pairs weigh exactly 1; every pseudo pair, for every weighting
     and lookback, is a positive weighted inside (0, 1]."""
-    cohort, _, _ = generate_cohort(SimConfig(n_students=60, seed=1))
+    cohort = generate_cohort(SimConfig(n_students=60, seed=1))
     positives, negatives = build_original_pairs(cohort)
     assert len(positives) and len(negatives)
     for pairs, label in ((positives, 1), (negatives, 0)):

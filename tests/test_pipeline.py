@@ -27,7 +27,7 @@ FAST = PipelineConfig(gbdt=GBDTConfig(n_trees=10, max_depth=2))
 
 @pytest.fixture(scope="module")
 def cohort():
-    c, _, _ = generate_cohort(SimConfig(n_students=150, seed=21))
+    c = generate_cohort(SimConfig(n_students=150, seed=21))
     return c
 
 
@@ -187,7 +187,7 @@ def test_scorer_is_built_once_per_pipeline(cohort):
 
 def test_scoring_does_not_keep_records_alive():
     """A scorer's index pins the records it has seen, and nothing else does."""
-    cohort, _, _ = generate_cohort(SimConfig(n_students=40, seed=4))
+    cohort = generate_cohort(SimConfig(n_students=40, seed=4))
     trained = train(cohort, FAST)
     points = query_points(cohort)
     assert len(trained.scorer.many(points)) == len(points)
@@ -201,7 +201,7 @@ def test_scorer_index_memory_stays_small(trained):
     """Scoring every query point of a 400-student cohort in daily batches,
     index included, peaks at 1.71 MB (the index itself holds 1.27 MB); a
     per-record timeline cache on top of the index would add about 2.1 MB."""
-    big, _, _ = generate_cohort(SimConfig(n_students=400, seed=0))
+    big = generate_cohort(SimConfig(n_students=400, seed=0))
     by_day: dict[int, list] = {}
     for s, d in query_points(big):
         by_day.setdefault(d, []).append((s, d))
@@ -240,7 +240,7 @@ def test_block_restriction_shrinks_features(cohort):
 
 def test_trained_model_beats_chance_out_of_sample():
     # a larger cohort than the module fixture keeps the held-out AUC stable
-    big, _, _ = generate_cohort(SimConfig(n_students=300, seed=11))
+    big = generate_cohort(SimConfig(n_students=300, seed=11))
     cfg = PipelineConfig(gbdt=GBDTConfig(n_trees=80, max_depth=2))
     means = []
     for seed in range(3):
@@ -272,7 +272,7 @@ def test_config_refuses_unknown_blocks():
 
 def test_student_order_does_not_change_the_model():
     """A cohort given its students in reversed id order trains the same model."""
-    cohort, _, _ = generate_cohort(SimConfig(n_students=120, seed=7))
+    cohort = generate_cohort(SimConfig(n_students=120, seed=7))
     backwards = Cohort(dict(reversed(cohort.students.items())), cohort.schema)
     assert train(backwards, FAST).model.to_json() == train(cohort, FAST).model.to_json()
 

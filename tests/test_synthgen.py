@@ -1,7 +1,6 @@
-"""Synthetic cohort generator: calibration, determinism, truth consistency."""
+"""Synthetic cohort generator: calibration, determinism, consistency with its plan."""
 
 import hashlib
-import json
 import math
 from dataclasses import replace
 
@@ -26,19 +25,20 @@ from atrisk.synthgen import (
 )
 
 
+COHORT_CONFIG = SimConfig(n_students=300, seed=11)
+
+
 @pytest.fixture(scope="module")
-def generated():
-    return generate_cohort(SimConfig(n_students=300, seed=11))
+def cohort():
+    return generate_cohort(COHORT_CONFIG)
 
 
-def test_dropout_rate_calibrated(generated):
-    cohort, _, _ = generated
+def test_dropout_rate_calibrated(cohort):
     n_drop = sum(1 for s in cohort if s.final_status == "dropout")
     assert abs(n_drop / len(cohort) - 0.1616) <= 0.02
 
 
-def test_all_students_resolved_with_valid_structure(generated):
-    cohort, _, _ = generated
+def test_all_students_resolved_with_valid_structure(cohort):
     assert len(cohort) == 300
     for s in cohort:
         assert s.final_status in {"dropout", "completion"}
@@ -48,34 +48,25 @@ def test_all_students_resolved_with_valid_structure(generated):
         assert s.observations[0].day >= 1
 
 
-def test_truth_records_match_cohort(generated):
-    cohort, truth, _ = generated
-    by_sid = {t["student"]: t for t in truth}
-    for s in cohort:
-        t = by_sid[s.student_id]
-        if s.final_status == "dropout":
-            assert t["dropout_day"] == s.last_day
+def test_dropout_days_match_the_plan(cohort):
+    """Each student drops out on the day its planned hazard draw crosses its
+    uniform, at the calibrated intercept, and a completer's never crosses."""
+    planned = _plan_cohort(COHORT_CONFIG)
+    alpha = _calibrate_alpha(planned, COHORT_CONFIG)
+    assert [t.student_id for t in planned] == list(cohort.students)
+    for traj in planned:
+        student = cohort.students[traj.student_id]
+        if student.final_status == "dropout":
+            assert _dropout_day(traj, alpha) == student.last_day
         else:
-            assert t["dropout_day"] is None
-
-
-def test_hazard_probabilities_valid(generated):
-    _, truth, alpha = generated
-    assert np.isfinite(alpha)
-    some = [t for t in truth if t["hazard"]][:20]
-    assert some
-    for t in some:
-        days = [d for d, _ in t["hazard"]]
-        probs = [p for _, p in t["hazard"]]
-        assert days == sorted(days)
-        assert all(0.0 <= p <= 1.0 for p in probs)
+            assert _dropout_day(traj, alpha) is None
 
 
 def test_generation_is_deterministic(tmp_path):
     cfg = SimConfig(n_students=60, seed=5)
     a = generate(cfg, tmp_path / "a")
     b = generate(cfg, tmp_path / "b")
-    for key in ("events", "schema", "truth"):
+    for key in ("events", "schema"):
         assert a[key].read_bytes() == b[key].read_bytes()
 
 
@@ -91,10 +82,6 @@ def test_generated_files_ingest_cleanly(tmp_path):
     assert len(cohort) == 60
     assert cohort.schema.inclass_columns == INCLASS_COLUMNS
     assert cohort.schema.outclass_columns == OUTCLASS_COLUMNS
-    truth_lines = paths["truth"].read_text().strip().splitlines()
-    header = json.loads(truth_lines[0])
-    assert header["config_seed"] == 5
-    assert len(truth_lines) == 61
 
 
 def test_unreachable_target_raises():
@@ -121,28 +108,25 @@ def test_config_validation():
 def test_in_memory_cohort_stats_equal_ingested_ones(tmp_path, n_students, seed):
     """`atrisk simulate` reports the stats of the cohort it built, not of a
     re-ingest of the file it wrote; both must be the same."""
-    cohort, truth, alpha = generate_cohort(SimConfig(n_students=n_students, seed=seed))
-    paths = write_cohort(tmp_path, seed, cohort, truth, alpha)
+    cohort = generate_cohort(SimConfig(n_students=n_students, seed=seed))
+    paths = write_cohort(tmp_path, cohort)
     assert cohort_stats(cohort) == cohort_stats(ingest(paths["events"], paths["schema"]))
 
 
-def test_mean_span_in_expected_range(generated):
-    cohort, _, _ = generated
+def test_mean_span_in_expected_range(cohort):
     spans = [s.last_day - s.first_day for s in cohort if s.final_status == "completion"]
     assert 50 <= np.mean(spans) <= 120  # centered on the configured 86-day mean
 
 
-# sha256 of (events.jsonl, schema.json, truth.jsonl) per (n_students, seed).
+# sha256 of (events.jsonl, schema.json) per (n_students, seed).
 GOLDEN_SHA256 = {
     (60, 5): (
         "42a1994b96f5c889292b18e0df75cb690a2b2d85729e3ab79089ce38b0c8b382",
         "9b533a63f69769ba5350cdfe5fb1ddbf884d157baa26f1a5754ac21d6ee70edb",
-        "5036490dc71f480df28144bb0e18225b7d692f9bb9b41c066d43bf31d11920c0",
     ),
     (400, 0): (
         "43098e9393f4427c70940801976e389579df5d2afe5cb7dafb4ec8dbf8207882",
         "9b533a63f69769ba5350cdfe5fb1ddbf884d157baa26f1a5754ac21d6ee70edb",
-        "213c933381bf3cfd56776522aa0a53e9567916a99f0216d42564e6bfaf4174e1",
     ),
 }
 
@@ -158,7 +142,7 @@ def test_generated_bytes_are_pinned(tmp_path, n_students, seed):
     paths = generate(SimConfig(n_students=n_students, seed=seed), tmp_path)
     digests = tuple(
         hashlib.sha256(paths[key].read_bytes()).hexdigest()
-        for key in ("events", "schema", "truth")
+        for key in ("events", "schema")
     )
     assert digests == GOLDEN_SHA256[(n_students, seed)]
 
