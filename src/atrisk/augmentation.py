@@ -1,8 +1,9 @@
 """Time-aware pseudo-positive generation.
 
 For each dropout student, integer days strictly inside the window
-(max(t_{n-1}, t_n - lookback), t_n) become extra positive pairs; for a
-single-observation dropout the lower bound clips at day 0. Each gets the
+(max(t_{n-1}, t_n - lookback), t_n) become extra positive pairs. A dropout
+observed only once gets none: every day of its window precedes its first
+observation, so no day of it can be featurized. Each pseudo day gets the
 confidence weight g((t_n - d) / lookback), where g is a decreasing function
 on [0, 1]: weights shrink as the pseudo day moves away from dropout.
 """
@@ -47,11 +48,11 @@ def augment(cohort: Cohort, config: AugmentationConfig) -> PairSet:
     points: list[tuple[StudentRecord, int]] = []
     weights: list[float] = []
     for student in cohort:
-        if student.final_status != "dropout":
+        if student.final_status != "dropout" or len(student.observations) < 2:
             continue
         days = student.days
         t_n = days[-1]
-        lower = max(days[-2] if len(days) >= 2 else 0, t_n - lookback)
+        lower = max(days[-2], t_n - lookback)
         for d in range(lower + 1, t_n):
             points.append((student, d))
             weights.append(g((t_n - d) / lookback))

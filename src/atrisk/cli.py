@@ -150,8 +150,8 @@ def cmd_featurize(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], 
 
 
 def cmd_train(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], dict]:
+    config = _pipeline_config(args)  # refuse a bad flag before reading input
     cohort = ingest(args.events, args.schema)
-    config = _pipeline_config(args)
     trained = pipeline.train(cohort, config)
     pairs_path = out_dir / "pairs.csv"
     labeling.write_pairs_csv(trained.pairs, pairs_path)
@@ -190,8 +190,8 @@ def cmd_predict(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], di
 def cmd_evaluate(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], dict]:
     check_deltas(args.deltas)  # refuse a bad horizon or fraction before training
     check_top_fraction(args.top_fraction)
-    cohort = ingest(args.events, args.schema)
     config = _pipeline_config(args)
+    cohort = ingest(args.events, args.schema)
     train_cohort, test_cohort = split_students(cohort, args.train_fraction, args.seed)
     scorer = pipeline.train(train_cohort, config).scorer  # one index for both reports
     report = evaluate_horizons(scorer, test_cohort, args.deltas, config.fingerprint())
@@ -205,12 +205,12 @@ def cmd_evaluate(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], d
 
 
 def cmd_sweep(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], dict]:
-    cohort = ingest(args.events, args.schema)
     arms = {  # a repeated flag value names the same arm, which trains once per seed
         f"lookback={'none' if lb is None else lb},weighting={wt},blocks={fs}":
             _arm_config(args, lb, wt, fs)
         for lb in args.lookbacks for wt in args.weightings for fs in args.feature_sets
     }
+    cohort = ingest(args.events, args.schema)
     report = pipeline.run_sweep(cohort, arms, args.deltas, args.seeds, args.train_fraction)
     json_path = out_dir / "report.json"
     json_path.write_text(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")

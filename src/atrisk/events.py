@@ -10,7 +10,7 @@ reader walks them in that order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -55,15 +55,7 @@ class ColumnSchema:
 
     def dump(self, path: str | Path) -> None:
         with open(path, "w") as fh:
-            json.dump(
-                {
-                    "inclass_columns": list(self.inclass_columns),
-                    "outclass_columns": list(self.outclass_columns),
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -55,13 +55,6 @@ class GBDTConfig:
             raise ModelError("max_depth must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ModelError("learning_rate must be in (0, 1]")
-
-    def to_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "learning_rate": self.learning_rate,
-        }
 
 
 def _finite(raw, what: str) -> float:
@@ -355,7 +348,7 @@ class GBDTModel:
             "format_version": MODEL_FORMAT_VERSION,
             "model_type": "gbdt",
             "base_score": self.base_score,
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "feature_names": list(self.feature_names),
             "trees": [t.to_dict() for t in self.trees],
         }

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +53,7 @@ class PipelineConfig:
                 "weighting": self.augmentation.weighting,
                 "target_positive_fraction": self.sampler.target_positive_fraction,
                 "sampler_seed": self.sampler.seed,
-                "gbdt": self.gbdt.to_dict(),
+                "gbdt": asdict(self.gbdt),
             },
             sort_keys=True,
         )
@@ -160,12 +160,12 @@ def run_sweep(
     """
     if not seeds:
         raise ValidationError("at least one seed required")
-    check_deltas(deltas)  # before any training
+    check_deltas(deltas)  # before any training, as is every split
+    splits = [split_students(cohort, train_fraction, seed) for seed in seeds]
     aucs: dict[str, dict[str, list]] = {key: {str(d): [] for d in deltas} for key in arms}
     recalls: dict[str, list] = {key: [] for key in arms}
     recall_key = f"pooled@{TOP_FRACTION}"
-    for seed in seeds:
-        train_cohort, test_cohort = split_students(cohort, train_fraction, seed)
+    for seed, (train_cohort, test_cohort) in zip(seeds, splits):
         for key, config in arms.items():
             config = replace(config, sampler=replace(config.sampler, seed=seed))
             scorer = train(train_cohort, config).scorer

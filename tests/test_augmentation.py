@@ -41,9 +41,10 @@ def test_pseudo_days_adjacent_observation_yields_none():
     assert pseudo_days(s, 7) == []
 
 
-def test_pseudo_days_single_observation_clips_at_zero():
+def test_pseudo_days_single_observation_yields_none():
+    # every day before the only observation precedes the first one, so none is featurizable
     s = student("solo", [obs(3, kind="dropout_event")], status="dropout")
-    assert pseudo_days(s, 7) == [1, 2]
+    assert pseudo_days(s, 7) == []
 
 
 def test_pseudo_days_only_for_dropouts():

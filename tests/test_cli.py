@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import atrisk
+import atrisk.cli
 from atrisk import pipeline
 from atrisk.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, main
 
@@ -390,8 +390,13 @@ def test_unusable_path_exits_3(sim_dir, tmp_path, capsys, broken):
     assert set(json.loads(stderr[0])) == {"error", "message"}
 
 
-def test_model_error_exit_code(sim_dir, tmp_path):
-    code = main(["train", *io_args(sim_dir, tmp_path), "--n-trees", "-1"])
+@pytest.mark.parametrize("subcommand", ["train", "evaluate", "sweep"])
+def test_model_error_exit_code(sim_dir, tmp_path, monkeypatch, subcommand):
+    def no_ingest(*args, **kwargs):  # a bad flag is refused before the events are read
+        raise AssertionError("ingest ran")
+
+    monkeypatch.setattr(atrisk.cli, "ingest", no_ingest)
+    code = main([subcommand, *io_args(sim_dir, tmp_path), "--n-trees", "-1"])
     assert code == EXIT_MODEL
 
 

@@ -1,9 +1,13 @@
 """The package imports nothing beyond what pyproject.toml declares: the
 standard library and numpy. A module that reaches for another installed
 package (a faster JSON parser, say) works where that package happens to be
-installed and fails everywhere else."""
+installed and fails everywhere else. Each module also uses every name it
+imports, and importing one module loads only the modules it uses: the
+package itself re-exports nothing."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,3 +36,30 @@ def test_module_imports_only_stdlib_and_numpy(path):
 
 def test_every_module_is_checked():
     assert {p.name for p in PACKAGE.glob("*.py")} >= {"events.py", "cli.py", "gbdt.py"}
+
+
+def imported_names(tree):
+    """(line, name) for every name an import binds, `from __future__` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, (a.asname or a.name).split(".")[0]) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((node.lineno, a.asname or a.name) for a in node.names)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"line {line}: {name}" for line, name in imported_names(tree) if name not in used]
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_importing_a_module_loads_only_what_it_uses():
+    code = ("import sys, atrisk.synthgen; "
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'atrisk')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.split() == ["atrisk", "atrisk.errors", "atrisk.events", "atrisk.synthgen"]

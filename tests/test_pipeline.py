@@ -296,6 +296,19 @@ def test_train_requires_class_sessions():
         train(bare, FAST)
 
 
+@pytest.mark.parametrize("lookback", [3, 7, 14])
+def test_dropout_observed_once_trains(lookback):
+    """No day before a student's only observation can be featurized, so a
+    dropout observed once adds no pseudo-positive and training goes through."""
+    base = generate_cohort(SimConfig(n_students=60, seed=1))
+    solo = student("zz", [obs(30, kind="dropout_event")], status="dropout")
+    cohort = Cohort(students={**base.students, "zz": solo}, schema=base.schema)
+    config = dataclasses.replace(FAST, augmentation=AugmentationConfig(lookback_days=lookback))
+    trained = train(cohort, config)
+    assert trained.n_pseudo_pairs > 0
+    assert all(s is not solo for s, _ in trained.pairs["pseudo_positive"].points)
+
+
 def test_run_sweep_arm_equals_direct_train_and_evaluate(cohort):
     """An arm trains with the split's seed as its sampler seed, whatever the
     arm's own sampler seed, and reports that run's AUCs and recall bit for bit."""
@@ -350,3 +363,18 @@ def test_run_sweep_split_without_test_dropout_reports_null_recall(cohort, recwar
 def test_run_sweep_requires_seeds(cohort):
     with pytest.raises(ValidationError):
         run_sweep(cohort, {"fast": FAST}, [1], [])
+
+
+def test_run_sweep_refuses_a_bad_seed_before_training(cohort, monkeypatch):
+    trainings = []
+    real_train = pipeline.train
+
+    def counted_train(*args, **kwargs):
+        trainings.append(1)
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train", counted_train)
+    with pytest.raises(ValidationError):
+        run_sweep(cohort, {"fast": FAST, "none": dataclasses.replace(
+            FAST, augmentation=AugmentationConfig(lookback_days=None))}, [1], [0, -1])
+    assert trainings == []
