@@ -27,8 +27,8 @@ from .augmentation import WEIGHTINGS, AugmentationConfig
 from .errors import DataError, EmptyInputError, ModelError, ValidationError
 from .events import cohort_stats, ingest
 from .evaluation import (
-    TOP_FRACTION, check_deltas, check_top_fraction, daily_flagging, evaluate_horizons,
-    rank_top, split_students,
+    TOP_FRACTION, check_deltas, check_top_fraction, check_train_fraction, daily_flagging,
+    evaluate_horizons, rank_top, split_students,
 )
 from .gbdt import GBDTConfig
 from .trainer import SamplerConfig
@@ -188,8 +188,9 @@ def cmd_predict(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], di
 
 
 def cmd_evaluate(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], dict]:
-    check_deltas(args.deltas)  # refuse a bad horizon or fraction before training
+    check_deltas(args.deltas)  # refuse a bad horizon or fraction before reading input
     check_top_fraction(args.top_fraction)
+    check_train_fraction(args.train_fraction)
     config = _pipeline_config(args)
     cohort = ingest(args.events, args.schema)
     train_cohort, test_cohort = split_students(cohort, args.train_fraction, args.seed)
@@ -210,6 +211,8 @@ def cmd_sweep(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], dict
             _arm_config(args, lb, wt, fs)
         for lb in args.lookbacks for wt in args.weightings for fs in args.feature_sets
     }
+    check_deltas(args.deltas)  # refuse a bad horizon or fraction before reading input
+    check_train_fraction(args.train_fraction)
     cohort = ingest(args.events, args.schema)
     report = pipeline.run_sweep(cohort, arms, args.deltas, args.seeds, args.train_fraction)
     json_path = out_dir / "report.json"

@@ -126,6 +126,11 @@ def check_deltas(deltas: list[int]) -> None:
         raise ValidationError(f"horizon delta must be positive, got {min(deltas)}")
 
 
+def check_train_fraction(fraction: float) -> None:
+    if not 0.0 < fraction < 1.0:
+        raise ValidationError(f"train fraction {fraction} outside (0, 1)")
+
+
 def check_top_fraction(fraction: float) -> None:
     if not 0.0 < fraction <= 1.0:
         raise ValidationError(f"fraction {fraction} outside (0, 1]")
@@ -174,8 +179,7 @@ def daily_flagging(scorer, cohort: Cohort, fraction: float = TOP_FRACTION) -> di
 
 def split_students(cohort: Cohort, train_fraction: float, seed: int):
     """Seeded student-level split; no id appears on both sides."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValidationError(f"train fraction {train_fraction} outside (0, 1)")
+    check_train_fraction(train_fraction)
     if seed < 0:
         raise ValidationError("seed must be non-negative")
     ids = list(cohort.students)

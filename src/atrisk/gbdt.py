@@ -125,6 +125,12 @@ def _log_loss(y: np.ndarray, score: np.ndarray, w: np.ndarray) -> float:
     return float(np.sum(w * -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))) / np.sum(w))
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a 1-d array: np.unique without its numpy.ma import."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
+
+
 class _Bins:
     """Training rows coded by bin: one cell per (feature, distinct value).
 
@@ -137,14 +143,14 @@ class _Bins:
 
     def __init__(self, X: np.ndarray):
         n, n_features = X.shape
-        self.values = [np.unique(X[:, f]) for f in range(n_features)]
+        self.values = [_distinct(X[:, f]) for f in range(n_features)]
         widths = np.array([v.shape[0] for v in self.values], dtype=np.intp)
         width_class = np.maximum(np.ceil(np.log2(widths)), np.log2(_NARROW_BINS))
         self.offsets = np.empty(n_features, dtype=np.intp)
         self.blocks: list[tuple[int, int, int]] = []  # (first cell, features, width)
         cell_feature = []
         start = 0
-        for c in np.unique(width_class):
+        for c in _distinct(width_class):
             feats = np.flatnonzero(width_class == c)
             width = int(widths[feats].max())
             self.offsets[feats] = start + width * np.arange(feats.shape[0])

@@ -10,13 +10,15 @@ pass over the students' final survivals; a student whose final cumulative
 dropout probability lies within a guard band of its uniform draw is decided by
 the exact scalar loop instead, so the count always equals the scalar count.
 All randomness is fixed by the seed, so output files are byte-identical across
-runs.
+runs. Scalar draws take the cheapest numpy call with the same bits: `uniform()`
+returns `0.0 + 1.0 * random()`, which is `random()`, and `normal(0, s)` returns
+`0.0 + s * standard_normal()`, written out here. `integers` and the span's
+`normal(mean, sd)` have no cheaper exact form.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -89,36 +91,32 @@ class _Trajectory:
 def _plan_student(idx: int, cfg: SimConfig, teacher_quality: np.ndarray) -> _Trajectory:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, idx]))
     sid = f"s{idx:05d}"
-    engagement = float(rng.normal())
+    engagement = 0.0 + 1.0 * rng.standard_normal()
     tid_idx = int(rng.integers(0, N_TEACHERS))
     tid = f"t{tid_idx:03d}"
     tq = float(teacher_quality[tid_idx])
 
     start = int(rng.integers(1, 41))
-    span = int(np.clip(rng.normal(cfg.mean_span_days, cfg.mean_span_days * 0.25),
-                       MIN_SPAN_DAYS, 2 * cfg.mean_span_days))
+    span = int(min(max(rng.normal(cfg.mean_span_days, cfg.mean_span_days * 0.25),
+                       MIN_SPAN_DAYS), 2 * cfg.mean_span_days))
     end = start + span
     lo, hi = CLASS_GAP_DAYS
 
     events: dict[int, ObservationPair] = {}
+    discount = 0.5 - 0.08 * engagement + (0.0 + 0.1 * rng.standard_normal())
     events[start] = ObservationPair(
         day=start,
         kind="purchase_event",
-        outclass_values=_freeze(
-            [
-                float(np.clip(0.5 - 0.08 * engagement + rng.normal(0, 0.1), 0.05, 0.95)),
-                float(rng.integers(5, 31)),
-                0.0,
-            ]
-        ),
+        outclass_values=_freeze([min(max(discount, 0.05), 0.95), float(rng.integers(5, 31)), 0.0]),
         teacher_id=tid,
     )
 
     session_days: list[int] = []
     day = start
+    p_skip, p_positive = 0.25 * _sigmoid(-engagement), _sigmoid(0.4 * engagement)
     while True:
         gap = int(rng.integers(lo, hi + 1))
-        if rng.uniform() < 0.25 * _sigmoid(-engagement):
+        if rng.random() < p_skip:
             gap += int(rng.integers(3, 11))  # disengaged students skip classes
         day += gap
         if day >= end:
@@ -129,15 +127,15 @@ def _plan_student(idx: int, cfg: SimConfig, teacher_quality: np.ndarray) -> _Tra
             kind="class_session",
             inclass_values=_freeze(
                 [
-                    0.4 * engagement + float(rng.normal(0, 0.5)),
-                    0.3 * engagement + float(rng.normal(0, 0.7)),
-                    float(rng.normal(0, 1.0)),
-                    float(rng.normal(0, 1.0)),
+                    0.4 * engagement + (0.0 + 0.5 * rng.standard_normal()),
+                    0.3 * engagement + (0.0 + 0.7 * rng.standard_normal()),
+                    0.0 + 1.0 * rng.standard_normal(),
+                    0.0 + 1.0 * rng.standard_normal(),
                 ]
             ),
             teacher_id=tid,
         )
-        if rng.uniform() < 0.08:
+        if rng.random() < 0.08:
             rs_day = day + 2
             if rs_day < end and rs_day not in events:
                 events[rs_day] = ObservationPair(day=rs_day, kind="reschedule", teacher_id=tid)
@@ -145,38 +143,35 @@ def _plan_student(idx: int, cfg: SimConfig, teacher_quality: np.ndarray) -> _Tra
     # Daily follow-up contacts from the service staff, independent of the class
     # schedule, so observation days also fall inside long no-class gaps.
     for fu_day in range(start + 1, end):
-        if fu_day in events or rng.uniform() >= 0.4:
+        if fu_day in events or rng.random() >= 0.4:
             continue
-        pol = 1 if rng.uniform() < _sigmoid(0.4 * engagement) else -1
+        pol = 1 if rng.random() < p_positive else -1
+        sentiment = 0.2 * engagement + (0.0 + 0.6 * rng.standard_normal())
         events[fu_day] = ObservationPair(
             day=fu_day,
             kind="follow_up",
-            outclass_values=_freeze([0.0, 0.0, 0.2 * engagement + float(rng.normal(0, 0.6))]),
+            outclass_values=_freeze([0.0, 0.0, sentiment]),
             teacher_id=tid,
             polarity=pol,
         )
 
     hazard_z: dict[int, float] = {}
-    if session_days:
-        fu_days = sorted(d for d, o in events.items() if o.kind == "follow_up")
-        first_risk_day = session_days[0] + 1
-        for d in range(first_risk_day, end + 1):
-            n_prior = bisect_left(session_days, d)
-            gap_d = d - session_days[n_prior - 1] if n_prior else 0
-            recent_fu = bisect_left(fu_days, d) - bisect_left(fu_days, d - 7)
-            hazard_z[d] = (
-                RECENCY_SLOPE * gap_d
-                - ENGAGEMENT_SLOPE * engagement
-                - FOLLOWUP_RELIEF * recent_fu
-                + tq
-            )
+    if session_days:  # every risk day follows a class
+        days = np.arange(session_days[0] + 1, end + 1)
+        sessions = np.array(session_days)
+        # follow-ups were added in day order, so this is sorted
+        fu_days = np.array([d for d, o in events.items() if o.kind == "follow_up"], dtype=np.intp)
+        gap = days - sessions[np.searchsorted(sessions, days) - 1]
+        recent_fu = np.searchsorted(fu_days, days) - np.searchsorted(fu_days, days - 7)
+        z = RECENCY_SLOPE * gap - ENGAGEMENT_SLOPE * engagement - FOLLOWUP_RELIEF * recent_fu + tq
+        hazard_z = dict(zip(days.tolist(), z.tolist()))
 
     return _Trajectory(
         student_id=sid,
         teacher_id=tid,
         events=events,
         hazard_z=hazard_z,
-        uniform=float(rng.uniform()),
+        uniform=rng.random(),
     )
 
 
@@ -203,7 +198,7 @@ def _plant_decline(
     start = min(kept)
 
     # Silent exits: drop all contact in the final 2-5 days before the event.
-    if rng.uniform() < SILENT_EXIT_PROB:
+    if rng.random() < SILENT_EXIT_PROB:
         gap = int(rng.integers(4, 7))
         if dropout_day - gap > start + 1:
             for d in [d for d in kept if d >= dropout_day - gap]:
@@ -212,11 +207,11 @@ def _plant_decline(
         # Engaged exits: the service staff keeps reaching out, so these
         # students usually have an observation on the eve of the dropout.
         eve = dropout_day - 1
-        if eve not in kept and eve > start and rng.uniform() < 0.7:
+        if eve not in kept and eve > start and rng.random() < 0.7:
             kept[eve] = ObservationPair(
                 day=eve,
                 kind="follow_up",
-                outclass_values=_freeze([0.0, 0.0, float(rng.normal(0, 0.6))]),
+                outclass_values=_freeze([0.0, 0.0, 0.0 + 0.6 * rng.standard_normal()]),
                 teacher_id=teacher_id,
                 polarity=1,
             )
@@ -243,7 +238,7 @@ def _plant_decline(
             continue
         sev = (1.0 - u) ** 2
         if obs.kind == "class_session":
-            if n_sessions > 2 and rng.uniform() < 0.6 * sev:
+            if n_sessions > 2 and rng.random() < 0.6 * sev:
                 del kept[d]  # pre-dropout class skipping
                 n_sessions -= 1
                 continue

@@ -435,13 +435,14 @@ def test_malformed_list_flag_exits_2(sim_dir, tmp_path, capsys, subcommand, flag
     ["evaluate", "--top-fraction", "2"],
     ["evaluate", "--deltas", "0"],
     ["sweep", "--deltas", "0,7"],
+    ["sweep", "--train-fraction", "0"],
 ])
 def test_out_of_range_fraction_exits_3(sim_dir, model_dir, tmp_path, capsys, monkeypatch,
                                        argv):
-    def no_training(*args, **kwargs):  # a bad fraction or horizon is refused before training
-        raise AssertionError("pipeline.train ran")
+    def no_ingest(*args, **kwargs):  # a bad fraction or horizon is refused before reading input
+        raise AssertionError("ingest ran")
 
-    monkeypatch.setattr(pipeline, "train", no_training)
+    monkeypatch.setattr(atrisk.cli, "ingest", no_ingest)
     model_args = ["--model", str(model_dir)] if argv[0] == "predict" else FAST
     code = main([argv[0], *io_args(sim_dir, tmp_path), *model_args, *argv[1:]])
     stderr = capsys.readouterr().err.splitlines()

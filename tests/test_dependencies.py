@@ -55,11 +55,25 @@ def test_module_uses_every_name_it_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
-def test_importing_a_module_loads_only_what_it_uses():
-    code = ("import sys, atrisk.synthgen; "
-            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'atrisk')))")
+def run_fresh(code):
+    """What `code` prints in a fresh interpreter that imports atrisk from the source tree."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
-    assert proc.stdout.split() == ["atrisk", "atrisk.errors", "atrisk.events", "atrisk.synthgen"]
+    return proc.stdout.split()
+
+
+def test_importing_a_module_loads_only_what_it_uses():
+    code = ("import sys, atrisk.synthgen; "
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'atrisk')))")
+    assert run_fresh(code) == ["atrisk", "atrisk.errors", "atrisk.events", "atrisk.synthgen"]
+
+
+def test_training_does_not_load_numpy_ma():
+    """np.unique imports numpy.ma, about 1 MB and 10 ms, on its first call."""
+    code = ("import sys, numpy as np; from atrisk import gbdt; "
+            "X = np.random.default_rng(0).normal(size=(200, 5)); "
+            "gbdt.fit(X, (X[:, 0] > 0).astype(float), None, gbdt.GBDTConfig(n_trees=3)); "
+            "print('numpy.ma' in sys.modules)")
+    assert run_fresh(code) == ["False"]

@@ -118,33 +118,53 @@ def test_mean_span_in_expected_range(cohort):
     assert 50 <= np.mean(spans) <= 120  # centered on the configured 86-day mean
 
 
-# sha256 of (events.jsonl, schema.json) per (n_students, seed).
+# sha256 of (events.jsonl, schema.json) per config.
 GOLDEN_SHA256 = {
-    (60, 5): (
+    SimConfig(n_students=60, seed=5): (
         "42a1994b96f5c889292b18e0df75cb690a2b2d85729e3ab79089ce38b0c8b382",
         "9b533a63f69769ba5350cdfe5fb1ddbf884d157baa26f1a5754ac21d6ee70edb",
     ),
-    (400, 0): (
+    SimConfig(n_students=400, seed=0): (
         "43098e9393f4427c70940801976e389579df5d2afe5cb7dafb4ec8dbf8207882",
+        "9b533a63f69769ba5350cdfe5fb1ddbf884d157baa26f1a5754ac21d6ee70edb",
+    ),
+    # Short spans: about half the span draws fall below the clip floor.
+    SimConfig(n_students=200, seed=3, mean_span_days=21): (
+        "893a4154868c803ab4995435e4a936682a1a1ba0a377e115ac55ca5b4f9d5e64",
+        "9b533a63f69769ba5350cdfe5fb1ddbf884d157baa26f1a5754ac21d6ee70edb",
+    ),
+    # Long spans and a high dropout target: many planted declines.
+    SimConfig(n_students=150, seed=9, target_dropout_rate=0.3, mean_span_days=200): (
+        "a473935367763258d6664f11a315cd28b13a8e169302ff934d01f9008981e37c",
         "9b533a63f69769ba5350cdfe5fb1ddbf884d157baa26f1a5754ac21d6ee70edb",
     ),
 }
 
 
-@pytest.mark.parametrize("n_students,seed", sorted(GOLDEN_SHA256))
-def test_generated_bytes_are_pinned(tmp_path, n_students, seed):
-    """The generator writes the bytes it wrote at commit 86131d5.
+def config_id(cfg):
+    """`n-seed`, then each field that differs from its default."""
+    default = SimConfig()
+    extra = [f"{name}={getattr(cfg, name)}" for name in ("mean_span_days", "target_dropout_rate")
+             if getattr(cfg, name) != getattr(default, name)]
+    return "-".join([str(cfg.n_students), str(cfg.seed), *extra])
 
-    Both hashes were computed at that commit, before the dropout count of each
-    calibration step was vectorised. The (400, seed 0) cohort is the
-    score_daily benchmark's seed-0 input.
+
+@pytest.mark.parametrize("cfg", list(GOLDEN_SHA256), ids=config_id)
+def test_generated_bytes_are_pinned(tmp_path, cfg):
+    """The generator writes the bytes it wrote before its draws were rewritten.
+
+    The (60, 5) and (400, 0) hashes were computed at commit 86131d5, before
+    the dropout count of each calibration step was vectorised; the (400,
+    seed 0) cohort is the score_daily benchmark's seed-0 input. The other two
+    were computed at commit 5334550, before the scalar draws moved to
+    `random()` and `standard_normal()`.
     """
-    paths = generate(SimConfig(n_students=n_students, seed=seed), tmp_path)
+    paths = generate(cfg, tmp_path)
     digests = tuple(
         hashlib.sha256(paths[key].read_bytes()).hexdigest()
         for key in ("events", "schema")
     )
-    assert digests == GOLDEN_SHA256[(n_students, seed)]
+    assert digests == GOLDEN_SHA256[cfg]
 
 
 def scalar_count(trajectories, alpha):
@@ -177,3 +197,26 @@ def test_vectorised_dropout_count_equals_scalar_count(seed):
               np.nextafter(alpha, np.inf), -5.0, 0.0, 5.0):
         assert table.count(a) == scalar_count(trajectories, a), a
     assert _HazardTable([silent, silent]).count(5.0) == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+def test_cheap_draws_equal_numpys_own(seed):
+    """`random()` is `uniform()` and `0.0 + s * standard_normal()` is
+    `normal(0, s)`, bit for bit and from the same stream position, at every
+    scale the simulator draws at. A numpy that changes either formula fails
+    here first, not at a pinned digest."""
+    plain, cheap = np.random.default_rng(seed), np.random.default_rng(seed)
+
+    def same_bits(want_draw, got_draw, n=2_000):
+        want = np.array([want_draw() for _ in range(n)])
+        got = np.array([got_draw() for _ in range(n)])
+        return want.tobytes() == got.tobytes()
+
+    assert same_bits(plain.uniform, cheap.random)
+    assert plain.bit_generator.state == cheap.bit_generator.state
+    for scale in (0.1, 0.5, 0.6, 0.7, 1.0):
+        assert same_bits(lambda: plain.normal(0, scale),
+                         lambda: 0.0 + scale * cheap.standard_normal()), scale
+        assert plain.bit_generator.state == cheap.bit_generator.state
+    assert same_bits(plain.normal, lambda: 0.0 + 1.0 * cheap.standard_normal())
+    assert plain.bit_generator.state == cheap.bit_generator.state
