@@ -9,7 +9,7 @@ wrote and any extra manifest keys.
 Exit codes: 0 ok, 2 usage (an unknown flag, or a flag value that does not
 parse, such as an empty range), 3 data error (malformed input, an
 out-of-range fraction or horizon, a negative seed, a `predict --at-day`
-before every student's first day, a model that does not fit the schema, or a
+at which no student is active, a model that does not fit the schema, or a
 path that cannot be read or written), 4 model error.
 """
 
@@ -24,11 +24,11 @@ from pathlib import Path
 
 from . import features, labeling, pipeline, synthgen
 from .augmentation import WEIGHTINGS, AugmentationConfig
-from .errors import DataError, EmptyInputError, ModelError, ValidationError
+from .errors import DataError, EmptyInputError, ModelError, ValidationError, check_seed
 from .events import cohort_stats, ingest
 from .evaluation import (
     TOP_FRACTION, check_deltas, check_top_fraction, check_train_fraction, daily_flagging,
-    evaluate_horizons, rank_top, split_students,
+    evaluate_horizons, rank_active, split_students,
 )
 from .gbdt import GBDTConfig
 from .trainer import SamplerConfig
@@ -171,18 +171,15 @@ def cmd_predict(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], di
         raise EmptyInputError("the events file holds no student to score")
     scorer = pipeline.PipelineScorer.load(Path(args.model), cohort)
     at_day = args.at_day if args.at_day is not None else max(s.last_day for s in cohort)
-    points = [(s, min(at_day, s.last_day)) for s in cohort if s.first_day <= at_day]
-    if not points:  # ingest refuses days below 1, so this covers them too
-        raise ValidationError(f"no student has started by day {at_day}")
-    values = scorer.many(points)
-    scores = {s.student_id: float(v) for (s, _), v in zip(points, values)}
-    ranked, n_flag = rank_top(scores, args.top_fraction)
+    ranked, n_flag = rank_active(scorer, cohort, at_day, args.top_fraction)
+    if not ranked:
+        raise ValidationError(f"no student is active at day {at_day}")
     out_path = out_dir / "predictions.csv"
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["student_id", "probability", "flagged"])
-        for rank, sid in enumerate(ranked):
-            writer.writerow([sid, f"{scores[sid]:.6f}", int(rank < n_flag)])
+        for rank, (sid, score) in enumerate(ranked):
+            writer.writerow([sid, f"{score:.6f}", int(rank < n_flag)])
     print(f"scored {len(ranked)} students at day {at_day}; flagged {n_flag}")
     return [out_path], {}
 
@@ -211,8 +208,9 @@ def cmd_sweep(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], dict
             _arm_config(args, lb, wt, fs)
         for lb in args.lookbacks for wt in args.weightings for fs in args.feature_sets
     }
-    check_deltas(args.deltas)  # refuse a bad horizon or fraction before reading input
+    check_deltas(args.deltas)  # refuse a bad horizon, fraction or seed before reading input
     check_train_fraction(args.train_fraction)
+    check_seed(min(args.seeds))
     cohort = ingest(args.events, args.schema)
     report = pipeline.run_sweep(cohort, arms, args.deltas, args.seeds, args.train_fraction)
     json_path = out_dir / "report.json"

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the one check of a seed.
 
 Data-shaped problems (bad input files, invariant violations, empty inputs)
 derive from DataError; problems with model construction or use derive from
@@ -50,3 +50,8 @@ class ModelError(AtRiskError):
 
 class DegenerateDataError(ModelError):
     """Training data contains a single class or is otherwise unlearnable."""
+
+
+def check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValidationError("seed must be non-negative")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_seed
 from .events import Cohort, StudentRecord
 
 TOP_FRACTION = 0.3  # the share of students that flagging takes by default
@@ -136,52 +136,48 @@ def check_top_fraction(fraction: float) -> None:
         raise ValidationError(f"fraction {fraction} outside (0, 1]")
 
 
-def rank_top(scores_by_student: dict[str, float], fraction: float) -> tuple[list[str], int]:
-    """Student ids by descending score, ties broken by id, and how many at the
-    head of that ranking a top-`fraction` flag takes: ceil(fraction * n)."""
+def rank_active(scorer, cohort: Cohort, day: int, fraction: float) -> tuple[list, int]:
+    """(student id, score) of each student active at `day`, by descending score,
+    ties by id, and the ceil(fraction * n) at its head that a top-`fraction` flag
+    takes. A student is active from its first day until it leaves, a dropout on
+    its dropout day and a completer on its last day; an ongoing student stays.
+    One `scorer.many` call scores the active students at `day`, in id order."""
     check_top_fraction(fraction)
-    ranked = sorted(scores_by_student, key=lambda sid: (-scores_by_student[sid], sid))
+    active = [s for s in cohort if s.first_day <= day
+              and (day < s.last_day or s.final_status == "ongoing")]
+    values = scorer.many([(s, day) for s in active])
+    ranked = sorted(((s.student_id, float(v)) for s, v in zip(active, values)),
+                    key=lambda row: (-row[1], row[0]))
     return ranked, int(np.ceil(fraction * len(ranked)))
 
 
 def daily_flagging(scorer, cohort: Cohort, fraction: float = TOP_FRACTION) -> dict[str, float]:
     """Replay daily top-fraction flagging against next-day dropouts.
 
-    For each day d with at least one dropout on day d+1, score every student
-    active at d, flag the top fraction, and compare against the students who
-    actually drop the next day. Returns the report's recall entries, pooled
+    For each day d before a dropout leaves, rank the students active at d
+    (`rank_active`), flag the top fraction, and compare against the students
+    who leave on day d+1. Returns the report's recall entries, pooled
     over all such dropouts and averaged over days; none when no day has one.
     """
     dropout_days: dict[int, set[str]] = {}
-    for student in cohort:
-        if student.final_status == "dropout":
+    for student in cohort:  # a dropout is active the day before it leaves if it started by then
+        if student.final_status == "dropout" and student.first_day < student.last_day:
             dropout_days.setdefault(student.last_day, set()).add(student.student_id)
-
-    detected = total = 0
-    daily: list[float] = []
-    for day in sorted(dropout_days):
-        eval_day = day - 1
-        active = [s for s in cohort if s.first_day <= eval_day < s.last_day]
-        todays = dropout_days[day].intersection(s.student_id for s in active)
-        if not todays:
-            continue
-        values = scorer.many([(s, eval_day) for s in active])
-        scores = {s.student_id: float(v) for s, v in zip(active, values)}
-        ranked, n_flag = rank_top(scores, fraction)
-        hits = len(todays.intersection(ranked[:n_flag]))
-        daily.append(hits / len(todays))
-        detected += hits
-        total += len(todays)
-    if total == 0:
+    counts = []  # per day: the dropouts flagged the day before, and all the day's dropouts
+    for day, todays in sorted(dropout_days.items()):
+        ranked, n_flag = rank_active(scorer, cohort, day - 1, fraction)
+        counts.append((len(todays.intersection(sid for sid, _ in ranked[:n_flag])), len(todays)))
+    if not counts:
         return {}  # no evaluable dropout day: recall is undefined
-    return {f"pooled@{fraction}": detected / total, f"daily_mean@{fraction}": float(np.mean(daily))}
+    hits, n = np.array(counts).T
+    return {f"pooled@{fraction}": float(hits.sum() / n.sum()),
+            f"daily_mean@{fraction}": float(np.mean(hits / n))}
 
 
 def split_students(cohort: Cohort, train_fraction: float, seed: int):
     """Seeded student-level split; no id appears on both sides."""
     check_train_fraction(train_fraction)
-    if seed < 0:
-        raise ValidationError("seed must be non-negative")
+    check_seed(seed)
     ids = list(cohort.students)
     rng = np.random.default_rng(seed)
     rng.shuffle(ids)

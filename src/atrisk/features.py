@@ -236,6 +236,8 @@ class FeatureSpace:
             k, d = pca.components.shape  # a ValueError unless 2-D
             if pca.mean.shape != (d,) or pca.explained_variance.shape != (k,):
                 raise ValueError("PCA arrays of mismatched shapes")
+            if not all(np.isfinite(getattr(pca, f)).all() for f in _PCA_FIELDS):
+                raise ValueError("non-finite PCA values")
         except (ValueError, TypeError, KeyError, RecursionError) as exc:
             raise ModelError(f"malformed feature_space.json ({exc})") from exc
         if d != len(cohort.schema.inclass_columns):

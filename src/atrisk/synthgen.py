@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CalibrationError, ValidationError
+from .errors import CalibrationError, ValidationError, check_seed
 from .events import Cohort, ColumnSchema, ObservationPair, StudentRecord, write_events
 
 INCLASS_COLUMNS = ("attention", "qa_rounds", "loudness", "speech_rate")
@@ -69,8 +69,7 @@ class SimConfig:
             )
         if self.mean_span_days > MAX_MEAN_SPAN_DAYS:
             raise ValidationError(f"mean_span_days must be at most {MAX_MEAN_SPAN_DAYS}")
-        if self.seed < 0:
-            raise ValidationError("seed must be non-negative")
+        check_seed(self.seed)
 
 
 def _sigmoid(z: float) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gbdt
-from .errors import EmptyInputError, ModelError, ValidationError
+from .errors import EmptyInputError, ModelError, check_seed
 from .gbdt import GBDTConfig, GBDTModel
 from .labeling import PairSet
 
@@ -27,8 +27,7 @@ class SamplerConfig:
     def __post_init__(self):
         if not 0.0 < self.target_positive_fraction <= 0.5:
             raise ModelError("target_positive_fraction must be in (0, 0.5]")
-        if self.seed < 0:
-            raise ValidationError("seed must be non-negative")
+        check_seed(self.seed)
 
 
 def oversample(positives: PairSet, pseudo: PairSet, negatives: PairSet, cfg: SamplerConfig) -> PairSet:

@@ -38,6 +38,22 @@ def cohort_of(*students):
     return Cohort(students={s.student_id: s for s in students}, schema=schema)
 
 
+def cohort_known_at(cohort, day):
+    """The cohort as known at `day`: students who start later are absent; the
+    others keep their observations up to `day`, and are ongoing if they
+    resolve after it."""
+    known = [
+        StudentRecord(
+            student_id=s.student_id,
+            observations=tuple(o for o in s.observations if o.day <= day),
+            final_status=s.final_status if s.last_day <= day else "ongoing",
+            teacher_id=s.teacher_id,
+        )
+        for s in cohort if s.first_day <= day
+    ]
+    return Cohort(students={s.student_id: s for s in known}, schema=cohort.schema)
+
+
 def auc_bruteforce(scores, labels) -> float | None:
     """O(pos*neg) pair-counting oracle: (concordant + 0.5 * tied) / (pos * neg);
     None when the labels hold a single class."""

@@ -20,6 +20,11 @@ from hypothesis import given, settings, strategies as st
 import atrisk.cli
 from atrisk import pipeline
 from atrisk.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, main
+from atrisk.evaluation import rank_active
+from atrisk.events import ingest, write_events
+from atrisk.pipeline import PipelineScorer
+
+from conftest import cohort_known_at
 
 FAST = ["--n-trees", "10", "--max-depth", "2"]
 
@@ -166,7 +171,7 @@ def test_predict_ranks_and_flags(sim_dir, model_dir, tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "train", no_training)
     code = main(
         ["predict", *io_args(sim_dir, tmp_path), "--model", str(model_dir),
-         "--top-fraction", "0.25"]
+         "--at-day", "60", "--top-fraction", "0.25"]
     )
     assert code == EXIT_OK
     with open(tmp_path / "predictions.csv") as fh:
@@ -178,18 +183,64 @@ def test_predict_ranks_and_flags(sim_dir, model_dir, tmp_path, monkeypatch):
     assert all(int(r["flagged"]) for r in rows[:n_flagged])
 
 
-@pytest.mark.parametrize("at_day, predictions_sha256", [
-    ([], "2c1cfbc084be7f9a91fb5b30ef68532473435c765f15f70612a4eebc707f4280"),
-    (["--at-day", "60"], "e47a4df71a2ac7c494c3f94b2a7622e3446a30e902abc09ff6719d573f05851d"),
-])
-def test_predict_outputs_are_pinned(sim_dir, tmp_path, at_day, predictions_sha256):
-    """`train` then `predict --model` writes the predictions that `predict`
-    wrote when it trained its own model with the same flags; the sha256 values
-    are those of `predict <FAST flags>` at the commit before it read a model."""
+@pytest.mark.parametrize("at_day, n_rows, predictions_sha256", [
+    (60, 75, "a2ff4dfe8c03709e00da4d14e5af177c9c09fd9b8a77ffb524d6693163146b4b"),
+    (100, 44, "cf27159a7a4dd38b2eb5e8cec0acfd56892eb55face4f81833cbc0a97926d6a2"),
+], ids=["day60", "day100"])
+def test_predict_outputs_are_pinned(sim_dir, tmp_path, at_day, n_rows, predictions_sha256):
+    """`train` then `predict --model --at-day D` lists exactly the students
+    active at D: each has started by D and has not left by it."""
     assert main(["train", *io_args(sim_dir, tmp_path / "model"), *FAST]) == EXIT_OK
     assert main(["predict", *io_args(sim_dir, tmp_path / "run"),
-                 "--model", str(tmp_path / "model"), *at_day]) == EXIT_OK
+                 "--model", str(tmp_path / "model"), "--at-day", str(at_day)]) == EXIT_OK
+    cohort = ingest(sim_dir / "events.jsonl", sim_dir / "schema.json")
+    with open(tmp_path / "run" / "predictions.csv") as fh:
+        listed = [row["student_id"] for row in csv.DictReader(fh)]
+    assert len(listed) == n_rows
+    assert sorted(listed) == [s.student_id for s in cohort
+                              if s.first_day <= at_day < s.last_day]  # no student is ongoing
     assert sha256(tmp_path / "run" / "predictions.csv") == predictions_sha256
+
+
+@pytest.fixture(scope="module")
+def seed7_dir(tmp_path_factory):
+    """The 120-student seed-7 cohort and a model `train` wrote for it."""
+    out = tmp_path_factory.mktemp("seed7")
+    assert main(["simulate", "--n-students", "120", "--seed", "7",
+                 "--out-dir", str(out / "sim")]) == EXIT_OK
+    assert main(["train", *io_args(out / "sim", out / "model"), *FAST]) == EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize("day, n_rows", [(20, 53), (45, 112), (60, 106), (100, 59), (150, 8)])
+def test_predict_on_log_known_at_day_flags_what_replay_flags(seed7_dir, tmp_path, day, n_rows):
+    """`predict --at-day d` on the log as it stood at day d writes the ranking
+    and flags that the replay of the full log (`rank_active`) gives on day d."""
+    full = ingest(seed7_dir / "sim" / "events.jsonl", seed7_dir / "sim" / "schema.json")
+    live = tmp_path / "live"
+    live.mkdir()
+    write_events(cohort_known_at(full, day), live / "events.jsonl")
+    shutil.copy(seed7_dir / "sim" / "schema.json", live / "schema.json")
+    assert main(["predict", *io_args(live, tmp_path / "run"), "--model", str(seed7_dir / "model"),
+                 "--at-day", str(day)]) == EXIT_OK
+    with open(tmp_path / "run" / "predictions.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    ranked, n_flag = rank_active(PipelineScorer.load(seed7_dir / "model", full), full, day, 0.3)
+    assert len(rows) == n_rows
+    assert rows == [[sid, f"{score:.6f}", str(int(i < n_flag))]
+                    for i, (sid, score) in enumerate(ranked)]
+
+
+def test_predict_on_resolved_log_by_default_exits_3(sim_dir, model_dir, tmp_path, capsys):
+    """`--at-day` defaults to the log's last day, when every simulated student
+    has left, so no student is active to rank."""
+    out = tmp_path / "out"
+    code = main(["predict", *io_args(sim_dir, out), "--model", str(model_dir)])
+    stderr = capsys.readouterr().err.splitlines()
+    assert code == EXIT_DATA
+    assert [json.loads(line) for line in stderr] == [
+        {"error": "ValidationError", "message": "no student is active at day 157"}]
+    assert not (out / "predictions.csv").exists()
 
 
 @pytest.mark.parametrize("at_day", ["0", "-5"])
@@ -201,7 +252,7 @@ def test_predict_before_any_start_exits_3(sim_dir, model_dir, tmp_path, capsys, 
     assert code == EXIT_DATA
     assert len(stderr) == 1
     assert json.loads(stderr[0]) == {"error": "ValidationError",
-                                     "message": f"no student has started by day {at_day}"}
+                                     "message": f"no student is active at day {at_day}"}
     assert not (out / "predictions.csv").exists()
     assert not (out / "manifest.json").exists()
 
@@ -240,18 +291,23 @@ def widen_pca(space):
     (edit_feature_space(lambda space: space.update(format_version=2)), EXIT_MODEL),
     (edit_feature_space(lambda space: space["pca"].pop("mean")), EXIT_MODEL),
     (edit_feature_space(lambda space: space["pca"]["components"][0].pop()), EXIT_MODEL),
+    (edit_feature_space(lambda space: space["pca"]["mean"].__setitem__(0, float("nan"))),
+     EXIT_MODEL),
+    (edit_feature_space(lambda space: space["pca"]["components"][1].__setitem__(2, float("inf"))),
+     EXIT_MODEL),
     (edit_feature_space(lambda space: space.update(blocks=["in", "time"])), EXIT_DATA),
     (edit_feature_space(widen_pca), EXIT_DATA),
 ], ids=["missing-dir", "model-not-json", "model-deeply-nested", "model-not-utf8",
         "space-wrong-version", "space-missing-key", "space-ragged-components",
-        "space-blocks-disagree", "inclass-width-differs"])
+        "space-nan-mean", "space-inf-component", "space-blocks-disagree",
+        "inclass-width-differs"])
 def test_malformed_model_dir_exits_cleanly(sim_dir, model_dir, tmp_path, capsys, breakage,
                                            exit_code):
     model = tmp_path / "model"
     shutil.copytree(model_dir, model)
     breakage(model)
     out = tmp_path / "out"
-    code = main(["predict", *io_args(sim_dir, out), "--model", str(model)])
+    code = main(["predict", *io_args(sim_dir, out), "--model", str(model), "--at-day", "60"])
     stderr = capsys.readouterr().err.splitlines()
     assert code == exit_code
     assert len(stderr) == 1
@@ -329,7 +385,7 @@ SUBCOMMAND_ARGV = {
     "simulate": ["--n-students", "30", "--seed", "1"],
     "featurize": [],
     "train": FAST,
-    "predict": [],  # plus --model, a directory `train` wrote
+    "predict": ["--at-day", "60"],  # plus --model, a directory `train` wrote
     "evaluate": [*FAST, "--deltas", "1,7"],
     "sweep": ["--lookbacks", "7", "--deltas", "7", "--n-trees", "5", "--max-depth", "2"],
 }
@@ -483,6 +539,21 @@ def test_negative_seed_exits_3(sim_dir, tmp_path, capsys, argv):
     assert code == EXIT_DATA
     assert len(stderr) == 1
     assert json.loads(stderr[0])["error"] == "ValidationError"
+
+
+def test_sweep_refuses_negative_seed_before_ingest(tmp_path, capsys, monkeypatch):
+    def no_ingest(*args, **kwargs):
+        raise AssertionError("ingest ran")
+
+    monkeypatch.setattr(atrisk.cli, "ingest", no_ingest)
+    missing = tmp_path / "missing"
+    code = main(["sweep", "--events", str(missing / "events.jsonl"),
+                 "--schema", str(missing / "schema.json"), "--out-dir", str(tmp_path / "out"),
+                 "--seeds=0,-1"])
+    stderr = capsys.readouterr().err.splitlines()
+    assert code == EXIT_DATA
+    assert [json.loads(line) for line in stderr] == [
+        {"error": "ValidationError", "message": "seed must be non-negative"}]
 
 
 @pytest.mark.parametrize("flag, value", [("--seed", "0"), ("--n-trees", "10")])

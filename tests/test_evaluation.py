@@ -14,7 +14,7 @@ from atrisk.evaluation import (
     evaluate_horizons,
     horizon_labels,
     query_points,
-    rank_top,
+    rank_active,
     split_students,
 )
 
@@ -145,22 +145,30 @@ def test_eval_report_save_round_trips(tmp_path, small_cohort):
     assert raw["auc_by_horizon"]["30"] == report.auc_by_horizon[30]
 
 
+def rank_scores(scores, fraction):
+    """`rank_active` at day 5 of students active on days 1..9, scored from `scores`."""
+    cohort = cohort_of(*(student(sid, [obs(1), obs(9)]) for sid in scores))
+    return rank_active(BatchScorer(lambda s, d: scores[s.student_id]), cohort, 5, fraction)
+
+
 def recall_at_fraction(scores, dropouts, fraction):
     """Share of `dropouts` among the top fraction, as daily_flagging counts it."""
-    ranked, n_flag = rank_top(scores, fraction)
-    return len(dropouts.intersection(ranked[:n_flag])) / len(dropouts)
+    ranked, n_flag = rank_scores(scores, fraction)
+    return len(dropouts.intersection(sid for sid, _ in ranked[:n_flag])) / len(dropouts)
 
 
 def test_recall_at_fraction_hand_case():
-    scores = {"a": 0.9, "b": 0.8, "c": 0.3, "d": 0.2, "e": 0.1}
-    assert rank_top(scores, 0.4) == (["a", "b", "c", "d", "e"], 2)
+    scores = {"e": 0.1, "c": 0.3, "a": 0.9, "d": 0.2, "b": 0.8}
+    assert rank_scores(scores, 0.4) == (
+        [("a", 0.9), ("b", 0.8), ("c", 0.3), ("d", 0.2), ("e", 0.1)], 2)
     assert recall_at_fraction(scores, {"a", "b"}, 0.4) == 1.0
     assert recall_at_fraction(scores, {"a", "e"}, 0.4) == 0.5
     assert recall_at_fraction(scores, {"e"}, 0.4) == 0.0
 
 
 def test_recall_ties_break_by_student_id():
-    scores = {"a": 0.5, "b": 0.5, "c": 0.5}
+    scores = {"c": 0.5, "b": 0.5, "a": 0.5}
+    assert rank_scores(scores, 1 / 3) == ([("a", 0.5), ("b", 0.5), ("c", 0.5)], 1)
     assert recall_at_fraction(scores, {"a"}, 1 / 3) == 1.0
     assert recall_at_fraction(scores, {"c"}, 1 / 3) == 0.0
 
@@ -168,7 +176,32 @@ def test_recall_ties_break_by_student_id():
 def test_recall_validation():
     for fraction in (0.0, -0.1, 1.5):
         with pytest.raises(ValidationError):
-            rank_top({"a": 1.0}, fraction)
+            rank_scores({"a": 1.0}, fraction)
+
+
+class RecordingScorer:
+    """A constant scorer that records each `many` call's points as (id, day)."""
+
+    def __init__(self):
+        self.calls = []
+
+    def many(self, points):
+        self.calls.append([(s.student_id, d) for s, d in points])
+        return np.zeros(len(points))
+
+
+def test_rank_active_scores_who_is_active_in_one_call(small_cohort):
+    """s1 drops out on day 20, s2 completes on day 14, s3 drops out on day 8,
+    and s4, last seen on day 7, is ongoing."""
+    expected = {0: [], 1: ["s1"], 4: ["s1", "s2", "s3"], 7: ["s1", "s2", "s3", "s4"],
+                8: ["s1", "s2", "s4"], 13: ["s1", "s2", "s4"], 14: ["s1", "s4"],
+                19: ["s1", "s4"], 20: ["s4"], 500: ["s4"]}
+    for day, active in expected.items():
+        scorer = RecordingScorer()
+        ranked, n_flag = rank_active(scorer, small_cohort, day, 0.5)
+        assert scorer.calls == [[(sid, day) for sid in active]]  # one call, in id order
+        assert ranked == [(sid, 0.0) for sid in active]
+        assert n_flag == -(-len(active) // 2)
 
 
 def flagging_cohort(n_per_day=10, n_days=4):
@@ -223,6 +256,9 @@ def test_daily_flagging_counts_four_dropouts_on_four_days():
 def test_daily_flagging_needs_dropouts():
     completers = cohort_of(student("c", [obs(1), obs(9)], status="completion"))
     assert daily_flagging(BatchScorer(lambda s, d: 0.0), completers, 0.3) == {}
+    # a dropout seen only on the day it leaves is never active the day before
+    solo = student("d", [obs(9, kind="dropout_event")], status="dropout")
+    assert daily_flagging(BatchScorer(lambda s, d: 0.0), cohort_of(solo, *completers), 0.3) == {}
 
 
 def test_split_students_partition(small_cohort):
