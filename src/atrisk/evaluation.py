@@ -60,15 +60,15 @@ def auc(scores, labels, ranks: np.ndarray | None = None) -> float | None:
 class EvalReport:
     auc_by_horizon: dict[int, float | None]
     n_queries_by_horizon: dict[int, int]
+    n_positive_by_horizon: dict[int, int]  # query points that drop out within delta
     recall_at_fraction: dict[str, float] = field(default_factory=dict)
     config_fingerprint: str = ""
 
     def to_dict(self) -> dict:
         return {
             "auc_by_horizon": {str(k): v for k, v in self.auc_by_horizon.items()},
-            "n_queries_by_horizon": {
-                str(k): v for k, v in self.n_queries_by_horizon.items()
-            },
+            "n_queries_by_horizon": {str(k): v for k, v in self.n_queries_by_horizon.items()},
+            "n_positive_by_horizon": {str(k): v for k, v in self.n_positive_by_horizon.items()},
             "recall_at_fraction": self.recall_at_fraction,
             "config_fingerprint": self.config_fingerprint,
         }
@@ -111,12 +111,15 @@ def evaluate_horizons(
     ranks = average_ranks(scores)
     auc_map: dict[int, float | None] = {}
     n_map: dict[int, int] = {}
+    pos_map: dict[int, int] = {}
     for delta, labels in zip(deltas, horizon_labels(points, deltas)):
         n_map[delta] = len(labels)
+        pos_map[delta] = int(labels.sum())
         auc_map[delta] = auc(scores, labels, ranks)
     return EvalReport(
         auc_by_horizon=auc_map,
         n_queries_by_horizon=n_map,
+        n_positive_by_horizon=pos_map,
         config_fingerprint=fingerprint,
     )
 

@@ -88,15 +88,19 @@ class TreeNode:
         }
 
     @classmethod
-    def from_dict(cls, raw: dict, n_features: int | None = None) -> "TreeNode":
+    def from_dict(cls, raw: dict, n_features: int | None = None,
+                  max_depth: float = math.inf) -> "TreeNode":
         """Parse a serialized node, raising ModelError on any malformed field.
 
-        With `n_features` given, split features must index a row that wide.
+        With `n_features` given, split features must index a row that wide;
+        the node may hold at most `max_depth` levels of splits.
         """
         if not isinstance(raw, dict):
             raise ModelError(f"tree node must be an object, got {raw!r}")
         if "value" in raw:
             return cls(value=_finite(raw["value"], "leaf value"))
+        if max_depth < 1:
+            raise ModelError("tree is deeper than the config's max_depth")
         missing = sorted({"feature", "threshold", "left", "right"} - raw.keys())
         if missing:
             raise ModelError(f"tree node lacks {', '.join(missing)}")
@@ -111,8 +115,8 @@ class TreeNode:
         return cls(
             feature=feature,
             threshold=_finite(raw["threshold"], "threshold"),
-            left=cls.from_dict(raw["left"], n_features),
-            right=cls.from_dict(raw["right"], n_features),
+            left=cls.from_dict(raw["left"], n_features, max_depth - 1),
+            right=cls.from_dict(raw["right"], n_features, max_depth - 1),
         )
 
 
@@ -386,9 +390,13 @@ class GBDTModel:
             config = GBDTConfig(**raw["config"])
         except TypeError as exc:
             raise ModelError(f"bad model config: {exc}") from exc
+        if len(raw["trees"]) > config.n_trees:
+            raise ModelError(f"model has {len(raw['trees'])} trees, more than n_trees "
+                             f"{config.n_trees} in its config")
         return cls(
             base_score=_finite(raw["base_score"], "base score"),
-            trees=[TreeNode.from_dict(t, len(feature_names)) for t in raw["trees"]],
+            trees=[TreeNode.from_dict(t, len(feature_names), config.max_depth)
+                   for t in raw["trees"]],
             feature_names=feature_names,
             config=config,
         )

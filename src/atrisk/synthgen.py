@@ -4,16 +4,17 @@ Each student gets a latent engagement level, a class schedule with variable
 gaps, and a per-day discrete-time logistic dropout hazard that grows with
 days since the last class and shrinks with engagement and recent follow-ups.
 The hazard intercept is calibrated by bisection so the realized dropout rate
-hits the configured target. Every trajectory's hazard logits are laid out once
-as one flat array, so each bisection step counts the dropouts in one numpy
-pass over the students' final survivals; a student whose final cumulative
-dropout probability lies within a guard band of its uniform draw is decided by
-the exact scalar loop instead, so the count always equals the scalar count.
-All randomness is fixed by the seed, so output files are byte-identical across
-runs. Scalar draws take the cheapest numpy call with the same bits: `uniform()`
-returns `0.0 + 1.0 * random()`, which is `random()`, and `normal(0, s)` returns
-`0.0 + s * standard_normal()`, written out here. `integers` and the span's
-`normal(mean, sd)` have no cheaper exact form.
+hits the configured target. The cohort's hazard logits are laid out once, as
+one flat array that decides every student in one numpy pass per bisection step;
+a student whose final cumulative dropout probability lies within a guard band
+of its uniform draw is decided by the exact scalar loop instead, so each
+decision equals the scalar one. At the calibrated intercept the same table
+decides who drops out, and only those students walk their hazard days to find
+the day. All randomness is fixed by the seed, so output files are
+byte-identical across runs. Scalar draws take the cheapest numpy call with the
+same bits: `uniform()` returns `0.0 + 1.0 * random()`, which is `random()`, and
+`normal(0, s)` returns `0.0 + s * standard_normal()`, written out here.
+`integers` and the span's `normal(mean, sd)` have no cheaper exact form.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ INCLASS_COLUMNS = ("attention", "qa_rounds", "loudness", "speech_rate")
 OUTCLASS_COLUMNS = ("order_discount", "order_courses", "followup_sentiment")
 
 CLASS_GAP_DAYS = (3, 7)  # inclusive range of days between scheduled classes
+SKIP_GAP_DAYS = (3, 10)  # inclusive range of days a skipped class adds to a gap
 RECENCY_SLOPE = 0.3  # hazard increase per day since last class
 ENGAGEMENT_SLOPE = 0.8  # hazard decrease per unit engagement
 FOLLOWUP_RELIEF = 0.4  # hazard decrease per recent follow-up
@@ -40,7 +42,7 @@ DECLINE_WINDOW_DAYS = 7  # planted pre-dropout behavioral decline
 DECLINE_STRENGTH = 1.0
 SILENT_EXIT_PROB = 0.75  # fraction of dropouts who stop responding
 CALIBRATION_TOL = 0.02  # largest |realized - target| dropout rate accepted
-MIN_SPAN_DAYS = 21  # spans are clipped to at least this; the mean may not be lower
+MIN_SPAN_DAYS = 21  # span floor and least mean; exceeds every gap before a first class
 MAX_MEAN_SPAN_DAYS = 3650  # spans are clipped to 2x the mean, so <= 7,300 hazard days
 # Margins |(1 - survival) - uniform| below this go to the scalar loop. Each
 # hazard factor 1 - sigmoid(alpha + z) lies in [0, 1]. Both paths form the same
@@ -83,7 +85,8 @@ class _Trajectory:
     student_id: str
     teacher_id: str
     events: dict[int, ObservationPair]  # keyed by day, pre-truncation
-    hazard_z: dict[int, float]  # day -> hazard logit minus the intercept
+    risk_day: int  # the day after the first class, the first hazard day
+    hazard_z: np.ndarray  # hazard logit minus the intercept, from risk_day to the span's end
     uniform: float
 
 
@@ -116,7 +119,7 @@ def _plan_student(idx: int, cfg: SimConfig, teacher_quality: np.ndarray) -> _Tra
     while True:
         gap = int(rng.integers(lo, hi + 1))
         if rng.random() < p_skip:
-            gap += int(rng.integers(3, 11))  # disengaged students skip classes
+            gap += int(rng.integers(SKIP_GAP_DAYS[0], SKIP_GAP_DAYS[1] + 1))  # a skipped class
         day += gap
         if day >= end:
             break
@@ -154,24 +157,16 @@ def _plan_student(idx: int, cfg: SimConfig, teacher_quality: np.ndarray) -> _Tra
             polarity=pol,
         )
 
-    hazard_z: dict[int, float] = {}
-    if session_days:  # every risk day follows a class
-        days = np.arange(session_days[0] + 1, end + 1)
-        sessions = np.array(session_days)
-        # follow-ups were added in day order, so this is sorted
-        fu_days = np.array([d for d, o in events.items() if o.kind == "follow_up"], dtype=np.intp)
-        gap = days - sessions[np.searchsorted(sessions, days) - 1]
-        recent_fu = np.searchsorted(fu_days, days) - np.searchsorted(fu_days, days - 7)
-        z = RECENCY_SLOPE * gap - ENGAGEMENT_SLOPE * engagement - FOLLOWUP_RELIEF * recent_fu + tq
-        hazard_z = dict(zip(days.tolist(), z.tolist()))
-
-    return _Trajectory(
-        student_id=sid,
-        teacher_id=tid,
-        events=events,
-        hazard_z=hazard_z,
-        uniform=rng.random(),
-    )
+    risk_day = session_days[0] + 1  # there is a first class: see MIN_SPAN_DAYS
+    days = np.arange(risk_day, end + 1)
+    sessions = np.array(session_days)
+    # follow-ups were added in day order, so this is sorted
+    fu_days = np.array([d for d, o in events.items() if o.kind == "follow_up"], dtype=np.intp)
+    gap = days - sessions[np.searchsorted(sessions, days) - 1]
+    recent_fu = np.searchsorted(fu_days, days) - np.searchsorted(fu_days, days - 7)
+    z = RECENCY_SLOPE * gap - ENGAGEMENT_SLOPE * engagement - FOLLOWUP_RELIEF * recent_fu + tq
+    return _Trajectory(student_id=sid, teacher_id=tid, events=events,
+                       risk_day=risk_day, hazard_z=z, uniform=rng.random())
 
 
 def _freeze(values: list[float]) -> np.ndarray:
@@ -256,52 +251,50 @@ def _plant_decline(
 def _dropout_day(traj: _Trajectory, alpha: float) -> int | None:
     """First day the cumulative dropout probability crosses the student's uniform."""
     survival = 1.0
-    for d in sorted(traj.hazard_z):
-        survival *= 1.0 - _sigmoid(alpha + traj.hazard_z[d])
+    for d, z in enumerate(traj.hazard_z.tolist(), traj.risk_day):
+        survival *= 1.0 - _sigmoid(alpha + z)
         if 1.0 - survival >= traj.uniform:
             return d
     return None
 
 
 class _HazardTable:
-    """Every at-risk trajectory's hazard logits, laid out once in day order.
+    """A cohort's hazard logits, laid out once: one day-ordered segment per
+    student, in cohort order.
 
-    `count(alpha)` equals `sum(_dropout_day(t, alpha) is not None)`. Survival
-    never rises when multiplied by a factor in [0, 1], so `_dropout_day` crosses
-    the uniform on some day exactly when it crosses on the last one; only the
-    final survival matters. A student with no hazard days never drops out and
-    is left out, so every segment of `z` is non-empty.
+    `drops(alpha)[i]` equals `_dropout_day(trajectories[i], alpha) is not None`.
+    Survival never rises when multiplied by a factor in [0, 1], so
+    `_dropout_day` crosses the uniform on some day exactly when it crosses on
+    the last one; only the final survival matters. Every student has a hazard
+    day (`MIN_SPAN_DAYS`), so no segment is empty.
     """
 
     def __init__(self, trajectories: list[_Trajectory]):
-        self.trajectories = [t for t in trajectories if t.hazard_z]
-        lengths = [len(t.hazard_z) for t in self.trajectories]
+        self.trajectories = trajectories
+        lengths = [len(t.hazard_z) for t in trajectories]
         self.starts = np.cumsum([0, *lengths], dtype=np.intp)[:-1]
-        self.z = np.fromiter(
-            (z for t in self.trajectories for _, z in sorted(t.hazard_z.items())),
-            dtype=np.float64, count=sum(lengths),
-        )
-        self.uniform = np.array([t.uniform for t in self.trajectories], dtype=np.float64)
+        self.z = np.concatenate([t.hazard_z for t in trajectories])
+        self.uniform = np.array([t.uniform for t in trajectories], dtype=np.float64)
 
-    def count(self, alpha: float) -> int:
+    def drops(self, alpha: float) -> np.ndarray:
+        """Whether each student drops out at intercept `alpha`."""
         with np.errstate(under="ignore"):  # survival may underflow to 0 at large alpha
             factors = 1.0 - 1.0 / (1.0 + np.exp(-(alpha + self.z)))
             survival = np.multiply.reduceat(factors, self.starts)
         margin = (1.0 - survival) - self.uniform
-        n = int(np.count_nonzero(margin >= SURVIVAL_GUARD_BAND))
+        drops = margin >= SURVIVAL_GUARD_BAND
         for i in np.flatnonzero(np.abs(margin) < SURVIVAL_GUARD_BAND):
-            n += _dropout_day(self.trajectories[i], alpha) is not None
-        return n
+            drops[i] = _dropout_day(self.trajectories[i], alpha) is not None
+        return drops
 
 
-def _calibrate_alpha(trajectories: list[_Trajectory], cfg: SimConfig) -> float:
-    """Bisect the hazard intercept until the realized rate hits the target."""
+def _calibrate_alpha(table: _HazardTable, cfg: SimConfig) -> tuple[float, np.ndarray]:
+    """Bisect the hazard intercept until the realized rate hits the target;
+    return it and whether each student drops out at it."""
     target = cfg.target_dropout_rate
-    n = len(trajectories)
-    table = _HazardTable(trajectories)
 
     def rate(alpha: float) -> float:
-        return table.count(alpha) / n
+        return float(table.drops(alpha).mean())
 
     lo, hi = -20.0, 5.0
     if rate(lo) > target or rate(hi) < target:
@@ -315,14 +308,13 @@ def _calibrate_alpha(trajectories: list[_Trajectory], cfg: SimConfig) -> float:
             lo = mid
         else:
             hi = mid
-    alpha = hi
-    realized = rate(alpha)
-    if abs(realized - target) > CALIBRATION_TOL:
+    drops = table.drops(hi)
+    if abs(drops.mean() - target) > CALIBRATION_TOL:
         raise CalibrationError(
-            f"calibration failed: realized rate {realized:.4f} vs target {target:.4f} "
+            f"calibration failed: realized rate {drops.mean():.4f} vs target {target:.4f} "
             f"(tolerance {CALIBRATION_TOL}); hazard steps may be too coarse"
         )
-    return alpha
+    return hi, drops
 
 
 def _plan_cohort(cfg: SimConfig) -> list[_Trajectory]:
@@ -334,12 +326,12 @@ def _plan_cohort(cfg: SimConfig) -> list[_Trajectory]:
 def generate_cohort(cfg: SimConfig) -> Cohort:
     """Simulate the cohort."""
     trajectories = _plan_cohort(cfg)
-    alpha = _calibrate_alpha(trajectories, cfg)
+    alpha, drops = _calibrate_alpha(_HazardTable(trajectories), cfg)
 
     students: dict[str, StudentRecord] = {}
     for idx, traj in enumerate(trajectories):
-        dd = _dropout_day(traj, alpha)
-        if dd is not None:
+        if drops[idx]:
+            dd = _dropout_day(traj, alpha)
             kept = {d: o for d, o in traj.events.items() if d < dd}
             _plant_decline(
                 kept, dd, traj.teacher_id,

@@ -276,6 +276,15 @@ def edit_feature_space(edit):
     return apply
 
 
+def edit_model_config(**changes):
+    """`train` wrote 10 trees of depth 2 (FAST); the edited config disowns them."""
+    def apply(model):
+        raw = json.loads((model / "model.json").read_text())
+        raw["config"].update(changes)
+        (model / "model.json").write_text(json.dumps(raw))
+    return apply
+
+
 def widen_pca(space):
     """A PCA of five in-class columns, one more than the schema declares."""
     space["pca"]["mean"].append(0.0)
@@ -288,6 +297,8 @@ def widen_pca(space):
     (lambda model: (model / "model.json").write_text("{not json"), EXIT_MODEL),
     (lambda model: (model / "model.json").write_text("[" * 100_000), EXIT_MODEL),
     (lambda model: (model / "model.json").write_bytes(b'{"format_version": "\xff"}'), EXIT_MODEL),
+    (edit_model_config(n_trees=5), EXIT_MODEL),
+    (edit_model_config(max_depth=1), EXIT_MODEL),
     (edit_feature_space(lambda space: space.update(format_version=2)), EXIT_MODEL),
     (edit_feature_space(lambda space: space["pca"].pop("mean")), EXIT_MODEL),
     (edit_feature_space(lambda space: space["pca"]["components"][0].pop()), EXIT_MODEL),
@@ -298,6 +309,7 @@ def widen_pca(space):
     (edit_feature_space(lambda space: space.update(blocks=["in", "time"])), EXIT_DATA),
     (edit_feature_space(widen_pca), EXIT_DATA),
 ], ids=["missing-dir", "model-not-json", "model-deeply-nested", "model-not-utf8",
+        "model-more-trees-than-config", "model-deeper-than-config",
         "space-wrong-version", "space-missing-key", "space-ragged-components",
         "space-nan-mean", "space-inf-component", "space-blocks-disagree",
         "inclass-width-differs"])
@@ -353,19 +365,26 @@ def test_sweep_report_json_is_pinned(sim_dir, tmp_path):
     )
 
 
-@pytest.mark.parametrize("split, report_sha256, recall_keys", [
-    ([], "8c9349cdeab28ab99e99f0ef0df3774938cbda674db1dad1c11d85109b2dd1e0",
+@pytest.mark.parametrize("split, report_sha256, without_positives_sha256, recall_keys", [
+    ([], "dd4033c38b0d4dec1c064c002e326810e92e0caa4d94875e12164af51d78b6e6",
+     "8c9349cdeab28ab99e99f0ef0df3774938cbda674db1dad1c11d85109b2dd1e0",
      {"pooled@0.3", "daily_mean@0.3"}),
     (["--train-fraction", "0.97"],  # no dropout among the test students
+     "bbc56f79175ba2b5157f23e02c5e66d5225a853d243b33c98f9b75e8bd96a940",
      "6f58aa3a6d102cc9141d13d39ff30a07b2016a272af9e82fe47c70e75f6aefb5", set()),
 ], ids=["recall-defined", "recall-undefined"])
-def test_evaluate_report_json_is_pinned(sim_dir, tmp_path, split, report_sha256, recall_keys):
-    """The sha256 values date from the commit before `daily_flagging` returned
-    the report's recall entries; undefined recall leaves `recall_at_fraction` empty."""
+def test_evaluate_report_json_is_pinned(sim_dir, tmp_path, split, report_sha256,
+                                        without_positives_sha256, recall_keys):
+    """Without `n_positive_by_horizon`, the report hashes as it did at the commit
+    before `daily_flagging` returned the report's recall entries; undefined
+    recall leaves `recall_at_fraction` empty."""
     assert main(["evaluate", *io_args(sim_dir, tmp_path), *FAST, *split]) == EXIT_OK
     report = json.loads((tmp_path / "report.json").read_text())
     assert set(report["recall_at_fraction"]) == recall_keys
     assert sha256(tmp_path / "report.json") == report_sha256
+    del report["n_positive_by_horizon"]
+    old_keys = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    assert hashlib.sha256(old_keys.encode()).hexdigest() == without_positives_sha256
 
 
 def test_sweep_repeated_value_trains_once_per_seed(sim_dir, tmp_path):

@@ -108,6 +108,21 @@ def test_horizon_labels_equal_per_point_definition():
     assert 0 < labels.sum() < labels.size
 
 
+def test_evaluate_horizons_counts_each_horizons_positives():
+    """`n_positive_by_horizon` is `horizon_label` summed over the query points."""
+    cohort = generate_cohort(SimConfig(n_students=60, seed=5))
+    points = query_points(cohort)
+    deltas = list(range(1, 15))
+    report = evaluate_horizons(BatchScorer(lambda s, d: 0.5), cohort, deltas)
+    assert report.n_positive_by_horizon == {
+        delta: sum(horizon_label(s, d, delta) for s, d in points) for delta in deltas
+    }
+    assert 0 < report.n_positive_by_horizon[1] < report.n_positive_by_horizon[14]
+    assert report.to_dict()["n_positive_by_horizon"] == {
+        str(delta): n for delta, n in report.n_positive_by_horizon.items()
+    }
+
+
 def test_evaluate_horizons_auc_equals_auc_of_each_label_set():
     """One shared ranking gives each delta the bits `auc` gives on its own."""
     cohort = generate_cohort(SimConfig(n_students=60, seed=5))

@@ -438,9 +438,10 @@ def test_raw_scores_match_node_walk_oracle(seed, n_trees):
         for _ in range(40):
             trees[1] = TreeNode(feature=int(rng.integers(d)), threshold=float(rng.normal()),
                                 left=TreeNode(value=float(rng.normal())), right=trees[1])
+    depth = max([1, *map(tree_depth, trees)])  # the chain's, with 40 or more
     fitted = GBDTModel(float(rng.normal()), trees, tuple(f"f{i}" for i in range(d)),
-                       GBDTConfig(n_trees=n_trees, max_depth=2))
-    # From JSON, as a model file deeper than its config's max_depth.
+                       GBDTConfig(n_trees=n_trees, max_depth=depth))
+    # From JSON, so the deep chain also goes through the loader.
     model = GBDTModel.from_json(fitted.to_json())
     chunk = gbdt._PREDICT_CELLS // max(n_trees, 1)
     for n in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
@@ -616,6 +617,27 @@ def test_from_json_rejects_malformed_trees(mutate):
     mutate(raw)
     with pytest.raises(ModelError):
         GBDTModel.from_json(json.dumps(raw))
+
+
+def test_from_json_refuses_a_model_that_contradicts_its_config():
+    """A file may hold fewer trees than its config's n_trees (a partial
+    model, criterion 3), and trees up to max_depth deep; more is refused."""
+    X, y, w = random_fixture(3)
+    model = gbdt.fit(X, y, w, GBDTConfig(n_trees=40, max_depth=3))
+    assert len(model.trees) == 40 and max(map(tree_depth, model.trees)) == 3
+
+    def with_config(trees, n_trees, max_depth):
+        return GBDTModel(model.base_score, trees, model.feature_names,
+                         GBDTConfig(n_trees, max_depth)).to_json()
+
+    for text in (model.to_json(), with_config(model.trees[:5], 40, 3),
+                 with_config(model.trees, 41, 4)):
+        assert GBDTModel.from_json(text).to_json() == text
+    for n_trees, max_depth, message in ((39, 3, "40 trees, more than n_trees 39"),
+                                        (40, 2, "deeper than the config's max_depth"),
+                                        (5, 1, "40 trees, more than n_trees 5")):
+        with pytest.raises(ModelError, match=message):
+            GBDTModel.from_json(with_config(model.trees, n_trees, max_depth))
 
 
 def test_from_json_rejects_truncated_text():

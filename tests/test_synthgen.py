@@ -7,13 +7,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from atrisk import synthgen
 from atrisk.errors import CalibrationError, ValidationError
 from atrisk.events import cohort_stats, ingest
 from atrisk.synthgen import (
+    CLASS_GAP_DAYS,
     INCLASS_COLUMNS,
     MAX_MEAN_SPAN_DAYS,
     MIN_SPAN_DAYS,
+    N_TEACHERS,
     OUTCLASS_COLUMNS,
+    SKIP_GAP_DAYS,
     SimConfig,
     _calibrate_alpha,
     _dropout_day,
@@ -52,14 +56,37 @@ def test_dropout_days_match_the_plan(cohort):
     """Each student drops out on the day its planned hazard draw crosses its
     uniform, at the calibrated intercept, and a completer's never crosses."""
     planned = _plan_cohort(COHORT_CONFIG)
-    alpha = _calibrate_alpha(planned, COHORT_CONFIG)
+    alpha, drops = _calibrate_alpha(_HazardTable(planned), COHORT_CONFIG)
     assert [t.student_id for t in planned] == list(cohort.students)
-    for traj in planned:
+    for traj, drop in zip(planned, drops.tolist(), strict=True):
         student = cohort.students[traj.student_id]
-        if student.final_status == "dropout":
-            assert _dropout_day(traj, alpha) == student.last_day
-        else:
-            assert _dropout_day(traj, alpha) is None
+        assert drop == (student.final_status == "dropout")
+        assert _dropout_day(traj, alpha) == (student.last_day if drop else None)
+
+
+def test_generate_cohort_walks_the_hazard_days_of_dropouts_only(monkeypatch):
+    """After calibration, only the students the table marks walk their hazard
+    days; the scalar walks inside `drops` are its guard-band decisions."""
+    walked, in_table = [], []
+    table_drops = _HazardTable.drops
+
+    def drops(table, alpha):
+        in_table.append(alpha)
+        try:
+            return table_drops(table, alpha)
+        finally:
+            in_table.pop()
+
+    def dropout_day(traj, alpha):
+        if not in_table:
+            walked.append(traj.student_id)
+        return _dropout_day(traj, alpha)
+
+    monkeypatch.setattr(_HazardTable, "drops", drops)
+    monkeypatch.setattr(synthgen, "_dropout_day", dropout_day)
+    cohort = generate_cohort(SimConfig(n_students=400, seed=0))
+    assert walked == [s.student_id for s in cohort if s.final_status == "dropout"]
+    assert len(walked) == 65
 
 
 def test_generation_is_deterministic(tmp_path):
@@ -167,36 +194,62 @@ def test_generated_bytes_are_pinned(tmp_path, cfg):
     assert digests == GOLDEN_SHA256[cfg]
 
 
-def scalar_count(trajectories, alpha):
-    return sum(_dropout_day(t, alpha) is not None for t in trajectories)
-
-
 def final_survival(traj, alpha):
     """The scalar loop's survival after every hazard day, in its arithmetic."""
     survival = 1.0
-    for d in sorted(traj.hazard_z):
-        survival *= 1.0 - 1.0 / (1.0 + math.exp(-(alpha + traj.hazard_z[d])))
+    for z in traj.hazard_z.tolist():
+        survival *= 1.0 - 1.0 / (1.0 + math.exp(-(alpha + z)))
     return survival
 
 
 @pytest.mark.parametrize("seed", [0, 3, 8])
 def test_vectorised_dropout_count_equals_scalar_count(seed):
+    """The table decides each student as the scalar loop does, so it also
+    counts the dropouts the scalar loop counts."""
     cfg = SimConfig(n_students=80, seed=seed)
     planned = _plan_cohort(cfg)
-    alpha = _calibrate_alpha(planned, cfg)
-    # No hazard days: never a dropout, even with uniform 0.
-    silent = replace(planned[5], hazard_z={}, uniform=0.0)
+    alpha, _ = _calibrate_alpha(_HazardTable(planned), cfg)
     # A uniform exactly at the final cumulative dropout probability: margin 0,
     # so the scalar fallback decides it (a dropout, since the test is >=).
     at_risk = next(t for t in planned if 0.0 < final_survival(t, alpha) < 1.0)
     edge = replace(at_risk, uniform=1.0 - final_survival(at_risk, alpha))
     assert _dropout_day(edge, alpha) is not None
-    trajectories = [*planned[:5], silent, edge, *planned[5:], silent]
+    trajectories = [*planned[:5], edge, *planned[5:]]
     table = _HazardTable(trajectories)
     for a in (-20.0, -10.0, -8.0, np.nextafter(alpha, -np.inf), alpha,
               np.nextafter(alpha, np.inf), -5.0, 0.0, 5.0):
-        assert table.count(a) == scalar_count(trajectories, a), a
-    assert _HazardTable([silent, silent]).count(5.0) == 0
+        scalar = [_dropout_day(t, a) is not None for t in trajectories]
+        assert table.drops(a).tolist() == scalar, a
+
+
+def test_no_gap_before_a_first_class_reaches_the_shortest_span():
+    """The first class comes at most a class gap plus a skip after the start,
+    which is inside every span; so every student has a class to follow."""
+    assert CLASS_GAP_DAYS[1] + SKIP_GAP_DAYS[1] < MIN_SPAN_DAYS
+
+
+def planned_span(cfg, idx):
+    """Student `idx`'s first day and span end, replayed from its first draws."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, idx]))
+    rng.standard_normal(), rng.integers(0, N_TEACHERS)
+    start = int(rng.integers(1, 41))
+    mean = cfg.mean_span_days
+    span = int(min(max(rng.normal(mean, mean * 0.25), MIN_SPAN_DAYS), 2 * mean))
+    return start, start + span
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_hazard_days_run_from_the_first_class_to_the_span_end(seed):
+    """At the shortest spans, every planned student has hazard days: from the
+    day after its first class to the last day of its span."""
+    cfg = SimConfig(n_students=200, seed=seed, mean_span_days=MIN_SPAN_DAYS)
+    for idx, traj in enumerate(_plan_cohort(cfg)):
+        start, end = planned_span(cfg, idx)
+        assert min(traj.events) == start
+        first_class = min(d for d, o in traj.events.items() if o.kind == "class_session")
+        assert traj.risk_day == first_class + 1
+        assert traj.hazard_z.dtype == np.float64 and traj.hazard_z.size > 0
+        assert traj.risk_day + traj.hazard_z.size - 1 == end
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
