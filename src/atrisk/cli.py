@@ -25,7 +25,7 @@ from pathlib import Path
 from . import features, labeling, pipeline, synthgen
 from .augmentation import WEIGHTINGS, AugmentationConfig
 from .errors import DataError, EmptyInputError, ModelError, ValidationError, check_seed
-from .events import cohort_stats, ingest
+from .events import ingest
 from .evaluation import (
     TOP_FRACTION, check_deltas, check_top_fraction, check_train_fraction, daily_flagging,
     evaluate_horizons, rank_active, split_students,
@@ -125,12 +125,10 @@ def cmd_simulate(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], d
     )
     cohort = synthgen.generate_cohort(cfg)
     paths = synthgen.write_cohort(out_dir, cohort)
-    stats = cohort_stats(cohort)
-    print(
-        f"simulated {stats.n_students} students, dropout rate "
-        f"{stats.dropout_rate:.4f}, mean span {stats.mean_span_days:.1f} days, "
-        f"{stats.total_pairs} pairs"
-    )
+    n_dropout = sum(s.final_status == "dropout" for s in cohort)
+    mean_span = sum(s.last_day - s.first_day for s in cohort) / len(cohort)
+    print(f"simulated {len(cohort)} students, dropout rate {n_dropout / len(cohort):.4f}, "
+          f"mean span {mean_span:.1f} days, {sum(len(s.observations) for s in cohort)} pairs")
     return sorted(paths.values()), {}
 
 
@@ -159,7 +157,7 @@ def cmd_train(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], dict
     print(f"trained gbdt on {counts['original_positive']} positives, "
           f"{counts['pseudo_positive']} pseudo positives, {counts['original_negative']} negatives")
     return [*trained.scorer.save(out_dir), pairs_path], {
-        "n_pseudo_pairs": trained.n_pseudo_pairs, "config_fingerprint": config.fingerprint(),
+        "config_fingerprint": config.fingerprint(),
         "pairs_by_provenance": {**counts, "drawn": trained.n_drawn},
         "train_loss_curve": trained.model.train_loss_curve}
 
@@ -203,9 +201,10 @@ def cmd_evaluate(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], d
 
 
 def cmd_sweep(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], dict]:
-    arms = {  # a repeated flag value names the same arm, which trains once per seed
-        f"lookback={'none' if lb is None else lb},weighting={wt},blocks={fs}":
-            _arm_config(args, lb, wt, fs)
+    arms = {  # a repeated flag value, or any weighting without augmentation, names
+        # the same arm, which trains once per seed
+        ("lookback=none," if lb is None else f"lookback={lb},weighting={wt},")
+        + f"blocks={fs}": _arm_config(args, lb, wt, fs)
         for lb in args.lookbacks for wt in args.weightings for fs in args.feature_sets
     }
     check_deltas(args.deltas)  # refuse a bad horizon, fraction or seed before reading input

@@ -11,7 +11,7 @@ a call's points in fixed-size batches.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -64,19 +64,12 @@ class EvalReport:
     recall_at_fraction: dict[str, float] = field(default_factory=dict)
     config_fingerprint: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "auc_by_horizon": {str(k): v for k, v in self.auc_by_horizon.items()},
-            "n_queries_by_horizon": {str(k): v for k, v in self.n_queries_by_horizon.items()},
-            "n_positive_by_horizon": {str(k): v for k, v in self.n_positive_by_horizon.items()},
-            "recall_at_fraction": self.recall_at_fraction,
-            "config_fingerprint": self.config_fingerprint,
-        }
-
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
-        )
+        """Write the report as sorted JSON. Horizon keys become strings first, so
+        they sort as text ("1", "10", "11", ...), not by number as int keys do."""
+        report = {name: {str(k): v for k, v in value.items()} if isinstance(value, dict)
+                  else value for name, value in asdict(self).items()}
+        Path(path).write_text(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def query_points(cohort: Cohort) -> list[tuple[StudentRecord, int]]:

@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import EmptyInputError, ParseError, SchemaError, ValidationError
+from .errors import ParseError, SchemaError, ValidationError
 
 EVENT_KINDS = frozenset(
     {"class_session", "follow_up", "reschedule", "purchase_event", "dropout_event"}
@@ -118,15 +118,6 @@ class Cohort:
 
     def subset(self, student_ids: Iterable[str]) -> "Cohort":
         return Cohort({sid: self.students[sid] for sid in student_ids}, self.schema)
-
-
-@dataclass(frozen=True)
-class CohortSummary:
-    n_students: int
-    n_dropout: int
-    dropout_rate: float
-    mean_span_days: float
-    total_pairs: int
 
 
 def _is_int(value) -> bool:
@@ -308,20 +299,3 @@ def write_events(cohort: Cohort, events_path: str | Path) -> None:
             for obs in student.observations:
                 fh.write(encode(_obs_to_record(sid, student, obs)))
                 fh.write("\n")
-
-
-def cohort_stats(cohort: Cohort) -> CohortSummary:
-    """Dataset descriptors: counts, dropout rate, mean span, total pairs."""
-    if len(cohort) == 0:
-        raise EmptyInputError("cohort has no students")
-    n = len(cohort)
-    n_drop = sum(1 for s in cohort if s.final_status == "dropout")
-    spans = [s.last_day - s.first_day for s in cohort]
-    total_pairs = sum(len(s.observations) for s in cohort)
-    return CohortSummary(
-        n_students=n,
-        n_dropout=n_drop,
-        dropout_rate=n_drop / n,
-        mean_span_days=float(np.mean(spans)),
-        total_pairs=total_pairs,
-    )

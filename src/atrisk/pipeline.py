@@ -46,11 +46,13 @@ class PipelineConfig:
         F.check_blocks(self.blocks)
 
     def fingerprint(self) -> str:
+        """A hash of what the config trains; without augmentation the weighting is unused."""
+        lookback = self.augmentation.lookback_days
         raw = json.dumps(
             {
                 "blocks": list(self.blocks),
-                "aug_lookback": self.augmentation.lookback_days,
-                "weighting": self.augmentation.weighting,
+                "aug_lookback": lookback,
+                "weighting": None if lookback is None else self.augmentation.weighting,
                 "target_positive_fraction": self.sampler.target_positive_fraction,
                 "sampler_seed": self.sampler.seed,
                 "gbdt": asdict(self.gbdt),

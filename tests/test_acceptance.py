@@ -249,10 +249,29 @@ def overall_mean(sweep, key):
 
 
 def per_seed_means(sweep, key):
+    """Each seed's mean AUC over the horizons where it is defined, as the sweep
+    averages the defined seeds of a horizon; a seed with none fails, named."""
     cells = sweep["report"]["cells"][key]
-    return np.array(
-        [np.mean([cells[str(d)]["per_seed"][s] for d in DELTAS]) for s in range(N_SEEDS)]
-    )
+    means = []
+    for i, seed in enumerate(sweep["report"]["seeds"]):
+        defined = [a for d in DELTAS if (a := cells[str(d)]["per_seed"][i]) is not None]
+        assert defined, f"arm {key}: seed {seed} has no defined AUC at any horizon"
+        means.append(np.mean(defined))
+    return np.array(means)
+
+
+def test_per_seed_means_skips_undefined_aucs():
+    """A split whose test students have no positive at some horizon has an
+    undefined (None) AUC there; it must not count, or crash the mean."""
+    def sweep(seeds, per_seed):
+        cells = {str(d): {"per_seed": per_seed(d)} for d in DELTAS}
+        return {"report": {"seeds": seeds, "cells": {"conv": cells}}}
+
+    means = per_seed_means(sweep([3, 5], lambda d: [0.5, None] if d == 1 else [0.5, 0.7]),
+                           "conv")
+    assert means.tolist() == pytest.approx([0.5, 0.7])
+    with pytest.raises(AssertionError, match="seed 17 has no defined AUC"):
+        per_seed_means(sweep([3, 17], lambda d: [0.5, None]), "conv")
 
 
 @pytest.mark.slow

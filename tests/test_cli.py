@@ -14,6 +14,7 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -71,6 +72,20 @@ def test_simulate_writes_files_and_manifest(sim_dir):
         assert sha256(sim_dir / path.rsplit("/", 1)[-1]) == digest
 
 
+def test_simulate_prints_the_written_cohorts_stats(tmp_path, capsys):
+    assert main(["simulate", "--n-students", "60", "--seed", "2",
+                 "--out-dir", str(tmp_path)]) == EXIT_OK
+    cohort = ingest(tmp_path / "events.jsonl", tmp_path / "schema.json")
+    statuses = [s.final_status for s in cohort]
+    spans = [s.last_day - s.first_day for s in cohort]
+    assert capsys.readouterr().out == (
+        f"simulated {len(cohort)} students, dropout rate "
+        f"{statuses.count('dropout') / len(cohort):.4f}, mean span {np.mean(spans):.1f} days, "
+        f"{sum(len(s.observations) for s in cohort)} pairs\n"
+    )
+    assert len(cohort) == 60 and 0 < statuses.count("dropout") < 60
+
+
 def test_train_writes_model_pairs_manifest(sim_dir, tmp_path):
     assert main(["train", *io_args(sim_dir, tmp_path), *FAST]) == EXIT_OK
     model = json.loads((tmp_path / "model.json").read_text())
@@ -78,7 +93,7 @@ def test_train_writes_model_pairs_manifest(sim_dir, tmp_path):
     assert len(model["trees"]) == 10
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["subcommand"] == "train"
-    assert manifest["n_pseudo_pairs"] > 0
+    assert "n_pseudo_pairs" not in manifest  # pairs_by_provenance counts them
     assert str(sim_dir / "events.jsonl") in manifest["inputs"]
     for path, digest in manifest["outputs"].items():
         assert hashlib.sha256(open(path, "rb").read()).hexdigest() == digest
@@ -90,7 +105,6 @@ def test_train_writes_model_pairs_manifest(sim_dir, tmp_path):
     by_provenance = manifest["pairs_by_provenance"]
     assert by_provenance == {**Counter(r["provenance"] for r in rows),
                              "drawn": by_provenance["drawn"]}
-    assert by_provenance["pseudo_positive"] == manifest["n_pseudo_pairs"]
     # over-sampling draws positives up to 30% of the training rows
     assert by_provenance["drawn"] == round(0.3 * by_provenance["original_negative"] / 0.7)
     curve = manifest["train_loss_curve"]
@@ -344,10 +358,12 @@ def test_sweep_writes_reports(sim_dir, tmp_path):
 
 
 def test_sweep_report_json_is_pinned(sim_dir, tmp_path):
-    """Without `recall_at_fraction`, the report hashes as it did under the sweep
-    engine this one replaced (SweepCell and SweepReport in atrisk.evaluation),
-    at the commit before that change; the full file's hash dates from the
-    commit that added the recall."""
+    """The no-augmentation arm is named without a weighting and trains once: the
+    report is the one of the commit before that change (full file cdede103...,
+    without `recall_at_fraction` 9ba28b56...) with the
+    `lookback=none,weighting=linear,` entries dropped and
+    `lookback=none,weighting=convex,` renamed to `lookback=none,` in `cells` and
+    `recall_at_fraction`, re-serialised with sorted keys."""
     code = main(
         ["sweep", *io_args(sim_dir, tmp_path), "--lookbacks", "none,7",
          "--weightings", "convex,linear", "--feature-sets", "in,in+out+time",
@@ -355,13 +371,13 @@ def test_sweep_report_json_is_pinned(sim_dir, tmp_path):
     )
     assert code == EXIT_OK
     assert sha256(tmp_path / "report.json") == (
-        "cdede10373eae5ba23007852e1a10349f6fdf6cb2ca8a2d4a453196f9e749377"
+        "22d346bd057b9e55341012238bb4607b77e4c8d33158032422d7dc0b9b5c0433"
     )
     report = json.loads((tmp_path / "report.json").read_text())
     del report["recall_at_fraction"]
     aucs_only = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
     assert hashlib.sha256(aucs_only.encode()).hexdigest() == (
-        "9ba28b56eea9005900b76fd079037584a2dd5c11db1ef9e89783f81338e60a3f"
+        "0decf70b9b9b9d076b0426fe57a834787bf60b646f144f1fd95d44ce9fc2eebe"
     )
 
 
@@ -398,6 +414,27 @@ def test_sweep_repeated_value_trains_once_per_seed(sim_dir, tmp_path):
     assert report["deltas"] == [7]
     (cell,) = report["cells"].values()
     assert len(cell["7"]["per_seed"]) == 2
+
+
+def test_sweep_trains_one_no_augmentation_arm_per_seed(sim_dir, tmp_path, monkeypatch):
+    """Without augmentation the weighting is unused: one arm, one training per seed."""
+    trainings = []
+    real_train = pipeline.train
+
+    def counted_train(*args, **kwargs):
+        trainings.append(1)
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train", counted_train)
+    code = main(
+        ["sweep", *io_args(sim_dir, tmp_path), "--lookbacks", "none",
+         "--weightings", "convex,linear,concave", "--seeds", "0,1", "--deltas", "7",
+         "--n-trees", "5", "--max-depth", "2"]
+    )
+    assert code == EXIT_OK
+    assert len(trainings) == 2
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert list(report["cells"]) == ["lookback=none,blocks=in+out+time"]
 
 
 SUBCOMMAND_ARGV = {

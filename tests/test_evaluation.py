@@ -108,8 +108,9 @@ def test_horizon_labels_equal_per_point_definition():
     assert 0 < labels.sum() < labels.size
 
 
-def test_evaluate_horizons_counts_each_horizons_positives():
-    """`n_positive_by_horizon` is `horizon_label` summed over the query points."""
+def test_evaluate_horizons_counts_each_horizons_positives(tmp_path):
+    """`n_positive_by_horizon` is `horizon_label` summed over the query points,
+    and the saved report keys it by each horizon's string."""
     cohort = generate_cohort(SimConfig(n_students=60, seed=5))
     points = query_points(cohort)
     deltas = list(range(1, 15))
@@ -118,7 +119,9 @@ def test_evaluate_horizons_counts_each_horizons_positives():
         delta: sum(horizon_label(s, d, delta) for s, d in points) for delta in deltas
     }
     assert 0 < report.n_positive_by_horizon[1] < report.n_positive_by_horizon[14]
-    assert report.to_dict()["n_positive_by_horizon"] == {
+    report.save(tmp_path / "report.json")
+    saved = json.loads((tmp_path / "report.json").read_text())
+    assert saved["n_positive_by_horizon"] == {
         str(delta): n for delta, n in report.n_positive_by_horizon.items()
     }
 

@@ -13,7 +13,6 @@ from atrisk.events import (
     EVENT_KINDS,
     ColumnSchema,
     _parse_vector,
-    cohort_stats,
     ingest,
     write_events,
 )
@@ -196,16 +195,6 @@ def test_round_trip_is_byte_stable(paths, tmp_path):
     write_events(cohort, p1)
     write_events(ingest(p1, paths[1]), p2)
     assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_cohort_stats(paths):
-    cohort = ingest(*paths)
-    stats = cohort_stats(cohort)
-    assert stats.n_students == 2
-    assert stats.n_dropout == 1
-    assert stats.dropout_rate == 0.5
-    assert stats.total_pairs == 5
-    assert stats.mean_span_days == pytest.approx((7 + 3) / 2)
 
 
 def test_subset_preserves_schema(small_cohort):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from atrisk import features as F, pipeline
-from atrisk.augmentation import AugmentationConfig
+from atrisk.augmentation import WEIGHTINGS, AugmentationConfig
 from atrisk.errors import InsufficientDataError, SchemaError, ValidationError
 from atrisk.events import Cohort
 from atrisk.evaluation import (
@@ -243,6 +243,10 @@ def test_fingerprint_tracks_config():
     b = PipelineConfig(augmentation=AugmentationConfig(weighting="linear"))
     assert a.fingerprint() == PipelineConfig().fingerprint()
     assert a.fingerprint() != b.fingerprint()
+    for lookback, distinct in ((None, 1), (7, len(WEIGHTINGS))):
+        fingerprints = {PipelineConfig(augmentation=AugmentationConfig(lookback, weighting))
+                        .fingerprint() for weighting in WEIGHTINGS}
+        assert len(fingerprints) == distinct  # without augmentation the weighting is unused
 
 
 def test_fingerprint_is_pinned():
@@ -379,18 +383,22 @@ def day_before_recall(scorer, cohort, days, fraction=0.3):
     return hits / total
 
 
-def test_online_flagging_detects_most_dropouts_the_day_before(tmp_path):
-    """The paper's online experiment: train on the log known at day 60, then
-    flag the top 30% of the active students every day for two months. The
-    paper detects more than 70% of dropouts; so must every cohort here, and
-    more than a seeded random ranking of the same days."""
-    window = range(61, 121)
+@pytest.mark.parametrize("start", [31, 60])
+def test_online_flagging_detects_most_dropouts_the_day_before(tmp_path, start):
+    """The paper's online experiment: train on the log known at day T, then
+    flag the top 30% of the active students every day for two months. Every
+    cohort must beat a seeded random ranking of the same days. The paper
+    detects more than 70% of dropouts; from T = 60 so must every cohort here,
+    but from T = 31 seed 4 catches 0.481 (mean 0.792 over the ten seeds)."""
+    window = range(start + 1, start + 61)
     for seed in range(10):
         full = generate_cohort(SimConfig(n_students=500, seed=seed))
-        known = train(cohort_known_at(full, 60),
+        known = train(cohort_known_at(full, start),
                       PipelineConfig(gbdt=GBDTConfig(n_trees=80, max_depth=2)))
         known.scorer.save(tmp_path)
         recall = day_before_recall(PipelineScorer.load(tmp_path, full), full, window)
         rng = np.random.default_rng(seed)
         chance = day_before_recall(BatchScorer(lambda s, d: rng.random()), full, window)
-        assert recall >= 0.70 and recall > chance, (seed, recall, chance)
+        assert recall > chance, (seed, recall, chance)
+        if start == 60:
+            assert recall >= 0.70, (seed, recall)
