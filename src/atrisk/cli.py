@@ -136,7 +136,7 @@ def cmd_featurize(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], 
     cohort = ingest(args.events, args.schema)
     space = pipeline.fit_feature_space(cohort, _parse_blocks(args.features))
     points = [(s, d) for s in cohort for d in s.days]
-    X = features.assemble(points, space)
+    X = features.assemble(points, space, features.build_teacher_history(cohort))
     out_path = out_dir / "features.csv"
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -189,7 +189,8 @@ def cmd_evaluate(args: argparse.Namespace, out_dir: Path) -> tuple[list[Path], d
     config = _pipeline_config(args)
     cohort = ingest(args.events, args.schema)
     train_cohort, test_cohort = split_students(cohort, args.train_fraction, args.seed)
-    scorer = pipeline.train(train_cohort, config).scorer  # one index for both reports
+    trained = pipeline.train(train_cohort, config)  # then scored as predict scores the log
+    scorer = pipeline.PipelineScorer(trained.model, trained.scorer.space, cohort)
     report = evaluate_horizons(scorer, test_cohort, args.deltas, config.fingerprint())
     report.recall_at_fraction = daily_flagging(scorer, test_cohort, args.top_fraction)
     report_path = out_dir / "report.json"

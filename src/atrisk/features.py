@@ -1,15 +1,15 @@
 """Feature assembly for batches of <student, timestamp> points.
 
 A FeatureSpace defines a feature row: its blocks, the PCA of the in-class
-vectors, the teacher history and the column schema, and from them the column
-`names`; `save` and `load` keep its blocks and PCA in feature_space.json.
-`assemble` turns a list of points, in any order and for any mix of students,
+vectors and the column schema, and from them the column `names`; `save` and
+`load` keep its blocks and PCA in feature_space.json. `assemble` turns a list
+of points, in any order and for any mix of students, and a teacher history
 into one matrix with a row per point and the columns of a space's `names`.
 Three blocks, concatenated in fixed order: the mean, last row and count of
 the in-class vectors (mean and last reduced to at most PCA_COMPONENTS
 principal components), the same of the out-of-class vectors, and time-variant
-features (counts and gaps over the LOOKBACK_DAYS windows plus teacher-history
-statistics).
+features (counts and gaps over the LOOKBACK_DAYS windows plus statistics of
+the given teacher history).
 Everything observed strictly after a point's day is invisible to its row.
 Histories differ in length from point to point; no point scans its own.
 Every aggregate is read off a TimelineIndex (per-kind day keys, vector rows
@@ -190,12 +190,11 @@ _WINDOW_COLUMNS = ("classes", "followups", "reschedules", "pos_followups", "neg_
 @dataclass(frozen=True, eq=False)
 class FeatureSpace:
     """What a feature row is made of: the blocks it holds, the PCA of the
-    in-class vectors, the teacher history and the column schema. `names`, its
-    columns, are fixed on construction."""
+    in-class vectors and the column schema. `names`, its columns, are fixed on
+    construction."""
 
     blocks: tuple[str, ...]
     pca: PCAModel
-    hist: TeacherHistoryIndex
     schema: ColumnSchema
     names: tuple[str, ...] = field(init=False, repr=False)
 
@@ -223,9 +222,8 @@ class FeatureSpace:
         path.write_text(json.dumps(raw, sort_keys=True, separators=(",", ":")) + "\n")
 
     @classmethod
-    def load(cls, path: Path, cohort: Cohort) -> FeatureSpace:
-        """The space `save` wrote to `path`, with teacher history rebuilt from
-        `cohort`: causal, since a history query counts only days before its own."""
+    def load(cls, path: Path, schema: ColumnSchema) -> FeatureSpace:
+        """The space `save` wrote to `path`, over the columns of `schema`."""
         try:
             raw = json.loads(path.read_bytes())
             if raw["format_version"] != SPACE_VERSION:
@@ -240,9 +238,9 @@ class FeatureSpace:
                 raise ValueError("non-finite PCA values")
         except (ValueError, TypeError, KeyError, RecursionError) as exc:
             raise ModelError(f"malformed feature_space.json ({exc})") from exc
-        if d != len(cohort.schema.inclass_columns):
+        if d != len(schema.inclass_columns):
             raise SchemaError(f"the model's in-class width {d} differs from the schema's")
-        return cls(blocks, pca, build_teacher_history(cohort), cohort.schema)
+        return cls(blocks, pca, schema)
 
 
 _VECTORS = ("inclass", "outclass")
@@ -398,13 +396,14 @@ def _time_block(out, col, index, slots, days, hist, teacher_ids) -> None:
 def assemble(
     points: list[tuple[StudentRecord, int]],
     space: FeatureSpace,
+    hist: TeacherHistoryIndex,
     index: TimelineIndex | None = None,
 ) -> np.ndarray:
     """Feature matrix with one row per <student, at_day> point and the columns
     of `space.names`.
 
-    Only observations with day <= at_day contribute to a row; teacher history
-    is queried strictly before at_day. Missing blocks encode as zeros plus an
+    Only observations with day <= at_day contribute to a row; `hist` is
+    queried strictly before at_day. Missing blocks encode as zeros plus an
     explicit count column, never NaN. Rows do not depend on the order or the
     company of their points, nor on what `index` (a fresh one by default)
     has indexed before.
@@ -425,8 +424,7 @@ def assemble(
                 out, col, index, slots, days, "outclass", len(space.schema.outclass_columns)
             )
         if "time" in space.blocks:
-            _time_block(out, col, index, slots, days, space.hist,
-                        [s.teacher_id for s, _ in points])
+            _time_block(out, col, index, slots, days, hist, [s.teacher_id for s, _ in points])
     if not np.all(np.isfinite(out)):
         raise ValidationError("feature matrix contains non-finite values")
     return out

@@ -1,10 +1,10 @@
 """End-to-end training: features -> pairs -> augmentation -> sampling -> GBDT.
 
-This is the glue the CLI subcommands share. A TrainedPipeline bundles the
-fitted model, one PipelineScorer holding the model and the FeatureSpace it
-was trained in (needed to score <student, day> points causally), the config,
-and the pair sets it was built from. `run_sweep` trains and evaluates a grid
-of configs.
+This is the glue the CLI subcommands share. A PipelineScorer scores the
+<student, day> points of a log with a model, its FeatureSpace and the teacher
+history of that log. A TrainedPipeline bundles the fitted model, a scorer of
+its training cohort, the config, and the pair sets it was built from.
+`run_sweep` trains and evaluates a grid of configs.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .evaluation import (
     TOP_FRACTION, check_deltas, daily_flagging, evaluate_horizons, split_students,
 )
 from .events import Cohort, StudentRecord
-from .features import FeatureSpace
 from .gbdt import GBDTConfig, GBDTModel
 from .labeling import PairSet
 from .trainer import SamplerConfig
@@ -63,14 +62,15 @@ class PipelineConfig:
 
 
 class PipelineScorer:
-    """Scores batches of (student, day) points with a model and the feature
-    space it was trained in; each record is indexed once, into the
-    TimelineIndex the scorer owns."""
+    """Scores (student, day) points with a model, its feature space and the
+    teacher history of `cohort`, which is causal: a query counts only days before
+    its own. Each record is indexed once, into the TimelineIndex the scorer owns."""
 
-    def __init__(self, model: GBDTModel, space: FeatureSpace):
+    def __init__(self, model: GBDTModel, space: F.FeatureSpace, cohort: Cohort):
         if space.names != tuple(model.feature_names):
             raise SchemaError("the model's feature columns differ from the featurizer's")
         self.model, self.space = model, space
+        self._hist = F.build_teacher_history(cohort)
         self._index = F.TimelineIndex()
 
     def many(self, points: list[tuple[StudentRecord, int]]) -> np.ndarray:
@@ -78,7 +78,7 @@ class PipelineScorer:
         for start in range(0, len(points), _SCORE_BATCH):
             batch = points[start : start + _SCORE_BATCH]
             scores[start : start + len(batch)] = self.model.predict_proba(
-                F.assemble(batch, self.space, self._index))
+                F.assemble(batch, self.space, self._hist, self._index))
         return scores
 
     def save(self, out_dir: Path) -> list[Path]:
@@ -90,16 +90,15 @@ class PipelineScorer:
 
     @classmethod
     def load(cls, model_dir: Path, cohort: Cohort) -> "PipelineScorer":
-        """The scorer `save` wrote to `model_dir`, in the feature space of `cohort`."""
-        model_path, space_path = (model_dir / name for name in MODEL_FILES)
-        model = GBDTModel.load(model_path)
-        return cls(model, FeatureSpace.load(space_path, cohort))
+        """The scorer `save` wrote to `model_dir`, bound to `cohort`."""
+        paths = [model_dir / name for name in MODEL_FILES]
+        return cls(GBDTModel.load(paths[0]), F.FeatureSpace.load(paths[1], cohort.schema), cohort)
 
 
 @dataclass
 class TrainedPipeline:
     model: GBDTModel
-    scorer: PipelineScorer  # one scorer, and so one timeline index, per trained pipeline
+    scorer: PipelineScorer  # bound to the training cohort; one per trained pipeline
     config: PipelineConfig
     pairs: dict[str, PairSet]  # original_positive, pseudo_positive, original_negative
     n_drawn: int  # positive draws over-sampling added to the negatives
@@ -109,15 +108,14 @@ class TrainedPipeline:
         return len(self.pairs["pseudo_positive"])
 
 
-def fit_feature_space(cohort: Cohort, blocks: tuple[str, ...]) -> FeatureSpace:
+def fit_feature_space(cohort: Cohort, blocks: tuple[str, ...]) -> F.FeatureSpace:
     """The feature space of `blocks` that a cohort defines: a PCA of its class
-    sessions' in-class vectors, in student-id order, and its teacher dropout history."""
+    sessions' in-class vectors, in student-id order, over its schema."""
     rows = [o.inclass_values for s in cohort for o in s.observations
             if o.inclass_values is not None]
     if len(rows) < 2:
         raise InsufficientDataError("cohort has fewer than 2 class sessions; cannot fit PCA")
-    return FeatureSpace(blocks, F.fit_pca(np.vstack(rows)), F.build_teacher_history(cohort),
-                        cohort.schema)
+    return F.FeatureSpace(blocks, F.fit_pca(np.vstack(rows)), cohort.schema)
 
 
 def train(cohort: Cohort, config: PipelineConfig) -> TrainedPipeline:
@@ -126,10 +124,11 @@ def train(cohort: Cohort, config: PipelineConfig) -> TrainedPipeline:
     positives, negatives = labeling.build_original_pairs(cohort)
     pseudo = augment(cohort, config.augmentation)
     data = trainer.oversample(positives, pseudo, negatives, config.sampler)
-    model = trainer.fit_gbdt(F.assemble(data.points, space), data, space.names, config.gbdt)
+    X = F.assemble(data.points, space, F.build_teacher_history(cohort))
+    model = trainer.fit_gbdt(X, data, space.names, config.gbdt)
     return TrainedPipeline(
         model=model,
-        scorer=PipelineScorer(model, space),
+        scorer=PipelineScorer(model, space, cohort),
         config=config,
         pairs={"original_positive": positives, "pseudo_positive": pseudo,
                "original_negative": negatives},
@@ -155,10 +154,11 @@ def run_sweep(
     """Train and evaluate every arm on shared per-seed splits: the sweep report.
 
     Each split's seed is also the arm's sampler seed, so arms differ only in
-    what they configure. The report summarises each arm's AUC per horizon
-    (`cells`) and its pooled recall of daily top-`TOP_FRACTION` flagging
-    (`recall_at_fraction`): every seed's value, None where undefined, and the
-    mean and std of the defined ones. Acceptance criteria 6 and 7 read it.
+    what they configure; a test split is scored as `predict` scores `cohort`.
+    The report summarises each arm's AUC per horizon (`cells`) and its pooled
+    recall of daily top-`TOP_FRACTION` flagging (`recall_at_fraction`): every
+    seed's value, None where undefined, and the mean and std of the defined
+    ones. Acceptance criteria 6 and 7 read it.
     """
     if not seeds:
         raise ValidationError("at least one seed required")
@@ -170,7 +170,8 @@ def run_sweep(
     for seed, (train_cohort, test_cohort) in zip(seeds, splits):
         for key, config in arms.items():
             config = replace(config, sampler=replace(config.sampler, seed=seed))
-            scorer = train(train_cohort, config).scorer
+            trained = train(train_cohort, config)
+            scorer = PipelineScorer(trained.model, trained.scorer.space, cohort)
             for d, value in evaluate_horizons(scorer, test_cohort, deltas).auc_by_horizon.items():
                 aucs[key][str(d)].append(value)
             recalls[key].append(daily_flagging(scorer, test_cohort).get(recall_key))

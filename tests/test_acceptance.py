@@ -15,7 +15,7 @@ from atrisk.augmentation import AugmentationConfig, augment
 from atrisk.cli import EXIT_OK, main as cli_main
 from atrisk.evaluation import auc, daily_flagging
 from atrisk.events import StudentRecord
-from atrisk.features import ALL_BLOCKS, assemble
+from atrisk.features import ALL_BLOCKS, assemble, build_teacher_history
 from atrisk.gbdt import GBDTConfig, GBDTModel, fit as gbdt_fit
 from atrisk.pipeline import PipelineConfig
 from atrisk.synthgen import SimConfig, generate_cohort
@@ -188,6 +188,7 @@ def test_criterion_5_causality_no_leakage(capsys):
     t0 = time.perf_counter()
     cohort = generate_cohort(SimConfig(n_students=80, seed=5))
     space = pipeline.fit_feature_space(cohort, ALL_BLOCKS)
+    hist = build_teacher_history(cohort)
     rng = np.random.default_rng(55)
     students = sorted(cohort.students)
     checked = 0
@@ -195,14 +196,14 @@ def test_criterion_5_causality_no_leakage(capsys):
     while checked < 100:
         s = cohort.students[students[int(rng.integers(len(students)))]]
         day = int(s.days[int(rng.integers(len(s.days)))])
-        full = assemble([(s, day)], space)
+        full = assemble([(s, day)], space, hist)
         truncated = StudentRecord(
             student_id=s.student_id,
             observations=tuple(o for o in s.observations if o.day <= day),
             final_status=s.final_status,
             teacher_id=s.teacher_id,
         )
-        trimmed = assemble([(truncated, day)], space)
+        trimmed = assemble([(truncated, day)], space, hist)
         all_identical &= full.tobytes() == trimmed.tobytes()
         checked += 1
     elapsed = time.perf_counter() - t0

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 import atrisk.cli
 from atrisk import pipeline
 from atrisk.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, main
-from atrisk.evaluation import rank_active
+from atrisk.evaluation import evaluate_horizons, query_points, rank_active, split_students
 from atrisk.events import ingest, write_events
 from atrisk.pipeline import PipelineScorer
 
@@ -243,6 +243,37 @@ def test_predict_on_log_known_at_day_flags_what_replay_flags(seed7_dir, tmp_path
     assert len(rows) == n_rows
     assert rows == [[sid, f"{score:.6f}", str(int(i < n_flag))]
                     for i, (sid, score) in enumerate(ranked)]
+
+
+def test_evaluate_scores_each_test_point_as_predict_does(tmp_path, monkeypatch):
+    """Every test-split query point gets from `evaluate`'s scorer the bytes that
+    `predict --at-day d` on the whole log gives its student at day d (a model
+    loaded against that log, ranked through `rank_active`). Trees of 40x3 on
+    this cohort split on the teacher columns, so teacher history from the
+    training split alone would score about 10% of the points otherwise."""
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--n-students", "200", "--seed", "3",
+                 "--out-dir", str(sim)]) == EXIT_OK
+    scorers = []
+
+    def capture(scorer, *args):
+        scorers.append(scorer)
+        return evaluate_horizons(scorer, *args)
+
+    monkeypatch.setattr(atrisk.cli, "evaluate_horizons", capture)
+    assert main(["evaluate", *io_args(sim, tmp_path / "eval"), "--n-trees", "40",
+                 "--max-depth", "3"]) == EXIT_OK
+    (scorer,) = scorers
+    full = ingest(sim / "events.jsonl", sim / "schema.json")
+    train_split, test_split = split_students(full, 0.8, 0)
+    scorer.save(tmp_path)
+    loaded = PipelineScorer.load(tmp_path, full)
+    points = query_points(test_split)
+    ranked = {d: dict(rank_active(loaded, full, d, 0.3)[0]) for d in {d for _, d in points}}
+    predicted = np.array([ranked[d][s.student_id] for s, d in points])
+    assert scorer.many(points).tobytes() == predicted.tobytes()
+    training_history = PipelineScorer(scorer.model, scorer.space, train_split)
+    assert (training_history.many(points) != predicted).mean() > 0.05
 
 
 def test_predict_on_resolved_log_by_default_exits_3(sim_dir, model_dir, tmp_path, capsys):

@@ -294,9 +294,10 @@ def oracle_assemble(student, at_day, space, history):
 Row = namedtuple("Row", "values names")
 
 
-def assemble_one(s, day, space):
-    """One point through the batch featurizer, with its column names."""
-    X = assemble([(s, day)], space)
+def assemble_one(s, day, space, history):
+    """One point through the batch featurizer, with its column names; `history`
+    is the cohort its teacher history is built from."""
+    X = assemble([(s, day)], space, build_teacher_history(history))
     assert X.shape == (1, len(space.names))
     return Row(X[0], space.names)
 
@@ -310,7 +311,7 @@ def fitted(cohort, blocks=ALL_BLOCKS):
             if o.inclass_values is not None
         ]
     )
-    return FeatureSpace(blocks, fit_pca(rows), build_teacher_history(cohort), cohort.schema)
+    return FeatureSpace(blocks, fit_pca(rows), cohort.schema)
 
 
 def get(fv, name):
@@ -319,7 +320,7 @@ def get(fv, name):
 
 def test_assemble_names_align_with_values(small_cohort):
     space = fitted(small_cohort)
-    fv = assemble_one(small_cohort.students["s1"], 12, space)
+    fv = assemble_one(small_cohort.students["s1"], 12, space, small_cohort)
     assert fv.names == space.names
     assert len(fv.values) == len(fv.names)
     assert np.all(np.isfinite(fv.values))
@@ -328,7 +329,7 @@ def test_assemble_names_align_with_values(small_cohort):
 def test_assemble_window_counts_hand_checked(small_cohort):
     space = fitted(small_cohort)
     s1 = small_cohort.students["s1"]  # sessions at 3, 10; follow-up at 12
-    fv = assemble_one(s1, 12, space)
+    fv = assemble_one(s1, 12, space, small_cohort)
     # (12-7, 12] = (5, 12] contains session day 10 only
     assert get(fv, "time_w7_classes") == 1.0
     # (12-14, 12] covers both sessions
@@ -347,7 +348,7 @@ def test_assemble_window_is_half_open(small_cohort):
     space = fitted(small_cohort)
     s1 = small_cohort.students["s1"]
     # at day 10 with L=7: window (3, 10] excludes the session on day 3
-    fv = assemble_one(s1, 10, space)
+    fv = assemble_one(s1, 10, space, small_cohort)
     assert get(fv, "time_w7_classes") == 1.0
 
 
@@ -356,7 +357,7 @@ def test_assemble_counts_additive_over_windows(small_cohort):
     space = fitted(small_cohort)
     assert LOOKBACK_DAYS == (7, 14, 21, 30)
     s1 = small_cohort.students["s1"]
-    fv = assemble_one(s1, 12, space)
+    fv = assemble_one(s1, 12, space, small_cohort)
     band = get(fv, "time_w14_classes") - get(fv, "time_w7_classes")
     days_in_band = [d for d in (3, 10) if 12 - 14 < d <= 12 - 7]
     assert band == len(days_in_band)
@@ -366,24 +367,24 @@ def test_assemble_causality_ignores_future(small_cohort):
     """Deleting observations after the query day must not change the output."""
     space = fitted(small_cohort)
     s1 = small_cohort.students["s1"]
-    full = assemble_one(s1, 10, space)
+    full = assemble_one(s1, 10, space, small_cohort)
     truncated = student(
         "s1", [o for o in s1.observations if o.day <= 10], status="dropout"
     )
-    trimmed = assemble_one(truncated, 10, space)
+    trimmed = assemble_one(truncated, 10, space, small_cohort)
     assert full.values.tobytes() == trimmed.values.tobytes()
 
 
 def test_assemble_rejects_day_before_first_observation(small_cohort):
     space = fitted(small_cohort)
     with pytest.raises(ValidationError):
-        assemble_one(small_cohort.students["s1"], 0, space)
+        assemble_one(small_cohort.students["s1"], 0, space, small_cohort)
 
 
 def test_assemble_zero_observations_encode_as_zero_count(small_cohort):
     space = fitted(small_cohort)
     s4 = small_cohort.students["s4"]  # one session, no out-of-class data
-    fv = assemble_one(s4, 7, space)
+    fv = assemble_one(s4, 7, space, small_cohort)
     assert get(fv, "out_count") == 0.0
     assert get(fv, "in_count") == 1.0
     out_cols = [v for n, v in zip(fv.names, fv.values) if n.startswith("out_")]
@@ -393,7 +394,7 @@ def test_assemble_zero_observations_encode_as_zero_count(small_cohort):
 def test_assemble_block_selection(small_cohort):
     s1 = small_cohort.students["s1"]
     for blocks in (("in",), ("out",), ("time",), ("in", "time")):
-        fv = assemble_one(s1, 12, fitted(small_cohort, blocks))
+        fv = assemble_one(s1, 12, fitted(small_cohort, blocks), small_cohort)
         prefixes = {n.split("_")[0] for n in fv.names}
         assert prefixes == set(blocks)
 
@@ -402,7 +403,7 @@ def test_assemble_in_block_matches_direct_projection(small_cohort):
     """Projected aggregates equal aggregates of projected rows."""
     space = fitted(small_cohort)
     s1 = small_cohort.students["s1"]
-    fv = assemble_one(s1, 12, space)
+    fv = assemble_one(s1, 12, space, small_cohort)
     rows = np.vstack(
         [o.inclass_values for o in s1.observations if o.inclass_values is not None]
     )
@@ -434,9 +435,10 @@ def test_assemble_causality_randomized(at_day, seed):
     if at_day < s.first_day:
         return
     space = fitted(cohort)
-    full = assemble_one(s, at_day, space)
+    full = assemble_one(s, at_day, space, cohort)
     visible = [o for o in s.observations if o.day <= at_day]
-    trimmed = assemble_one(student("r", visible, status="completion"), at_day, space)
+    trimmed = assemble_one(student("r", visible, status="completion"), at_day, space,
+                           cohort)
     np.testing.assert_array_equal(full.values, trimmed.values)
 
 
@@ -487,23 +489,23 @@ def batches(draw):
         st.tuples(st.integers(0, len(students) - 1), st.integers(0, 70)), min_size=1, max_size=40,
     ))
     points = [(students[j], students[j].first_day + offset) for j, offset in picks]
-    return FeatureSpace(blocks, pca, hist, cohort.schema), history, points, rng
+    return FeatureSpace(blocks, pca, cohort.schema), hist, history, points, rng
 
 
 @settings(max_examples=120, deadline=None)
 @given(case=batches(), data=st.data())
 def test_assemble_rows_equal_per_pair_oracle(case, data):
-    space, history, points, rng = case
-    X = assemble(points, space)
+    space, hist, history, points, rng = case
+    X = assemble(points, space, hist)
     assert X.shape == (len(points), len(space.names))
     for row, (s, day) in zip(X, points):
         assert row.tobytes() == oracle_assemble(s, day, space, history).tobytes()
 
     perm = rng.permutation(len(points))
-    shuffled = assemble([points[i] for i in perm], space)
+    shuffled = assemble([points[i] for i in perm], space, hist)
     assert shuffled.tobytes() == X[perm].tobytes()
     k = data.draw(st.integers(0, len(points)))
-    halves = [assemble(part, space) for part in (points[:k], points[k:])]
+    halves = [assemble(part, space, hist) for part in (points[:k], points[k:])]
     assert np.vstack(halves).tobytes() == X.tobytes()
 
 
@@ -513,7 +515,7 @@ def batch_sequences(draw):
     scored with the first one's state: both cases' points plus points far past
     a record's last day (up to MAX_DAY), cut into a sequence of batches, so new
     records arrive mid-sequence and records repeat within and across batches."""
-    space, history, points, _ = draw(batches())
+    space, hist, history, points, _ = draw(batches())
     other = draw(batches())[-2]
     records = [s for s, _ in points + other]
     far = draw(st.lists(st.tuples(
@@ -525,53 +527,54 @@ def batch_sequences(draw):
     ]
     cuts = sorted(draw(st.lists(st.integers(0, len(points)), max_size=6)))
     sequence = [points[a:b] for a, b in zip([0, *cuts], [*cuts, len(points)])]
-    return space, history, sequence + [points]
+    return space, hist, history, sequence + [points]
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=batch_sequences())
 def test_long_lived_index_rows_equal_fresh_assemble_and_oracle(case):
-    space, history, sequence = case
+    space, hist, history, sequence = case
     index = TimelineIndex()
     for batch in sequence:
-        X = assemble(batch, space, index)
-        assert X.tobytes() == assemble(batch, space).tobytes()
+        X = assemble(batch, space, hist, index)
+        assert X.tobytes() == assemble(batch, space, hist).tobytes()
         for row, (s, day) in zip(X, batch):
             assert row.tobytes() == oracle_assemble(s, day, space, history).tobytes()
 
 
 def test_index_keeps_slots_apart_at_max_day(small_cohort):
     """A point at MAX_DAY on one record, a day-0 session on the next record."""
-    space = fitted(small_cohort)
+    space, hist = fitted(small_cohort), build_teacher_history(small_cohort)
     a = small_cohort.students["s1"]
     b = student("b", [session(0, (1.0, 2.0, 3.0, 4.0)), obs(1, outclass=[1, 2, 3], polarity=-1)])
     points = [(a, MAX_DAY), (b, 0), (b, MAX_DAY), (a, a.first_day)]
     index = TimelineIndex()
     for batch in ([points[0]], points, points[::-1]):
-        X = assemble(batch, space, index)
+        X = assemble(batch, space, hist, index)
         for row, (s, day) in zip(X, batch):
             assert row.tobytes() == oracle_assemble(s, day, space, small_cohort).tobytes()
 
 
 def test_index_refuses_days_past_max_day(small_cohort):
-    space = fitted(small_cohort)
+    space, hist = fitted(small_cohort), build_teacher_history(small_cohort)
     s1 = small_cohort.students["s1"]
     late = student("late", [session(1), obs(MAX_DAY + 1)])
     index = TimelineIndex()
     with pytest.raises(ValidationError, match="exceeds"):
-        assemble([(s1, 3), (late, 1)], space, index)
+        assemble([(s1, 3), (late, 1)], space, hist, index)
     with pytest.raises(ValidationError, match="exceeds"):
-        assemble([(s1, MAX_DAY + 1)], space, index)
+        assemble([(s1, MAX_DAY + 1)], space, hist, index)
     # a refused batch leaves the index answering as a fresh one
     points = [(s1, MAX_DAY), (s1, 3)]
-    assert assemble(points, space, index).tobytes() == assemble(points, space).tobytes()
+    fresh = assemble(points, space, hist)
+    assert assemble(points, space, hist, index).tobytes() == fresh.tobytes()
 
 
 def test_assemble_matches_oracle_on_simulated_cohort():
     cohort = generate_cohort(SimConfig(n_students=40, seed=3))
     space = fit_feature_space(cohort, ALL_BLOCKS)
     points = [(s, d) for s in cohort for d in s.days]
-    X = assemble(points, space)
+    X = assemble(points, space, build_teacher_history(cohort))
     for row, (s, day) in zip(X, points):
         assert row.tobytes() == oracle_assemble(s, day, space, cohort).tobytes()
 
@@ -585,20 +588,19 @@ def test_assemble_single_column_sums_within_rounding_of_oracle():
         obs(d, kind="class_session", inclass=[v], outclass=[-v]) for d, v in
         zip(range(1, 41), rng.normal(size=40) * 10.0 ** rng.integers(-3, 3, size=40))
     ])
-    space = FeatureSpace(ALL_BLOCKS, fit_pca(rng.normal(size=(10, 1))),
-                         build_teacher_history(cohort_of(s)), schema)
-    X = assemble([(s, d) for d in s.days], space)
+    space = FeatureSpace(ALL_BLOCKS, fit_pca(rng.normal(size=(10, 1))), schema)
+    X = assemble([(s, d) for d in s.days], space, build_teacher_history(cohort_of(s)))
     expected = np.vstack([oracle_assemble(s, d, space, cohort_of(s)) for d in s.days])
     np.testing.assert_allclose(X, expected, rtol=1e-12, atol=1e-12)
 
 
 def test_assemble_empty_batch_has_full_width(small_cohort):
     space = fitted(small_cohort)
-    assert assemble([], space).shape == (0, len(space.names))
+    assert assemble([], space, build_teacher_history(small_cohort)).shape == (0, len(space.names))
 
 
 def test_assemble_rejects_non_finite_features(small_cohort):
     space = fitted(small_cohort)
     bad = student("bad", [obs(3, outclass=[np.inf, 0.0, 0.0])])
     with pytest.raises(ValidationError):
-        assemble([(bad, 3)], space)
+        assemble([(bad, 3)], space, build_teacher_history(small_cohort))

@@ -62,7 +62,8 @@ def test_scorer_many_scores_in_fixed_batches(trained, cohort, monkeypatch, n):
     batch = 7
     points = query_points(cohort)[:n]
     space = trained.scorer.space
-    one_call = trained.model.predict_proba(F.assemble(points, space, F.TimelineIndex()))
+    hist = F.build_teacher_history(cohort)
+    one_call = trained.model.predict_proba(F.assemble(points, space, hist, F.TimelineIndex()))
     calls = {"assemble": 0, "many": 0}
     assemble, many = F.assemble, PipelineScorer.many
 
@@ -77,7 +78,7 @@ def test_scorer_many_scores_in_fixed_batches(trained, cohort, monkeypatch, n):
     monkeypatch.setattr(pipeline, "_SCORE_BATCH", batch)
     monkeypatch.setattr(F, "assemble", counted_assemble)
     monkeypatch.setattr(PipelineScorer, "many", counted_many)
-    scores = PipelineScorer(trained.model, space).many(points)
+    scores = PipelineScorer(trained.model, space, cohort).many(points)
     assert scores.shape == (n,)
     assert scores.tobytes() == one_call.tobytes()
     assert calls == {"assemble": -(-n // batch), "many": 1}
@@ -89,7 +90,7 @@ def test_scorer_memory_does_not_grow_with_points(trained, cohort):
     batch = pipeline._SCORE_BATCH
     points = query_points(cohort)
     points = (points * (4 * batch // len(points) + 1))[: 4 * batch]
-    scorer = PipelineScorer(trained.model, trained.scorer.space)
+    scorer = PipelineScorer(trained.model, trained.scorer.space, cohort)
     scorer.many(points)  # index every record before measuring
     peaks = []
     tracemalloc.start()
@@ -110,13 +111,13 @@ def test_empty_or_repeated_blocks_are_refused(trained, blocks):
     with pytest.raises(ValidationError, match="distinct"):
         PipelineConfig(blocks=blocks)
     with pytest.raises(ValidationError, match="distinct"):
-        FeatureSpace(blocks, s.pca, s.hist, s.schema)
+        FeatureSpace(blocks, s.pca, s.schema)
 
 
-def test_scorer_rejects_model_with_other_columns(trained):
+def test_scorer_rejects_model_with_other_columns(trained, cohort):
     s = trained.scorer.space
     with pytest.raises(SchemaError):
-        PipelineScorer(trained.model, FeatureSpace(("time",), s.pca, s.hist, s.schema))
+        PipelineScorer(trained.model, FeatureSpace(("time",), s.pca, s.schema), cohort)
 
 
 def test_saved_scorer_scores_as_the_trained_one(trained, cohort, tmp_path):
@@ -125,6 +126,14 @@ def test_saved_scorer_scores_as_the_trained_one(trained, cohort, tmp_path):
     loaded = PipelineScorer.load(tmp_path, cohort)
     assert loaded.model.to_json() == trained.model.to_json()
     assert loaded.space.blocks == trained.scorer.space.blocks
+    # the space is exactly its file: every field comes back, the PCA bit for bit
+    fields = [f.name for f in dataclasses.fields(FeatureSpace)]
+    assert fields == ["blocks", "pca", "schema", "names"]
+    saved = trained.scorer.space
+    assert [getattr(loaded.space, f) for f in fields if f != "pca"] == [
+        getattr(saved, f) for f in fields if f != "pca"]
+    for a, b in zip(dataclasses.astuple(loaded.space.pca), dataclasses.astuple(saved.pca)):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
     points = query_points(cohort)[:300]
     assert loaded.many(points).tobytes() == trained.scorer.many(points).tobytes()
 
@@ -185,15 +194,16 @@ def test_scoring_does_not_keep_records_alive():
 
 def test_scorer_index_memory_stays_small(trained):
     """Scoring every query point of a 400-student cohort in daily batches,
-    index included, peaks at 1.71 MB (the index itself holds 1.27 MB); a
-    per-record timeline cache on top of the index would add about 2.1 MB."""
+    index and the cohort's teacher history included, peaks at 1.87 MB (the
+    index itself holds 1.27 MB); a per-record timeline cache on top of the
+    index would add about 2.1 MB."""
     big = generate_cohort(SimConfig(n_students=400, seed=0))
     by_day: dict[int, list] = {}
     for s, d in query_points(big):
         by_day.setdefault(d, []).append((s, d))
     tracemalloc.start()
     try:
-        scorer = PipelineScorer(trained.model, trained.scorer.space)
+        scorer = PipelineScorer(trained.model, trained.scorer.space, big)
         for day in sorted(by_day):
             scorer.many(by_day[day])
         peak = tracemalloc.get_traced_memory()[1]
@@ -299,18 +309,25 @@ def test_dropout_observed_once_trains(lookback):
     assert all(s is not solo for s, _ in trained.pairs["pseudo_positive"].points)
 
 
-def test_run_sweep_arm_equals_direct_train_and_evaluate(cohort):
+def test_run_sweep_arm_equals_direct_train_and_evaluate(cohort, tmp_path):
     """An arm trains with the split's seed as its sampler seed, whatever the
-    arm's own sampler seed, and reports that run's AUCs and recall bit for bit."""
-    report = run_sweep(cohort, {"fast": FAST}, [1, 7], [3], train_fraction=0.7)
+    arm's own sampler seed, and reports bit for bit the AUCs and recall of its
+    model saved and loaded against the whole cohort, as `predict` scores it.
+    Trees of 40x3 here split on the teacher columns, so the training split's
+    teacher history alone gives other AUCs."""
+    deep = PipelineConfig(gbdt=GBDTConfig(n_trees=40, max_depth=3))
+    report = run_sweep(cohort, {"deep": deep}, [1, 7], [3], train_fraction=0.7)
     train_cohort, test_cohort = split_students(cohort, 0.7, seed=3)
-    config = dataclasses.replace(FAST, sampler=SamplerConfig(seed=3))
-    scorer = train(train_cohort, config).scorer
+    config = dataclasses.replace(deep, sampler=SamplerConfig(seed=3))
+    trained = train(train_cohort, config)
+    trained.scorer.save(tmp_path)
+    scorer = PipelineScorer.load(tmp_path, cohort)
     direct = evaluate_horizons(scorer, test_cohort, [1, 7]).auc_by_horizon
     recall = daily_flagging(scorer, test_cohort, 0.3)["pooled@0.3"]
+    assert evaluate_horizons(trained.scorer, test_cohort, [1, 7]).auc_by_horizon != direct
     assert report["deltas"] == [1, 7] and report["seeds"] == [3]
     expected = {**{str(d): direct[d] for d in (1, 7)}, "recall": recall}
-    got = {**report["cells"]["fast"], "recall": report["recall_at_fraction"]["pooled@0.3"]["fast"]}
+    got = {**report["cells"]["deep"], "recall": report["recall_at_fraction"]["pooled@0.3"]["deep"]}
     for key, value in expected.items():
         assert value is not None
         assert got[key] == {"mean": value, "std": 0.0, "per_seed": [value]}
